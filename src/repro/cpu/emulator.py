@@ -225,7 +225,10 @@ class Emulator:
             return ExecutionResult(stop.reason, steps, stop.detail)
         except (MemoryFault, CpuError) as fault:
             process.record_exit(code=139, signal=fault.signal)
-            return ExecutionResult("fault", steps, str(fault), fault=fault)
+            # Drop the traceback: its frames would pin this dead process
+            # (and its address space) for as long as the result is kept.
+            return ExecutionResult("fault", steps, str(fault),
+                                   fault=fault.with_traceback(None))
         finally:
             observer = process.observer
             if profiler is not None:

@@ -1,6 +1,8 @@
 """ASLR brute force and off-path spoofing."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -11,8 +13,11 @@ from repro.core import AttackScenario, attacker_knowledge
 from repro.exploit import (
     AslrBruteForcer,
     OffPathSpoofer,
+    X86Ret2Libc,
     builder_for,
+    deliver,
 )
+from repro.mem import BASE_LAYOUTS, PAGE_SIZE
 
 
 def arm_rop_exploit():
@@ -71,6 +76,27 @@ class TestBruteForce:
         shifted = forcer.knowledge_for_slide(3)
         assert shifted.libc["system"] == zero.libc["system"] - 3 * 0x1000
         assert shifted.plt == zero.plt
+
+    def test_crashed_boots_are_freed(self):
+        """The daemon's event log keeps each crash's fault, not the dead
+        process: a failed attempt's address space is garbage once the
+        daemon has respawned."""
+        victim = ConnmanDaemon(arch="x86", profile=WX_ASLR, rng=random.Random(99))
+        forcer = AslrBruteForcer(victim)
+        builder = X86Ret2Libc()
+        first_space = weakref.ref(victim.loaded.process.memory)
+        for _attempt in range(4):
+            if not victim.alive:
+                victim.restart()
+            actual = ((BASE_LAYOUTS["x86"].libc_base - victim.loaded.layout.libc_base)
+                      // PAGE_SIZE)
+            wrong = (actual + 1) % forcer.entropy_pages
+            report = deliver(builder.build(forcer.knowledge_for_slide(wrong)), victim)
+            assert not report.got_root_shell
+            assert report.event.execution.fault is not None
+        assert victim.boots == 4
+        gc.collect()
+        assert first_space() is None
 
 
 class TestOffPath:
