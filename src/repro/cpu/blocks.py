@@ -36,7 +36,7 @@ The contract is the decode cache's, one level up: outcomes, traces, step
 counts, budget exhaustion, crash postmortems (including register/flag
 state at the fault), and W^X / code-injection verdicts are bit-identical
 with blocks on or off, at any worker count (``tests/test_block_translation``
-pins it).  Runs with a ``TraceRecorder`` or a ``step_timer`` attached fall
+pins it).  Runs with a ``TraceRecorder`` or a taint engine attached fall
 back to per-instruction dispatch so per-step observation stays exact.
 """
 
@@ -149,8 +149,9 @@ class BlockCache:
         #: Instructions executed through compiled blocks (the run loop
         #: adds each block execution's completed count).
         self.steps = 0
-        #: Lengths of blocks built since the last observer flush (the
-        #: emulator drains this into the ``block.length`` histogram).
+        #: Lengths of blocks built during the current run (the run loop
+        #: drains them into an observer's ``block.length`` histogram and
+        #: clears the list when the run ends).
         self.built_lengths: List[int] = []
         self._blocks: Dict[int, Block] = {}
         self._epoch = process.memory.mapping_epoch

@@ -12,7 +12,6 @@ them like the paper does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
 from typing import TYPE_CHECKING, Optional
 
 from ..mem import MemoryFault
@@ -65,11 +64,6 @@ class Emulator:
 
     def __init__(self, process: Process):
         self.process = process
-        #: Optional per-step wall-time histogram (an object with
-        #: ``observe(value)``; values in microseconds).  Left unset on the
-        #: normal path so observed traces stay deterministic — only the
-        #: benchmark harness opts in.
-        self.step_timer = None
 
     def step(self):  # pragma: no cover - abstract
         """Execute one instruction; returns the executed Instruction."""
@@ -135,7 +129,6 @@ class Emulator:
                         cache.epoch_flushes)
         blocks_before = (blocks.hits, blocks.misses, blocks.invalidations,
                          blocks.epoch_flushes, blocks.native_flushes)
-        timer = self.step_timer
         profiler = getattr(process, "profiler", None)
         taint = getattr(process, "taint", None)
         if profiler is not None:
@@ -144,16 +137,14 @@ class Emulator:
             # workers merge byte-identical to the sequential sweep.
             profiler.begin_run()
         # Block dispatch is outcome-identical but not *observation*-identical
-        # at instruction granularity, so tracing and per-step timing force
-        # the per-instruction path: traces and step histograms stay exact.
-        # The profiler deliberately does NOT force the fallback — blocks
-        # carry their mnemonic/address lines, so block dispatch sums into
-        # the same per-opcode totals single-stepping would produce and
-        # step_timer.count == summed profiler steps on the same workload.
-        # Taint DOES force it: label propagation needs each instruction's
-        # pre-step register file, which block dispatch never materializes.
-        use_blocks = (blocks.enabled and trace is None and timer is None
-                      and taint is None)
+        # at instruction granularity, so tracing forces the per-instruction
+        # path: traces stay exact.  The profiler deliberately does NOT
+        # force the fallback — blocks carry their mnemonic/address lines,
+        # so block dispatch sums into the same per-opcode totals
+        # single-stepping would produce.  Taint DOES force it: label
+        # propagation needs each instruction's pre-step register file,
+        # which block dispatch never materializes.
+        use_blocks = blocks.enabled and trace is None and taint is None
         steps = 0
         try:
             while steps < max_steps:
@@ -162,12 +153,7 @@ class Emulator:
                     pc = process.pc
                     if trace is not None:
                         trace.record(pc, "native", f"{native.name}(...)")
-                    if timer is not None:
-                        started = perf_counter()
-                        native.invoke(process)
-                        timer.observe((perf_counter() - started) * 1e6)
-                    else:
-                        native.invoke(process)
+                    native.invoke(process)
                     steps += 1
                     if profiler is not None:
                         profiler.record_native(process, native, pc)
@@ -205,16 +191,11 @@ class Emulator:
                 if trace is not None:
                     trace.record(process.pc, "insn", self._peek_text(process.pc))
                 # Snapshot the register file the instruction will *read*
-                # before stepping (outside the timed region): propagation
-                # needs pre-step sp/base values to locate memory operands.
+                # before stepping: propagation needs pre-step sp/base
+                # values to locate memory operands.
                 prev_regs = (dict(process.registers.values)
                              if taint is not None else None)
-                if timer is not None:
-                    started = perf_counter()
-                    insn = self.step()
-                    timer.observe((perf_counter() - started) * 1e6)
-                else:
-                    insn = self.step()
+                insn = self.step()
                 steps += 1
                 if taint is not None:
                     taint.step(process, insn, prev_regs)
@@ -257,7 +238,9 @@ class Emulator:
                         observer.inc(name, delta)
                     for length in blocks.built_lengths:
                         observer.observe("block.length", length)
-                    blocks.built_lengths.clear()
+            # Drained or not, this run's build lengths end with it: an
+            # unobserved run must not leak them into a later observed one.
+            blocks.built_lengths.clear()
 
 
 def make_emulator(process: Process) -> Emulator:

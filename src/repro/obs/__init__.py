@@ -63,7 +63,6 @@ from .profiler import (
     DEFAULT_SAMPLE_INTERVAL,
     DeterministicProfiler,
     ProfileData,
-    WallClockProfiler,
     folded_stacks,
     render_profile,
     speedscope_document,
@@ -136,5 +135,4 @@ __all__ = [
     "validate_chrome_trace",
     "validate_speedscope",
     "validate_taint_summary",
-    "WallClockProfiler",
 ]

@@ -11,8 +11,8 @@ honors:
   exactly one step-budget unit, so an opcode's "cost" is its step count
   and its share of the run's budget.  Native (libc model) invocations
   cost one unit too and appear as ``native:<name>`` lines, which makes
-  the profiler's summed step count equal the run loop's ``steps`` and
-  the benchmark harness's ``step_timer.count`` on the same run.
+  the profiler's summed step count equal the run loop's ``steps`` on
+  the same run, with blocks on or off.
 * **Per-address heat** — how often each guest pc executed (the map a
   JIT-threshold or trace-selection heuristic would consume).
 * **Per-superblock economics** — dispatches, executed steps, and
@@ -36,11 +36,10 @@ Determinism model
 Sampling is counted in *completed guest steps*, and the counter is
 reset at every run-loop entry, so sample points are a pure function of
 the workload.  Block dispatch **stays enabled** under profiling (unlike
-``step_timer``, which needs per-step wall timings and forces the
-per-instruction path): a compiled block carries its mnemonic/address
-line, the run loop reports how many of its instructions completed, and
-the profiler sums them into the same per-opcode lines single-stepping
-would produce.  The one interaction is :meth:`~DeterministicProfiler.
+tracing and taint, which force the per-instruction path): a compiled
+block carries its mnemonic/address line, the run loop reports how many
+of its instructions completed, and the profiler sums them into the same
+per-opcode lines single-stepping would produce.  The one interaction is :meth:`~DeterministicProfiler.
 admits_block` — a block that would *cross* a sample boundary is
 declined, so the run loop single-steps up to the boundary and every
 sample observes the exact architectural state the per-step path would
@@ -53,22 +52,20 @@ ship a picklable :class:`ProfileData` snapshot and the parent folds
 them in task order — pure counter addition, so a ``workers=N`` sweep's
 merged profile is byte-identical to the sequential sweep's.
 
-Wall-clock correlation is a *separate*, opt-in harness layer
-(:class:`WallClockProfiler`), never merged into :class:`ProfileData` —
-the same split PR 6 made between deterministic results artifacts and
+Wall-clock time never enters :class:`ProfileData`: real seconds per
+layer come from the end-to-end benchmark (``benchmarks/e2e``), the same
+split PR 6 made between deterministic results artifacts and
 wall-dependent sweep telemetry.
 """
 
 from __future__ import annotations
 
 import json
-from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
 
 from .postmortem import _return_walk
 
 PROFILE_SCHEMA = "repro-profile/v1"
-WALL_SCHEMA = "repro-wallclock/v1"
 
 #: Default stack-sampling period, in completed guest steps.  Prime, so
 #: sample points do not phase-lock with loop bodies or block lengths,
@@ -557,59 +554,3 @@ def render_profile(data: ProfileData, *, top: int = 10) -> str:
         f"(every {data.sample_interval} steps)"
         if data.sample_interval else "  stack samples: disabled")
     return "\n".join(lines)
-
-
-# -- wall-clock correlation (opt-in harness layer) -----------------------------
-
-
-class WallSection:
-    """One labeled wall-clock measurement with its simulated-step count."""
-
-    def __init__(self, label: str):
-        self.label = label
-        self.wall_seconds = 0.0
-        self.steps = 0
-        self._started: Optional[float] = None
-
-    def __enter__(self) -> "WallSection":
-        self._started = perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.wall_seconds += perf_counter() - self._started
-        self._started = None
-
-
-class WallClockProfiler:
-    """Opt-in wall-time correlation for bench runs.
-
-    Deliberately a *separate* layer from :class:`DeterministicProfiler`
-    (the PR 6 telemetry split): wall timings are machine-dependent, so
-    they are never folded into :class:`ProfileData` and never touch the
-    deterministic artifacts — they only annotate benchmark output so a
-    simulated-cost line can be read as steps/second on this machine.
-    """
-
-    def __init__(self):
-        self.sections: List[WallSection] = []
-
-    def section(self, label: str) -> WallSection:
-        section = WallSection(label)
-        self.sections.append(section)
-        return section
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": WALL_SCHEMA,
-            "sections": [
-                {
-                    "label": section.label,
-                    "wall_seconds": round(section.wall_seconds, 6),
-                    "steps": section.steps,
-                    "steps_per_second": round(
-                        section.steps / section.wall_seconds, 1)
-                    if section.wall_seconds > 0 else None,
-                }
-                for section in self.sections
-            ],
-        }

@@ -15,6 +15,7 @@ from repro.cpu.native import NativeFunction
 from repro.cpu.x86 import asm as x86
 from repro.cpu.x86.emu import X86Emulator
 from repro.mem import AddressSpace, Perm, Segment, WxViolation
+from repro.obs import Collector
 
 
 def x86_process(segments, code_at=None):
@@ -125,11 +126,39 @@ class TestBlockDispatch:
             code_at={0x1000: code},
         )
         process.pc = 0x1000
+        process.observer = Collector()
         make_emulator(process).run(max_steps=300)
         blocks = process.block_cache
+        lengths = process.observer.metrics.histogram("block.length")
         assert blocks.builds >= 2
-        assert blocks.built_lengths  # no observer attached, so not drained
-        assert max(blocks.built_lengths) <= MAX_BLOCK_LEN
+        assert lengths.count == blocks.builds
+        assert lengths.max <= MAX_BLOCK_LEN
+        assert not blocks.built_lengths  # drained when the run ended
+
+    def test_block_length_histogram_counts_only_the_observed_run(self):
+        # Unobserved runs (code page rewritten after each, so every run
+        # rebuilds) must not leak their build lengths into the next
+        # observed run's block.length histogram.
+        process = x86_process(
+            [Segment(".text", 0x1000, 0x100, Perm.RX)],
+            code_at={0x1000: TIGHT_LOOP},
+        )
+        emulator = make_emulator(process)
+        blocks = process.block_cache
+        for _ in range(3):
+            process.pc = 0x1000
+            emulator.run(max_steps=50)
+            process.memory.write(0x1000, TIGHT_LOOP, check=False)
+        assert blocks.builds >= 3
+        process.observer = Collector()
+        process.pc = 0x1000
+        builds_before = blocks.builds
+        emulator.run(max_steps=50)
+        observed_builds = blocks.builds - builds_before
+        metrics = process.observer.metrics
+        assert observed_builds >= 1
+        assert metrics.value("block_cache_misses") == observed_builds
+        assert metrics.histogram("block.length").count == observed_builds
 
     def test_trace_recorder_forces_per_step_dispatch(self):
         process = x86_process(
@@ -143,47 +172,44 @@ class TestBlockDispatch:
         assert process.block_cache.steps == 0
         assert len(process.trace.entries) == 40
 
-    def test_step_timer_forces_per_step_and_times_natives(self):
-        """The step timer observes every dispatch, native calls included."""
+    def test_per_step_path_counts_natives_one_step_each(self):
+        """Blocks off or traced, a native call costs exactly one step."""
+        for mode in ("blocks-off", "trace"):
+            calls = []
 
-        class Recorder:
-            def __init__(self):
-                self.count = 0
+            def handler(context):
+                calls.append(context.process.pc)
+                return 0
 
-            def observe(self, value):
-                self.count += 1
-
-        calls = []
-
-        def handler(context):
-            calls.append(context.process.pc)
-            return 0
-
-        process = x86_process(
-            [
-                Segment(".text", 0x1000, 0x100, Perm.RX),
-                Segment("stack", 0x20000, 0x1000, Perm.RW),
-            ],
-            code_at={
-                0x1000: x86.push_imm32(0x100A)      # return address: the nops
-                + x86.jmp_rel32(0x1005, 0x5000)     # "call" the native
-                + x86.nop() * 3
-                + x86.hlt(),
-            },
-        )
-        process.register_native(0x5000, NativeFunction("stub", handler))
-        process.registers["esp"] = 0x20800
-        process.pc = 0x1000
-        emulator = make_emulator(process)
-        timer = Recorder()
-        emulator.step_timer = timer
-        result = emulator.run(max_steps=50)
-        assert calls  # the native actually ran
-        assert result.reason == "fault"
-        # Every step was timed: push, jmp, native invoke, 3 nops all appear
-        # before the hlt fault ends the run.
-        assert timer.count == result.steps == 6
-        assert process.block_cache.steps == 0  # timer forces per-step path
+            process = x86_process(
+                [
+                    Segment(".text", 0x1000, 0x100, Perm.RX),
+                    Segment("stack", 0x20000, 0x1000, Perm.RW),
+                ],
+                code_at={
+                    0x1000: x86.push_imm32(0x100A)      # return address: the nops
+                    + x86.jmp_rel32(0x1005, 0x5000)     # "call" the native
+                    + x86.nop() * 3
+                    + x86.hlt(),
+                },
+            )
+            process.register_native(0x5000, NativeFunction("stub", handler))
+            process.registers["esp"] = 0x20800
+            process.pc = 0x1000
+            if mode == "blocks-off":
+                process.block_cache.enabled = False
+            else:
+                process.trace = TraceRecorder()
+            result = make_emulator(process).run(max_steps=50)
+            assert calls == [0x5000], mode  # the native ran exactly once
+            assert result.reason == "fault"
+            # push, jmp, native invoke, 3 nops: one step each before the
+            # hlt fault ends the run.
+            assert result.steps == 6, mode
+            assert process.block_cache.steps == 0, mode
+            if mode == "trace":
+                assert len(process.trace.natives()) == 1
+                assert len(process.trace.entries) == result.steps + 1  # + hlt
 
 
 class TestBlockInvalidation:
@@ -316,7 +342,7 @@ class TestBlockInvalidation:
         make_emulator(process).run(max_steps=20)
         blocks = process.block_cache
         assert blocks.builds >= 2  # one block per page side
-        assert blocks.built_lengths[0] == 4
+        assert blocks.lookup(0x1FFC).length == 4
 
     def test_wx_still_enforced_with_blocks_on(self):
         process = x86_process([Segment("data", 0x1000, 0x100, Perm.RW)])

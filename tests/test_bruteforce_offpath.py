@@ -9,7 +9,7 @@ import pytest
 from repro.connman import ConnmanDaemon, EventKind
 from repro.defenses import WX_ASLR, ProtectionProfile
 from repro.dns import SimpleDnsServer
-from repro.core import AttackScenario, attacker_knowledge
+from repro.core import AttackScenario, attacker_knowledge, e11_offpath
 from repro.exploit import (
     AslrBruteForcer,
     OffPathSpoofer,
@@ -116,6 +116,11 @@ class TestOffPath:
         assert not result.succeeded
         assert result.queries_observed == 32
         assert victim.alive  # legitimate replies kept winning
+
+    def test_e11_table(self):
+        result = e11_offpath()
+        assert result.all_pass
+        assert result.rows[0][0] == 2048 and result.rows[1][0] == 4
 
     def test_spoof_accounting(self):
         victim = ConnmanDaemon(arch="arm", profile=WX_ASLR, rng=random.Random(4))

@@ -27,6 +27,10 @@ class TestCommands:
         out = capsys.readouterr().out
         assert out.count("root shell") == 6
 
+    def test_trace_events_cli_rejects_negative_limit(self, capsys):
+        assert main(["trace-events", "--limit", "-2"]) == 2
+        assert "--limit" in capsys.readouterr().err
+
     def test_experiments_selected(self, capsys):
         assert main(["experiments", "--only", "E1,E6"]) == 0
         out = capsys.readouterr().out

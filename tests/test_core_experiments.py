@@ -82,34 +82,51 @@ class TestExperimentResults:
         result = e1_dos()
         assert result.all_pass
         assert len(result.rows) == 4
+        crashed = [row for row in result.rows if row[1] == "1.34"]
+        survived = [row for row in result.rows if row[1] == "1.35"]
+        assert len(crashed) == len(survived) == 2
+        assert all(not row[3] for row in crashed)   # daemon down
+        assert all(row[3] for row in survived)      # daemon alive
 
     def test_e2(self):
         result = e2_code_injection()
         assert result.all_pass
         assert len(result.rows) == 4  # 2 successes + 2 W^X blocks
+        shells = [row for row in result.rows if row[1] == "none"]
+        assert len(shells) == 2 and all(row[3] == "root shell" for row in shells)
 
     def test_e3(self):
         result = e3_wx_bypass()
         assert result.all_pass
         assert len(result.rows) == 5
+        wins = [row for row in result.rows if row[1] == "vs W^X victim"]
+        assert len(wins) == 2 and all(row[2] == "root shell" for row in wins)
 
     def test_e4(self):
         result = e4_aslr_bypass()
         assert result.all_pass
         assert len(result.rows) == 3
+        wins = [row for row in result.rows if row[1] == "rop (paper chain)"]
+        assert len(wins) == 2 and all(row[2] == "root shell" for row in wins)
 
     def test_e5(self):
         result = e5_pineapple()
         assert result.all_pass
         assert len(result.rows) == 4  # x86 feasibility + 3 ARM levels
+        assert all(row[2] for row in result.rows)                   # every device roamed
+        assert all(row[3] == "172.16.42.1" for row in result.rows)  # rogue DNS via DHCP
 
     def test_e6(self):
         result = e6_firmware_survey()
         assert result.all_pass
+        vulnerable = {row[0] for row in result.rows if row[2]}
+        assert {"yocto-pyro", "openelec-8", "tizen-3"} <= vulnerable
+        assert "tizen-4" not in vulnerable
 
     def test_e7(self):
         result = e7_mitigations()
         assert result.all_pass
+        assert len(result.rows) == 10  # 5 mitigations x 2 arches
         mitigations = {row[0] for row in result.rows}
         assert mitigations == {
             "patch to 1.35", "stack canary", "CFI (shadow stack)",
@@ -120,6 +137,7 @@ class TestExperimentResults:
         result = e8_adaptation(profiles=(("W^X+ASLR", WX_ASLR),))
         assert result.all_pass
         assert len(result.rows) == 6  # one per §V service
+        assert {row[2] for row in result.rows} == {"dns", "http", "tcp"}
 
     def test_describe_renders(self):
         text = e6_firmware_survey().describe()
@@ -142,3 +160,9 @@ class TestSupportingPieces:
         assert len(reports) == 3
         for report in reports:
             assert report.gadget_survival_rate < 0.9
+        # The probabilistic-protection claim on x86: most gadget addresses
+        # die, and the PLT moves in every diversified build.
+        reports = diversity_survival("x86", seeds=6)
+        assert len(reports) == 6
+        assert all(report.gadget_survival_rate < 0.5 for report in reports)
+        assert all(report.plt_moved > 0 for report in reports)

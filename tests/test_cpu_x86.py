@@ -240,6 +240,17 @@ class TestEmulator:
         assert result.crashed
         assert isinstance(result.fault, IllegalInstruction)
 
+    def test_exit_syscall(self, scratch_space):
+        # 198 arithmetic instructions, then exit(0) through int 0x80.
+        code = (asm.inc_reg("eax") + asm.dec_reg("ecx")
+                + asm.xor_reg_reg("edx", "edx")) * 66
+        code += (asm.mov_reg_imm32("eax", 1) + asm.xor_reg_reg("ebx", "ebx")
+                 + asm.int_(0x80))
+        process, result = run_code(scratch_space, code)
+        assert result.reason == "exit"
+        assert result.steps == 200  # the stopping int 0x80 is not counted
+        assert process.exit.code == 0
+
     def test_budget_exhaustion_reports(self, scratch_space):
         code = asm.jmp_rel8(0x1000, 0x1000)  # tight infinite loop
         _, result = run_code(scratch_space, code, max_steps=50)

@@ -32,6 +32,7 @@ class TestE12:
         result = e12_fleet()
         assert result.all_pass
         assert len(result.rows) == 6
+        assert all(row[4] for row in result.rows)  # everyone roamed
 
     def test_every_vulnerable_device_rooted(self):
         result = e12_fleet()

@@ -1,9 +1,9 @@
 """Deterministic profiling: attribution accuracy and observation purity.
 
 The profiler's contract has three legs, and this file pins all of them:
-its step accounting must agree exactly with the run loop's (and with the
-``step_timer`` benchmark path, which forces per-instruction execution),
-its attribution output must be byte-identical with block dispatch on or
+its step accounting must agree exactly with the run loop's (and with a
+blocks-off run, which executes one instruction per dispatch), its
+attribution output must be byte-identical with block dispatch on or
 off and across worker counts, and attaching it must change no outcome —
 the observed scenarios behind E2, E3, and E16 produce the same verdicts
 profiled or not.
@@ -45,31 +45,21 @@ def profiled_run(max_steps, *, sample_interval=0, blocks=True):
     return result, profiler
 
 
-class _StepTimer:
-    """Minimal ``step_timer`` stand-in: counts per-step observations."""
-
-    def __init__(self):
-        self.count = 0
-
-    def observe(self, value):
-        self.count += 1
-
-
 class TestStepAccounting:
-    def test_step_timer_count_equals_profiler_summed_steps(self):
-        # The benchmark path (step_timer) forces per-instruction
-        # execution; the profiler keeps blocks enabled.  Both must
-        # account for exactly the same number of step-budget units.
-        timed = loop_process()
-        timer = _StepTimer()
-        emulator = make_emulator(timed)
-        emulator.step_timer = timer
-        timed_result = emulator.run(max_steps=500)
+    def test_per_step_run_steps_equal_profiler_summed_steps(self):
+        # A blocks-off run executes one instruction per dispatch; the
+        # profiler keeps blocks enabled.  Both must account for exactly
+        # the same number of step-budget units.
+        per_step = loop_process()
+        per_step.block_cache.enabled = False
+        per_step_result = make_emulator(per_step).run(max_steps=500)
 
         result, profiler = profiled_run(500)
-        assert timer.count == timed_result.steps == 500
-        assert profiler.data.steps == result.steps == timer.count
-        assert sum(profiler.data.opcodes.values()) == timer.count
+        assert per_step_result.steps == 500
+        assert per_step.block_cache.steps == 0
+        assert profiler.data.block_steps > 0
+        assert profiler.data.steps == result.steps == per_step_result.steps
+        assert sum(profiler.data.opcodes.values()) == per_step_result.steps
 
     def test_block_and_interpreter_paths_sum_to_total(self):
         result, profiler = profiled_run(500)
@@ -227,8 +217,12 @@ class TestOutcomeParity:
                 observer.attach_profiler(DeterministicProfiler())
             result = e16_chaos(rates=(0.0, 0.3), queries_per_rate=4,
                                attack_budget=4, sweep_observer=observer)
+            assert result.all_pass
             rows.append(result.rows)
         assert rows[0] == rows[1]
+        labels = [row[0] for row in rows[0]]
+        assert "(bruteforce, bare init)" in labels
+        assert "(bruteforce, supervised)" in labels
 
 
 class TestFlamegraphFormats:

@@ -43,4 +43,8 @@ class TestExperiment:
     def test_e14_all_ok(self):
         result = e14_reliability(trials=5)
         assert result.all_pass
+        always = [row for row in result.rows if row[4] == "always"]
+        lottery = [row for row in result.rows if row[4] == "lottery"]
+        assert always and all(row[3] == "5/5" for row in always)
+        assert lottery and all(row[3].startswith("0/") for row in lottery)
         assert len(result.rows) == len(STUDY_PLAN)
