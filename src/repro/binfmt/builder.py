@@ -128,13 +128,19 @@ class BinaryBuilder:
         raise ValueError(f"patch target {address:#010x} not inside emitted data")
 
     def link(self, **metadata: str) -> Binary:
-        """Finalize into an immutable-ish :class:`Binary`."""
+        """Finalize into a :class:`Binary` whose section contents are frozen.
+
+        Every section's ``data`` becomes ``bytes``, so a linked image can be
+        shared read-only: the loader copies it into fresh segments, and an
+        in-place write to it raises ``TypeError``.
+        """
         if self._linked:
             raise RuntimeError("builder already linked")
         self._linked = True
         binary = Binary(name=self.name, arch=self.arch, metadata=dict(metadata))
         for section in self._sections.values():
             if section.data or section.reserve:
+                section.data = bytes(section.data)
                 binary.sections[section.name] = section
         for symbol in self._symbols:
             binary.symbols.define(symbol)

@@ -18,6 +18,7 @@ different gadget/PLT addresses).
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from typing import Callable, List, Tuple
 
 from ..cpu.arm import asm as arm
@@ -190,12 +191,26 @@ def _plt_stub(arch: str, index: int) -> bytes:
     return arm.add_imm("ip", "pc", 0) + arm.ldr("pc", "ip", 8) + arm.nop()
 
 
+#: Distinct (arch, version, seed) images kept built.  The widest experiment,
+#: E7, needs 2 arches x 9 seeds.
+BUILD_CACHE_SIZE = 32
+
+
 def build_connman(arch: str, version: str = "1.34", seed: int = 0) -> Binary:
-    """Build one Connman image.
+    """One Connman image.
 
     ``seed=0`` is the stock distribution build; non-zero seeds produce the
     diversified builds used by the §IV software-diversity experiments.
+
+    The image is built once per ``(arch, version, seed)`` and shared: its
+    sections are frozen, and a caller that needs a changed image derives
+    one with :func:`dataclasses.replace` instead of mutating this one.
     """
+    return _build_connman(arch, version, seed)
+
+
+@lru_cache(maxsize=BUILD_CACHE_SIZE)
+def _build_connman(arch: str, version: str, seed: int) -> Binary:
     link_base = X86_LINK_BASE if arch == "x86" else ARM_LINK_BASE
     rng = random.Random(seed * 2 + (0 if arch == "x86" else 1))
     builder = BinaryBuilder("connman", arch, link_base=link_base)

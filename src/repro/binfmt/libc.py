@@ -19,7 +19,9 @@ The exploit-relevant facts modeled here, straight from the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Dict, Mapping
 
 from ..cpu.events import _EmulationStop
 from ..cpu.native import NativeCallContext, NativeHandler
@@ -134,7 +136,7 @@ class LibcImage:
     """Link-base-0 libc binary plus its native implementations."""
 
     binary: Binary
-    natives: Dict[str, NativeHandler]
+    natives: Mapping[str, NativeHandler]
 
 
 def _stub_body(arch: str, index: int) -> bytes:
@@ -159,7 +161,16 @@ def _stub_body(arch: str, index: int) -> bytes:
 
 
 def build_libc(arch: str) -> LibcImage:
-    """Build the deterministic libc image for one architecture."""
+    """The deterministic libc image for one architecture.
+
+    Built once per ``arch`` and shared read-only: the sections are frozen
+    and ``natives`` is a read-only mapping.
+    """
+    return _build_libc(arch)
+
+
+@lru_cache(maxsize=4)
+def _build_libc(arch: str) -> LibcImage:
     builder = BinaryBuilder("libc", arch, link_base=0)
     for index, name in enumerate(LIBC_EXPORTS):
         builder.align(".text", 16 if arch == "x86" else 4)
@@ -170,4 +181,4 @@ def build_libc(arch: str) -> LibcImage:
     builder.add_string("libc_version", b"GNU C Library (simulated) release 2.23")
     builder.reserve_bss("__libc_bss", 0x100)
     binary = builder.link(soname="libc.so.6")
-    return LibcImage(binary=binary, natives=dict(LIBC_EXPORTS))
+    return LibcImage(binary=binary, natives=MappingProxyType(dict(LIBC_EXPORTS)))

@@ -3,18 +3,22 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Union
 
 from ..mem import Perm
 
 
 @dataclass
 class SectionImage:
-    """One section: name, permissions, contents (or reserved size for .bss)."""
+    """One section: name, permissions, contents (or reserved size for .bss).
+
+    ``data`` is a ``bytearray`` while a builder appends to it and frozen
+    ``bytes`` once the image is linked.
+    """
 
     name: str
     perm: Perm
-    data: bytearray = field(default_factory=bytearray)
+    data: Union[bytearray, bytes] = field(default_factory=bytearray)
     #: Link-time virtual address (assigned by the builder's layout pass).
     address: int = 0
     #: For NOBITS sections (.bss): reserved size with no file contents.

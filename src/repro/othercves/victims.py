@@ -19,7 +19,7 @@ vulnerability".
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional
 
 from ..binfmt import build_connman, build_libc, load_process
@@ -128,9 +128,9 @@ class AdaptedService:
         self.profile = profile
         self.vulnerable = vulnerable
         self.rng = rng or random.Random(0xBEEF ^ spec.build_seed)
-        self.binary = build_connman(spec.arch, version="1.34", seed=spec.build_seed)
-        self.binary.name = spec.name
-        self.binary.metadata["product"] = spec.name
+        stock = build_connman(spec.arch, version="1.34", seed=spec.build_seed)
+        self.binary = replace(
+            stock, name=spec.name, metadata={**stock.metadata, "product": spec.name})
         self.libc_image = build_libc(spec.arch)
         self.events: List[DaemonEvent] = []
         self.crashed = False

@@ -89,3 +89,17 @@ def loaded_pair(arch, *, wx=False, aslr=False, seed=7):
     libc = build_libc(arch)
     layout = layout_for(arch, aslr=aslr, rng=random.Random(seed))
     return load_process(binary, libc, layout, wx_enabled=wx)
+
+
+def image_facts(binary):
+    """Everything a build decides: section bytes and addresses, symbols,
+    PLT and metadata."""
+    return (
+        binary.name,
+        binary.arch,
+        {name: (section.perm, section.address, section.reserve, bytes(section.data))
+         for name, section in binary.sections.items()},
+        dict(binary.symbols.items()),
+        dict(binary.plt),
+        dict(binary.metadata),
+    )

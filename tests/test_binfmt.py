@@ -12,8 +12,11 @@ from repro.binfmt import (
     load_process,
     relocate,
 )
+from repro.binfmt.connman_bin import _build_connman
+from repro.binfmt.libc import _build_libc
 from repro.binfmt.section import Symbol, SymbolTable
 from repro.mem import ARM_LAYOUT, X86_LAYOUT, Perm, layout_for
+from tests.conftest import image_facts
 
 
 class TestSymbolTable:
@@ -119,14 +122,34 @@ class TestConnmanFactory:
             assert name in arm_binary.symbols
 
     def test_metadata_carries_version_and_seed(self):
-        binary = build_connman("x86", version="1.31", seed=5)
-        assert binary.metadata["version"] == "1.31"
-        assert binary.metadata["seed"] == "5"
+        # Built in both orders, so a build key that ignored the version
+        # would hand back the first image's metadata for the second.
+        for inputs in ((("1.31", 5), ("1.34", 5)), (("1.34", 5), ("1.31", 5))):
+            _build_connman.cache_clear()
+            for version, seed in inputs:
+                binary = build_connman("x86", version=version, seed=seed)
+                assert binary.metadata["version"] == version
+                assert binary.metadata["seed"] == str(seed)
+                symbol = binary.symbols["str_version"]
+                assert binary.read(symbol.address, symbol.size) == (
+                    f"connman {version}".encode() + b"\x00")
 
     def test_deterministic_per_seed(self):
-        a = build_connman("x86", seed=3)
-        b = build_connman("x86", seed=3)
-        assert bytes(a.section(".text").data) == bytes(b.section(".text").data)
+        for arch in ("x86", "arm"):
+            for seed in (0, 3):
+                cached = build_connman(arch, seed=seed)
+                _build_connman.cache_clear()
+                rebuilt = build_connman(arch, seed=seed)
+                assert rebuilt is not cached
+                assert image_facts(rebuilt) == image_facts(cached), (arch, seed)
+
+    def test_call_spellings_share_one_build(self):
+        _build_connman.cache_clear()
+        first = build_connman("x86")
+        assert build_connman("x86", "1.34", 0) is first
+        assert build_connman("x86", seed=0) is first
+        info = _build_connman.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
 
     def test_seeds_change_text_layout(self):
         a = build_connman("x86", seed=0)
@@ -150,6 +173,19 @@ class TestConnmanFactory:
 
 
 class TestLibc:
+    def test_deterministic_rebuild(self):
+        for arch in ("x86", "arm"):
+            cached = build_libc(arch)
+            _build_libc.cache_clear()
+            rebuilt = build_libc(arch)
+            assert rebuilt is not cached
+            assert image_facts(rebuilt.binary) == image_facts(cached.binary), arch
+            assert dict(rebuilt.natives) == dict(cached.natives)
+
+    def test_natives_are_read_only(self, x86_libc):
+        with pytest.raises(TypeError):
+            x86_libc.natives["system"] = None
+
     def test_exports_have_symbols(self, x86_libc):
         for name in ("system", "exit", "memcpy", "execlp", "abort"):
             assert name in x86_libc.binary.symbols

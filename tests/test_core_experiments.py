@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.binfmt import build_connman
 from repro.connman import EventKind
 from repro.core import (
     PAPER_MATRIX,
@@ -23,6 +24,25 @@ from repro.core import (
     run_scenario,
 )
 from repro.defenses import NONE, WX, WX_ASLR
+from repro.exploit import GadgetFinder
+
+#: (seed, surviving_gadgets, reference_gadgets, plt_moved) for seeds 1..8.
+DIVERSITY_SURVIVAL = {
+    "x86": [(1, 72, 249, 10), (2, 59, 249, 7), (3, 59, 249, 9), (4, 60, 249, 9),
+            (5, 64, 249, 9), (6, 62, 249, 10), (7, 58, 249, 9), (8, 67, 249, 10)],
+    "arm": [(1, 146, 233, 8), (2, 149, 233, 9), (3, 145, 233, 10), (4, 142, 233, 10),
+            (5, 144, 233, 6), (6, 160, 233, 10), (7, 161, 233, 10), (8, 145, 233, 8)],
+}
+
+#: ``GadgetFinder.census()`` of the stock and one diversified build.
+GADGET_CENSUS = {
+    ("x86", 0): {"indirect jmp": 1, "pop^1; ret": 19, "pop^2; ret": 7, "pop^3; ret": 7,
+                 "pop^4; ret": 7, "pop^5; ret": 1, "ret-terminated": 207},
+    ("x86", 3): {"indirect jmp": 1, "pop^1; ret": 18, "pop^2; ret": 6, "pop^3; ret": 6,
+                 "pop^4; ret": 6, "ret-terminated": 200},
+    ("arm", 0): {"blx": 1, "bx": 53, "other": 29, "pop {...pc}": 150},
+    ("arm", 3): {"blx": 1, "bx": 41, "other": 29, "pop {...pc}": 160},
+}
 
 
 class TestRenderTable:
@@ -166,3 +186,13 @@ class TestSupportingPieces:
         assert len(reports) == 6
         assert all(report.gadget_survival_rate < 0.5 for report in reports)
         assert all(report.plt_moved > 0 for report in reports)
+        # Exact per-seed figures, so a build or scan key too coarse to tell
+        # diversified images apart cannot quietly erase the diversity.
+        for arch, expected in DIVERSITY_SURVIVAL.items():
+            assert [
+                (report.seed, report.surviving_gadgets, report.reference_gadgets,
+                 report.plt_moved)
+                for report in diversity_survival(arch, seeds=8)
+            ] == expected, arch
+        for (arch, seed), expected in GADGET_CENSUS.items():
+            assert GadgetFinder(build_connman(arch, seed=seed)).census() == expected
