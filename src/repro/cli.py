@@ -20,21 +20,20 @@
     python -m repro chaos --rates 0,0.2,0.5 --workers 2
     python -m repro dash --once --json      # campaign dashboard (series + SLOs)
     python -m repro dash --scenario crash --once            # forced-crash board
-    python -m repro trace-events --json     # observed chaos point: event trace
-    python -m repro metrics --json          # same run, metrics registry
-    python -m repro metrics --openmetrics   # OpenMetrics text exposition
-    python -m repro pcap                    # faulty LAN capture, reprocap text
-    python -m repro spans                   # span tree of one wire-to-verdict attack
-    python -m repro trace-export --chrome   # Perfetto-loadable Chrome trace JSON
-    python -m repro postmortem              # forced crash, gdb-style crash report
-    python -m repro postmortem --taint --json  # report embeds wire-offset taint
-    python -m repro taint --scenario crash  # wire offset -> memory -> PC chain
-    python -m repro pcap --taint --sniff    # capture with tainted-PC datagram marks
+    python -m repro observe chaos --emit events --json   # observed chaos point
+    python -m repro observe chaos --emit openmetrics     # its metrics registry
+    python -m repro observe attack --emit spans   # wire-to-verdict span tree
+    python -m repro observe attack --emit chrome  # Perfetto-loadable trace JSON
+    python -m repro observe attack --arch arm --emit folded  # flamegraph input
+    python -m repro observe crash --emit postmortem --taint  # gdb-style report
+    python -m repro observe crash --emit taint  # wire offset -> memory -> PC
+    python -m repro observe lan --emit pcap     # faulty LAN capture, reprocap
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import random
 import sys
 from typing import Callable, Dict, List, Optional
@@ -42,14 +41,18 @@ from typing import Callable, Dict, List, Optional
 from .connman import ConnmanDaemon
 from .cpu import TraceRecorder
 from .defenses import NONE, WX, WX_ASLR, ProtectionProfile
-from .dns import SimpleDnsServer
+from .dns import SimpleDnsServer, make_query
 from .core import (
     AttackScenario,
+    ObservedAttack,
     attacker_knowledge,
     e5_pineapple,
     e6_firmware_survey,
     render_table,
+    run_chaos_point,
     run_chaos_sweep,
+    run_forced_crash,
+    run_observed_attack,
     run_paper_matrix,
 )
 from .core.registry import all_experiments
@@ -61,7 +64,22 @@ from .exploit import (
     builder_for,
     deliver,
 )
-from .obs import DEFAULT_SAMPLE_INTERVAL
+from .net import DNS_PORT, FaultPolicy, Host, Network
+from .obs import (
+    DEFAULT_SAMPLE_INTERVAL,
+    Collector,
+    DeterministicProfiler,
+    TaintEngine,
+    TimeSeriesStore,
+    export_chrome_trace,
+    export_openmetrics,
+    export_pcap_text,
+    render_profile,
+    render_provenance,
+    sniff_capture,
+    validate_chrome_trace,
+    validate_speedscope,
+)
 
 LEVELS: Dict[str, ProtectionProfile] = {
     "none": NONE,
@@ -102,7 +120,6 @@ def cmd_report(args) -> int:
     DIR`` persists for the dash consumer.  Exits non-zero when any trial
     failed or ended unexpectedly.
     """
-    import json
     import os
 
     from .core.registry import results_ok, run_experiment
@@ -146,6 +163,20 @@ def _add_arch(parser: argparse.ArgumentParser) -> None:
 def _add_level(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--level", choices=sorted(LEVELS), default="none",
                         help="victim protection level")
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    return value
 
 
 def cmd_matrix(_args) -> int:
@@ -199,13 +230,11 @@ def cmd_run(args) -> int:
     artifact that ``repro report --results`` and ``repro dash --results``
     consume.
     """
-    import json
     import os
 
     from .core import CheckpointMismatch, RunPolicy, TaskError
     from .core.registry import get_experiment, run_experiment
     from .core.resume import write_results
-    from .obs import Collector
 
     try:
         spec = get_experiment(args.experiment.strip().upper())
@@ -277,7 +306,7 @@ def cmd_run(args) -> int:
 
 def cmd_dos(args) -> int:
     from .core import naive_overflow_blob
-    from .dns import build_raw_response, make_query
+    from .dns import build_raw_response
 
     for version in ("1.34", "1.35"):
         daemon = ConnmanDaemon(arch=args.arch, version=version, profile=WX_ASLR)
@@ -400,12 +429,10 @@ def _parse_rates(text: str) -> tuple:
 
 def cmd_chaos(args) -> int:
     """Sweep fault rates: client availability vs. attack success."""
-    import json
     import os
 
     from .core import CheckpointMismatch, RunPolicy
-    from .obs import (SWEEP_SLOS, Collector, SloRuleError, TimeSeriesStore,
-                      evaluate_slos, parse_rule)
+    from .obs import SWEEP_SLOS, SloRuleError, evaluate_slos, parse_rule
 
     rates = _parse_rates(args.rates)
     checkpoint = args.resume or args.checkpoint
@@ -429,19 +456,21 @@ def cmd_chaos(args) -> int:
     # deterministic artifact; the sweep observer records wall-clock harness
     # health (retries, timeouts, respawns) that must never leak into it.
     sweep_observer = Collector()
+    observer = Collector(series=TimeSeriesStore())
+    if args.taint:
+        observer.attach_taint(TaintEngine())
     try:
         report = run_chaos_sweep(
             rates,
             seed=args.seed,
             queries_per_rate=args.queries,
             attack_budget=args.attack_budget,
-            observer=Collector(series=TimeSeriesStore()),
+            observer=observer,
             workers=args.workers,
             policy=policy,
             checkpoint=checkpoint,
             resume=resume,
             sweep_observer=sweep_observer,
-            taint=args.taint,
         )
     except CheckpointMismatch as exc:
         print(f"repro chaos: {exc}", file=sys.stderr)
@@ -461,228 +490,14 @@ def cmd_chaos(args) -> int:
     return 0 if not report.failures and slo_report.ok else 1
 
 
-def _observed_chaos_run(args):
-    """One observed chaos point: the CLI's canonical traced scenario."""
-    from .core import run_chaos_point
-    from .obs import Collector, TimeSeriesStore
-
-    collector = Collector(series=TimeSeriesStore())
-    cell = run_chaos_point(
-        args.level,
-        seed=args.seed,
-        queries=args.queries,
-        attack_budget=args.attack_budget,
-        observer=collector,
-    )
-    collector.sample()  # flush a final sample at the scenario's end clock
-    return cell, collector
+#: Observed scenarios and their default seeds (``repro observe <scenario>``).
+SCENARIO_SEEDS = {"attack": 0x0B5E, "crash": 0xC4A5, "chaos": 0xB5EC, "lan": 0xCAB}
+#: Emit values that render a packet capture; the only ones ``lan`` serves.
+CAPTURES = ("pcap", "sniff")
 
 
-def _add_observed_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--level", type=float, default=0.3,
-                        help="fault level for the observed run")
-    parser.add_argument("--seed", type=int, default=0xB5EC)
-    parser.add_argument("--queries", type=int, default=16)
-    parser.add_argument("--attack-budget", type=int, default=12)
-    parser.add_argument("--json", action="store_true", help="machine-readable output")
-
-
-def cmd_trace_events(args) -> int:
-    """Run an observed chaos point and print its structured event trace."""
-    import json
-
-    if args.limit is not None and args.limit < 0:
-        print(f"repro trace-events: --limit must be >= 0, got {args.limit}",
-              file=sys.stderr)
-        return 2
-    _cell, collector = _observed_chaos_run(args)
-    if args.json:
-        print(json.dumps(collector.to_dict(last_events=args.limit), indent=2))
-    else:
-        print(collector.summary())
-        print(collector.bus.describe(last=args.limit))
-    return 0
-
-
-def cmd_metrics(args) -> int:
-    """Run an observed chaos point and print the metrics registry."""
-    import json
-
-    _cell, collector = _observed_chaos_run(args)
-    if args.openmetrics:
-        from .obs import export_openmetrics
-
-        print(export_openmetrics(collector), end="")
-    elif args.json:
-        print(json.dumps(collector.metrics.to_dict(), indent=2))
-    else:
-        print(collector.summary())
-        print(collector.metrics.describe())
-    return 0
-
-
-def _observed_attack_run(args):
-    """One span-traced wire-to-verdict attack (the tracing CLI's scenario)."""
-    from .core import run_observed_attack
-
-    return run_observed_attack(arch=args.arch, level_label=args.level,
-                               seed=args.seed)
-
-
-def cmd_spans(args) -> int:
-    """Render the span tree of one observed end-to-end attack."""
-    import json
-
-    run = _observed_attack_run(args)
-    if args.json:
-        print(json.dumps(run.collector.tracer.to_dicts(), indent=2))
-    else:
-        verdict = run.event.kind.value if run.event is not None else run.error
-        print(f"{run.exploit.name if run.exploit else '(no exploit)'} -> {verdict}")
-        print(run.collector.tracer.render_tree())
-    return 0
-
-
-def cmd_trace_export(args) -> int:
-    """Export one observed attack as Chrome trace-event JSON (Perfetto)."""
-    import json
-
-    from .core import run_observed_attack
-    from .obs import (Collector, TimeSeriesStore, export_chrome_trace,
-                      validate_chrome_trace)
-
-    # A series-attached collector so the export carries Perfetto counter
-    # tracks (ph "C") alongside the span events.
-    collector = Collector(series=TimeSeriesStore(interval=1.0))
-    run = run_observed_attack(arch=args.arch, level_label=args.level,
-                              seed=args.seed, observer=collector)
-    collector.sample()
-    document = export_chrome_trace(run.collector)
-    validate_chrome_trace(document)
-    print(json.dumps(document, indent=None if args.compact else 2))
-    return 0
-
-
-def cmd_profile(args) -> int:
-    """Deterministic cost attribution for one observed scenario.
-
-    Runs the selected scenario with a :class:`DeterministicProfiler`
-    riding the collector and prints, by flag: the text attribution
-    report (default), folded stacks for ``flamegraph.pl`` (``--folded``),
-    a speedscope JSON document (``--speedscope``), or the full profile
-    payload (``--json``).  Sampling happens on the simulated step clock,
-    so the output is a pure function of the scenario seed.
-    """
-    import json
-
-    from .obs import Collector, DeterministicProfiler, render_profile
-
-    collector = Collector()
-    profiler = collector.attach_profiler(
-        DeterministicProfiler(sample_interval=args.sample_interval))
-    if args.scenario == "chaos":
-        from .core import run_chaos_point
-
-        # The chaos scenario is the x86 daemon under LAN faults; --arch
-        # is ignored here (see the subparser help).
-        run_chaos_point(args.fault_level, seed=args.seed,
-                        queries=args.queries,
-                        attack_budget=args.attack_budget, observer=collector)
-    elif args.scenario == "crash":
-        from .core import run_forced_crash
-
-        run_forced_crash(arch=args.arch, seed=args.seed, observer=collector)
-    else:  # attack
-        from .core import run_observed_attack
-
-        run_observed_attack(arch=args.arch, level_label=args.level,
-                            seed=args.seed, observer=collector)
-    if args.folded:
-        print(profiler.folded(), end="")
-    elif args.speedscope:
-        from .obs import validate_speedscope
-
-        document = profiler.speedscope(
-            name=f"repro {args.scenario} ({args.arch})")
-        validate_speedscope(document)
-        print(json.dumps(document, indent=2))
-    elif args.json:
-        print(json.dumps(profiler.to_dict(), indent=2))
-    else:
-        print(render_profile(profiler.data, top=args.top))
-    return 0
-
-
-def cmd_postmortem(args) -> int:
-    """Force the CVE-2017-12865 crash and print its crash report."""
-    import json
-
-    from .core import run_forced_crash
-
-    run = run_forced_crash(arch=args.arch, seed=args.seed, taint=args.taint)
-    report = run.collector.last_postmortem
-    if report is None:
-        print("no crash captured (daemon survived?)", file=sys.stderr)
-        return 1
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        print(report.render())
-        print()
-        print(run.collector.tracer.render_tree())
-    return 0
-
-
-def cmd_taint(args) -> int:
-    """Byte-level taint provenance: wire offsets -> memory -> registers -> PC."""
-    import json
-
-    from .obs import Collector, TaintEngine, render_provenance
-
-    collector = Collector()
-    engine = collector.attach_taint(TaintEngine())
-    if args.scenario == "crash":
-        from .core import run_forced_crash
-
-        run_forced_crash(arch=args.arch, seed=args.seed, observer=collector)
-    else:  # attack
-        from .core import run_observed_attack
-
-        run_observed_attack(arch=args.arch, level_label=args.level,
-                            seed=args.seed, observer=collector)
-    if args.json:
-        print(json.dumps(engine.to_dict(), indent=2))
-    else:
-        print(render_provenance(engine))
-    return 0
-
-
-def cmd_pcap(args) -> int:
-    """Capture a faulty LAN exchange and print the reprocap text document."""
-    from .dns import SimpleDnsServer, make_query
-    from .net import DNS_PORT, FaultPolicy, Host, Network
-    from .obs import export_pcap_text, sniff_capture
-
-    if args.taint:
-        # Capture the forced-crash exchange under the taint engine so the
-        # document marks the datagram whose bytes reached the guest PC.
-        from .core import run_forced_crash
-        from .obs import Collector, TaintEngine
-
-        collector = Collector()
-        engine = collector.attach_taint(TaintEngine())
-        run = run_forced_crash(arch=args.arch, seed=args.seed,
-                               observer=collector)
-        text = export_pcap_text(run.network, taint=engine)
-        if args.sniff:
-            for packet in sniff_capture(text):
-                marker = (" [bytes reached tainted PC]"
-                          if engine.datagram_reached_pc(packet.datagram.payload)
-                          else "")
-                print(packet.describe() + marker)
-        else:
-            print(text, end="")
-        return 0
+def _capture_lan(args) -> Network:
+    """Faulty-LAN capture: client queries to a DNS server over a lossy link."""
     policy = FaultPolicy(args.seed, corrupt=args.corrupt, duplicate=args.duplicate)
     network = Network("capture-lan", subnet_prefix="10.77.0", faults=policy)
     server = Host("dns-server")
@@ -694,37 +509,120 @@ def cmd_pcap(args) -> int:
     for number in range(args.queries):
         query = make_query(0x7000 + number, f"host{number}.capture.example")
         client.send_udp(server.ip, DNS_PORT, query.encode())
-    text = export_pcap_text(network)
-    if args.sniff:
-        # Round-trip: parse the text document back and re-analyze it.
-        for packet in sniff_capture(text):
-            print(packet.describe())
-    else:
-        print(text, end="")
-    return 0
+    return network
 
 
-def _dash_collector(args):
-    """Run the selected scenario under a series-attached collector."""
-    from .obs import Collector, DeterministicProfiler, TimeSeriesStore
+def _run_scenario(args, collector: Collector):
+    """Run ``args.scenario`` under ``collector`` (``observe`` and ``dash``).
 
-    collector = Collector(series=TimeSeriesStore(interval=args.interval))
-    collector.attach_profiler(DeterministicProfiler())
+    Returns an :class:`ObservedAttack` for attack and crash, the
+    :class:`ChaosCell` for chaos, and the captured network for lan.
+    """
     if args.scenario == "chaos":
-        from .core import run_chaos_point
-
-        run_chaos_point(args.level, seed=args.seed, queries=args.queries,
-                        attack_budget=args.attack_budget, observer=collector)
+        run = run_chaos_point(args.fault_level, seed=args.seed,
+                              queries=args.queries,
+                              attack_budget=args.attack_budget,
+                              observer=collector)
     elif args.scenario == "crash":
-        from .core import run_forced_crash
-
-        run_forced_crash(seed=args.seed, observer=collector)
-    else:  # attack
-        from .core import run_observed_attack
-
-        run_observed_attack(seed=args.seed, observer=collector)
+        run = run_forced_crash(arch=args.arch, seed=args.seed,
+                               observer=collector)
+    elif args.scenario == "attack":
+        run = run_observed_attack(arch=args.arch, level_label=args.level,
+                                  seed=args.seed, observer=collector)
+    else:  # lan
+        run = _capture_lan(args)
     collector.sample()  # flush a final sample at the scenario's end clock
-    return collector
+    return run
+
+
+def _spans_text(_args, collector, run) -> str:
+    tree = collector.tracer.render_tree()
+    if not isinstance(run, ObservedAttack):
+        return tree + "\n"
+    verdict = run.event.kind.value if run.event is not None else run.error
+    return (f"{run.exploit.name if run.exploit else '(no exploit)'} -> "
+            f"{verdict}\n{tree}\n")
+
+
+def _validated(document, validate, indent: Optional[int] = 2) -> str:
+    validate(document)
+    return json.dumps(document, indent=indent) + "\n"
+
+
+def _capture_text(args, collector, run) -> str:
+    engine = collector.taint
+    text = export_pcap_text(run if args.scenario == "lan" else run.network,
+                            taint=engine)
+    if args.emit == "pcap":
+        return text
+    # Round-trip: parse the text document back and re-analyze it.
+    return "".join(
+        packet.describe()
+        + (" [bytes reached tainted PC]" if engine is not None
+           and engine.datagram_reached_pc(packet.datagram.payload) else "")
+        + "\n"
+        for packet in sniff_capture(text))
+
+
+#: ``--emit`` value -> (its ``--json`` payload or ``None``, its text), both
+#: functions of ``(args, collector, run)`` over one observed run.
+EMITTERS: Dict[str, tuple] = {
+    "events": (lambda args, c, _run: c.to_dict(last_events=args.limit),
+               lambda args, c, _run:
+                   f"{c.summary()}\n{c.bus.describe(last=args.limit)}\n"),
+    "metrics": (lambda _args, c, _run: c.metrics.to_dict(),
+                lambda _args, c, _run:
+                    f"{c.summary()}\n{c.metrics.describe()}\n"),
+    "openmetrics": (None, lambda _args, c, _run: export_openmetrics(c)),
+    "spans": (lambda _args, c, _run: c.tracer.to_dicts(), _spans_text),
+    "chrome": (None, lambda args, c, _run: _validated(
+        export_chrome_trace(c), validate_chrome_trace,
+        None if args.compact else 2)),
+    "profile": (lambda _args, c, _run: c.profiler.to_dict(),
+                lambda args, c, _run:
+                    render_profile(c.profiler.data, top=args.top) + "\n"),
+    "folded": (None, lambda _args, c, _run: c.profiler.folded()),
+    "speedscope": (None, lambda args, c, _run: _validated(
+        c.profiler.speedscope(name=f"repro {args.scenario} ({args.arch})"),
+        validate_speedscope)),
+    "postmortem": (lambda _args, c, _run: c.last_postmortem.to_dict(),
+                   lambda _args, c, _run: f"{c.last_postmortem.render()}\n\n"
+                                          f"{c.tracer.render_tree()}\n"),
+    "taint": (lambda _args, c, _run: c.taint.to_dict(),
+              lambda _args, c, _run: render_provenance(c.taint) + "\n"),
+    "pcap": (None, _capture_text),
+    "sniff": (None, _capture_text),
+}
+
+
+def cmd_observe(args) -> int:
+    """Run one observed scenario and render the ``--emit`` view of it."""
+    if (args.scenario in ("lan", "chaos")
+            and (args.scenario == "lan") != (args.emit in CAPTURES)):
+        print(f"repro observe: {args.scenario} cannot emit {args.emit} (lan "
+              "emits only pcap or sniff; chaos has no LAN to capture)",
+              file=sys.stderr)
+        return 2
+    if args.seed is None:
+        args.seed = SCENARIO_SEEDS[args.scenario]
+    if args.queries is None:
+        args.queries = 8 if args.scenario == "lan" else 16
+    collector = Collector(series=TimeSeriesStore())
+    if args.emit in ("profile", "folded", "speedscope"):
+        collector.attach_profiler(
+            DeterministicProfiler(sample_interval=args.sample_interval))
+    if args.emit == "taint" or args.taint:
+        collector.attach_taint(TaintEngine())
+    run = _run_scenario(args, collector)
+    if args.emit == "postmortem" and collector.last_postmortem is None:
+        print("no crash captured (daemon survived?)", file=sys.stderr)
+        return 1
+    as_json, as_text = EMITTERS[args.emit]
+    if args.json and as_json is not None:
+        sys.stdout.write(json.dumps(as_json(args, collector, run), indent=2) + "\n")
+    else:
+        sys.stdout.write(as_text(args, collector, run))
+    return 0
 
 
 def cmd_dash(args) -> int:
@@ -754,7 +652,9 @@ def cmd_dash(args) -> int:
                   file=sys.stderr)
             return 2
         documents.append({"header": header, "rows": rows})
-    collector = _dash_collector(args)
+    collector = Collector(series=TimeSeriesStore(interval=args.interval))
+    collector.attach_profiler(DeterministicProfiler())
+    _run_scenario(args, collector)
     color = not args.no_color
     if not args.once:
         # Replay the recorded campaign as live frames: each frame truncates
@@ -772,13 +672,11 @@ def cmd_dash(args) -> int:
 
     artifacts_ok = all(results_ok(doc["rows"]) for doc in documents)
     if args.json:
-        import json as _json
-
-        payload = _json.loads(dashboard_json(collector, report,
-                                             scenario=args.scenario))
+        payload = json.loads(dashboard_json(collector, report,
+                                            scenario=args.scenario))
         if documents:
             payload["results"] = documents
-        print(_json.dumps(payload, indent=2))
+        print(json.dumps(payload, indent=2))
     else:
         print(render_dashboard(collector, report, color=color))
         for document in documents:
@@ -944,12 +842,12 @@ def build_parser() -> argparse.ArgumentParser:
     dash.add_argument("--scenario", choices=("chaos", "crash", "attack"),
                       default="chaos",
                       help="which observed scenario feeds the board")
-    dash.add_argument("--level", type=float, default=0.3,
+    dash.add_argument("--level", dest="fault_level", type=float, default=0.3,
                       help="fault level for the chaos scenario")
     dash.add_argument("--seed", type=int, default=0xB5EC)
     dash.add_argument("--queries", type=int, default=16)
     dash.add_argument("--attack-budget", type=int, default=12)
-    dash.add_argument("--interval", type=float, default=1.0,
+    dash.add_argument("--interval", type=_positive_float, default=1.0,
                       help="series sampling interval (simulated seconds)")
     dash.add_argument("--slo", action="append", metavar="RULE",
                       help="SLO rule, e.g. 'daemon.crashes count == 0' "
@@ -967,111 +865,52 @@ def build_parser() -> argparse.ArgumentParser:
     dash.add_argument("--results", action="append", metavar="PATH",
                       help="append repro-results/v1 artifact panel(s) to the "
                            "board; failing trials flip the gate (repeatable)")
-    dash.set_defaults(run=cmd_dash)
+    # The board's attack and crash scenarios run the default x86 victim.
+    dash.set_defaults(run=cmd_dash, arch="x86", level="none")
 
-    trace_events = subparsers.add_parser(
-        "trace-events", help="structured event trace of an observed chaos point")
-    _add_observed_args(trace_events)
-    trace_events.add_argument("--limit", type=int, default=None,
-                              help="show only the last N events")
-    trace_events.set_defaults(run=cmd_trace_events)
-
-    metrics = subparsers.add_parser(
-        "metrics", help="counters/histograms from an observed chaos point")
-    _add_observed_args(metrics)
-    metrics.add_argument("--openmetrics", action="store_true",
-                         help="OpenMetrics text exposition instead of JSON")
-    metrics.set_defaults(run=cmd_metrics)
-
-    def _add_attack_args(sub: argparse.ArgumentParser) -> None:
-        _add_arch(sub)
-        _add_level(sub)
-        sub.add_argument("--seed", type=int, default=0x0B5E)
-        sub.add_argument("--json", action="store_true", help="machine-readable output")
-
-    spans = subparsers.add_parser(
-        "spans", help="span tree of one wire-to-verdict observed attack")
-    _add_attack_args(spans)
-    spans.set_defaults(run=cmd_spans)
-
-    profile = subparsers.add_parser(
-        "profile", help="deterministic cost attribution for one observed "
-                        "scenario (opcodes, blocks, caches, flamegraphs)")
-    _add_attack_args(profile)
-    profile.add_argument("--scenario", choices=("attack", "crash", "chaos"),
-                         default="attack",
-                         help="attack = wire-to-verdict exploit (default); "
-                              "crash = forced CVE-2017-12865 crash; chaos = "
-                              "one x86 chaos point (--arch ignored)")
-    profile.add_argument("--fault-level", type=float, default=0.3,
+    observe = subparsers.add_parser(
+        "observe", help="run one observed scenario and render one view of it")
+    observe.add_argument(
+        "scenario", choices=SCENARIO_SEEDS,
+        help="attack = wire-to-verdict exploit; crash = forced "
+             "CVE-2017-12865 crash; chaos = one x86 chaos point (--arch "
+             "ignored); lan = faulty-LAN capture (pcap/sniff only)")
+    observe.add_argument("--emit", choices=EMITTERS, required=True,
+                         help="the view to render")
+    _add_arch(observe)
+    _add_level(observe)
+    observe.add_argument("--fault-level", type=float, default=0.3,
                          help="fault level for the chaos scenario")
-    profile.add_argument("--queries", type=int, default=16,
-                         help="client queries for the chaos scenario")
-    profile.add_argument("--attack-budget", type=int, default=12,
+    observe.add_argument("--seed", type=int, default=None,
+                         help="scenario seed (default: attack 0x0B5E, crash "
+                              "0xC4A5, chaos 0xB5EC, lan 0xCAB)")
+    observe.add_argument("--queries", type=int, default=None,
+                         help="client queries for chaos (default 16) and "
+                              "lan (default 8)")
+    observe.add_argument("--attack-budget", type=int, default=12,
                          help="brute-force attempts for the chaos scenario")
-    profile.add_argument("--sample-interval", type=int,
+    observe.add_argument("--json", action="store_true",
+                         help="machine-readable events, metrics, spans, "
+                              "profile, postmortem or taint")
+    observe.add_argument("--limit", type=_non_negative_int, default=None,
+                         help="events: show only the last N")
+    observe.add_argument("--sample-interval", type=_non_negative_int,
                          default=DEFAULT_SAMPLE_INTERVAL,
-                         help="guest steps between stack samples "
+                         help="profile: guest steps between stack samples "
                               "(0 disables stack sampling)")
-    profile.add_argument("--top", type=int, default=10,
-                         help="rows per table in the text report")
-    profile.add_argument("--folded", action="store_true",
-                         help="emit folded stacks (flamegraph.pl input)")
-    profile.add_argument("--speedscope", action="store_true",
-                         help="emit a speedscope JSON document")
-    profile.set_defaults(run=cmd_profile)
-
-    trace_export = subparsers.add_parser(
-        "trace-export", help="Chrome trace-event JSON of an observed attack")
-    _add_attack_args(trace_export)
-    trace_export.add_argument(
-        "--chrome", action="store_true",
-        help="emit Chrome trace-event JSON (the default and only format)")
-    trace_export.add_argument("--compact", action="store_true",
-                              help="single-line JSON")
-    trace_export.set_defaults(run=cmd_trace_export)
-
-    postmortem = subparsers.add_parser(
-        "postmortem", help="force the CVE-2017-12865 crash, print forensics")
-    _add_arch(postmortem)
-    postmortem.add_argument("--seed", type=int, default=0xC4A5)
-    postmortem.add_argument("--json", action="store_true",
-                            help="machine-readable output")
-    postmortem.add_argument("--taint", action="store_true",
-                            help="run under the taint engine; the report "
-                                 "gains the PC-provenance section and --json "
-                                 "embeds the repro-taint/v1 summary")
-    postmortem.set_defaults(run=cmd_postmortem)
-
-    taint = subparsers.add_parser(
-        "taint", help="taint provenance: wire offsets -> memory -> "
-                      "registers -> PC")
-    _add_attack_args(taint)
-    taint.add_argument("--scenario", choices=("crash", "attack"),
-                       default="crash",
-                       help="crash = forced CVE-2017-12865 crash (default); "
-                            "attack = wire-to-verdict exploit (--level "
-                            "applies)")
-    taint.set_defaults(run=cmd_taint)
-
-    pcap = subparsers.add_parser(
-        "pcap", help="reprocap text capture of a faulty LAN exchange")
-    pcap.add_argument("--seed", type=int, default=0xCAB)
-    pcap.add_argument("--queries", type=int, default=8)
-    pcap.add_argument("--corrupt", type=float, default=0.25,
-                      help="corrupt rate on the capture LAN")
-    pcap.add_argument("--duplicate", type=float, default=0.25,
-                      help="duplicate rate on the capture LAN")
-    pcap.add_argument("--sniff", action="store_true",
-                      help="round-trip the capture through the sniffer and "
-                           "print the analysis instead of the document")
-    pcap.add_argument("--taint", action="store_true",
-                      help="capture the forced-crash exchange under the "
-                           "taint engine instead of the faulty LAN; records "
-                           "whose bytes reached a tainted PC are annotated "
-                           "(--sniff marks them)")
-    _add_arch(pcap)
-    pcap.set_defaults(run=cmd_pcap)
+    observe.add_argument("--top", type=_non_negative_int, default=10,
+                         help="profile: rows per table in the text report")
+    observe.add_argument("--compact", action="store_true",
+                         help="chrome: single-line JSON")
+    observe.add_argument("--taint", action="store_true",
+                         help="run under the taint engine: postmortem gains "
+                              "the PC-provenance section, pcap/sniff mark "
+                              "the datagram whose bytes reached the PC")
+    observe.add_argument("--corrupt", type=float, default=0.25,
+                         help="lan: corrupt rate on the capture link")
+    observe.add_argument("--duplicate", type=float, default=0.25,
+                         help="lan: duplicate rate on the capture link")
+    observe.set_defaults(run=cmd_observe)
 
     offpath = subparsers.add_parser("offpath", help="E11 off-path spoofing")
     offpath.add_argument("--burst", type=int, default=2048)

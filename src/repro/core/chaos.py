@@ -155,21 +155,15 @@ def run_chaos_point(
     entropy_pages: int = 32,
     start_limit_burst: int = 6,
     observer: Optional[Collector] = None,
-    taint: bool = False,
 ) -> ChaosCell:
     """Measure one fault level: client workload first, then the attack.
 
     When ``observer`` is set, the daemon, supervisor, fault fabric, and
     brute forcer all trace into it — the chaos point becomes the CLI's
-    canonical observed scenario (``repro trace-events`` / ``repro
-    metrics``).  ``taint=True`` (observed runs only) attaches a taint
-    engine so every parsed reply is provenance-tracked; cells are
-    byte-identical either way.
+    canonical observed scenario (``repro observe chaos``).  An observer
+    with a taint engine attached provenance-tracks every parsed reply;
+    cells are byte-identical either way.
     """
-    if taint and observer is not None and observer.taint is None:
-        from ..obs.taint import TaintEngine
-
-        observer.attach_taint(TaintEngine())
     # Narrow the victim's ASLR span to the attacker's guess space so the
     # attack column measures fault/supervision effects, not raw entropy.
     profile = WX_ASLR.with_(aslr_entropy_pages=entropy_pages)
@@ -298,7 +292,6 @@ def run_chaos_sweep(
     checkpoint: Optional[str] = None,
     resume: bool = False,
     sweep_observer: Optional[Collector] = None,
-    taint: bool = False,
 ) -> ReliabilityReport:
     """Sweep the fault level; each point gets an independent derived seed.
 
@@ -340,7 +333,7 @@ def run_chaos_sweep(
     if use_tasks:
         store = observer.series if observer is not None else None
         profiler = observer.profiler if observer is not None else None
-        tainted = taint or (observer is not None and observer.taint is not None)
+        tainted = observer is not None and observer.taint is not None
         tasks = [
             (level, seed + 7919 * index, queries_per_rate, attack_budget,
              entropy_pages, start_limit_burst, observer is not None,
@@ -408,7 +401,6 @@ def run_chaos_sweep(
                     entropy_pages=entropy_pages,
                     start_limit_burst=start_limit_burst,
                     observer=observer,
-                    taint=taint,
                 )
             )
     if observer is not None:

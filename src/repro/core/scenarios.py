@@ -168,7 +168,6 @@ def run_observed_attack(
     version: str = "1.34",
     seed: int = 0x0B5E,
     observer: Optional[Collector] = None,
-    taint: bool = False,
 ) -> ObservedAttack:
     """One attack over a real simulated LAN, fully span-traced.
 
@@ -182,14 +181,10 @@ def run_observed_attack(
               └─ daemon.parse             (the malicious reply)
                  └─ cpu.run               (emulated dnsproxy parser)
 
-    This is the CLI's canonical observed scenario (``repro spans`` /
-    ``repro trace-export``).
+    This is the CLI's canonical observed scenario (``repro observe
+    attack``).
     """
     collector = observer if observer is not None else Collector()
-    if taint and collector.taint is None:
-        from ..obs.taint import TaintEngine
-
-        collector.attach_taint(TaintEngine())
     profile = _profile_for(level_label)
     rng = random.Random(seed)
     scenario = AttackScenario(arch=arch, level_label=level_label,
@@ -233,7 +228,6 @@ def run_forced_crash(
     version: str = "1.34",
     seed: int = 0xC4A5,
     observer: Optional[Collector] = None,
-    taint: bool = False,
 ) -> ObservedAttack:
     """Force the CVE-2017-12865 stack smash over the wire; capture forensics.
 
@@ -241,15 +235,12 @@ def run_forced_crash(
     answers with an oversized Type A name (the naive E1 blob).  The parse
     crashes the guest, and the collector ends the run holding a
     :class:`~repro.obs.CrashReport` whose causal span resolves to the
-    exact malicious datagram (``repro postmortem`` renders it).
+    exact malicious datagram (``repro observe crash --emit postmortem``
+    renders it).
     """
     from .experiments import naive_overflow_blob
 
     collector = observer if observer is not None else Collector()
-    if taint and collector.taint is None:
-        from ..obs.taint import TaintEngine
-
-        collector.attach_taint(TaintEngine())
     rng = random.Random(seed)
     network, client, victim_host, attacker_host = _attack_lan(collector)
     daemon = ConnmanDaemon(arch=arch, version=version, profile=NONE,

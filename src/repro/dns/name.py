@@ -20,11 +20,18 @@ MAX_POINTER_JUMPS = 128
 
 
 def split_labels(name: str) -> List[bytes]:
-    """Split ``"www.example.com"`` into label byte strings."""
+    """Split ``"www.example.com"`` into label byte strings.
+
+    Labels encode as latin-1, the inverse of :func:`decode_name`, so every
+    name the decoder returns (label bytes >= 0x80 included) encodes again.
+    """
     trimmed = name.rstrip(".")
     if not trimmed:
         return []
-    return [label.encode("ascii") for label in trimmed.split(".")]
+    try:
+        return [label.encode("latin-1") for label in trimmed.split(".")]
+    except UnicodeEncodeError as why:
+        raise NameEncodingError(f"name {name!r} is not latin-1: {why.reason}") from None
 
 
 def encode_name(name: str) -> bytes:

@@ -20,7 +20,7 @@ engine that has **zero outcome effect**:
   back to per-step dispatch under taint, exactly like ``TraceRecorder``).
 * Any write of tainted labels into the program counter is recorded as a
   **PC event** — the provenance chain's terminal link — and surfaces in
-  ``CrashReport``, the ``repro taint`` CLI, the dashboard, and the
+  ``CrashReport``, ``repro observe --emit taint``, the dashboard, and the
   ``taint.*`` metrics (which merge bit-identically across chaos workers).
 
 Untainted writes *clear* shadow bytes they cover, so stale labels never

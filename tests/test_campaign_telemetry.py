@@ -284,8 +284,8 @@ class TestOpenMetrics:
             parse_openmetrics(mutate(text))
 
     def test_metrics_cli_openmetrics_mode(self, capsys):
-        assert main(["metrics", "--openmetrics", "--queries", "4",
-                     "--attack-budget", "2"]) == 0
+        assert main(["observe", "chaos", "--emit", "openmetrics",
+                     "--queries", "4", "--attack-budget", "2"]) == 0
         out = capsys.readouterr().out
         assert out.endswith("# EOF\n")
         parse_openmetrics(out)  # strict: must be a valid exposition

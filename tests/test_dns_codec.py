@@ -295,3 +295,19 @@ class TestMessage:
         answer = ResourceRecord.a(name, ".".join(map(str, octets)))
         response = make_response(query, (answer,))
         assert Message.decode(response.encode()) == response
+
+
+#: One wire label: 1-63 arbitrary bytes except ``.``, which a dotted name
+#: cannot carry inside a label.
+WIRE_LABEL = st.binary(min_size=1, max_size=63).filter(lambda label: b"." not in label)
+
+
+@settings(max_examples=100)
+@given(labels=st.lists(WIRE_LABEL, min_size=1, max_size=3))
+def test_property_decoded_name_encodes_back(labels):
+    """Every name decode_name returns, high bytes included, re-encodes to
+    the wire bytes it came from."""
+    wire = b"".join(bytes([len(label)]) + label for label in labels) + b"\x00"
+    name, offset = decode_name(wire, 0)
+    assert offset == len(wire)
+    assert encode_name(name) == wire

@@ -8,7 +8,7 @@ host — every outcome is a typed event or a clean fault result.
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.connman import ConnmanDaemon, DaemonEvent, EventKind
@@ -48,6 +48,10 @@ def test_property_message_decode_total(packet):
 
 @settings(max_examples=150, deadline=None)
 @given(packet=st.binary(max_size=256))
+# A well-formed query whose QNAME carries a byte >= 0x80 (what a corrupting
+# LAN produces): the reply must re-encode the name it decoded.
+@example(packet=b"p\x00\x01\x00\x00\x01\x00\x00\x00\x00\x00\x00"
+                b"\x05h\xecst0\x07capture\x07example\x00\x00\x01\x00\x01")
 def test_property_dns_server_total(packet):
     """A resolver fed garbage answers or stays silent, never raises."""
     server = SimpleDnsServer(default_address="1.2.3.4")

@@ -221,17 +221,17 @@ class TestChromeExport:
 
 class TestCliCommands:
     def test_spans_command(self, capsys):
-        assert main(["spans"]) == 0
+        assert main(["observe", "attack", "--emit", "spans"]) == 0
         out = capsys.readouterr().out
         assert "exploit.attempt" in out and "cpu.run" in out
 
     def test_trace_export_validates(self, capsys):
-        assert main(["trace-export", "--chrome"]) == 0
+        assert main(["observe", "attack", "--emit", "chrome"]) == 0
         document = json.loads(capsys.readouterr().out)
         assert validate_chrome_trace(document) > 0
 
     def test_postmortem_json(self, capsys):
-        assert main(["postmortem", "--json"]) == 0
+        assert main(["observe", "crash", "--emit", "postmortem", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["signal"] == "SIGSEGV"
         assert report["datagram_hex"]

@@ -43,11 +43,16 @@ def _outcome(run):
     )
 
 
-def _tainted_crash(arch):
+def _tainted():
+    """A collector with a taint engine attached (how callers ask for taint)."""
     collector = Collector()
-    engine = collector.attach_taint(TaintEngine())
-    run = run_forced_crash(arch=arch, observer=collector)
-    return run, engine
+    collector.attach_taint(TaintEngine())
+    return collector
+
+
+def _tainted_crash(arch):
+    run = run_forced_crash(arch=arch, observer=_tainted())
+    return run, run.collector.taint
 
 
 # -- shadow map / label plumbing ----------------------------------------------
@@ -128,18 +133,18 @@ class TestOutcomeParity:
     @pytest.mark.parametrize("arch", ["x86", "arm"])
     def test_forced_crash_identical_taint_on_off(self, arch):
         assert _outcome(run_forced_crash(arch=arch)) == _outcome(
-            run_forced_crash(arch=arch, taint=True))
+            run_forced_crash(arch=arch, observer=_tainted()))
 
     @pytest.mark.parametrize("arch", ["x86", "arm"])
     def test_observed_attack_identical_taint_on_off(self, arch):
         assert _outcome(run_observed_attack(arch=arch)) == _outcome(
-            run_observed_attack(arch=arch, taint=True))
+            run_observed_attack(arch=arch, observer=_tainted()))
 
     def test_chaos_cells_identical_taint_on_off(self):
         def cells(taint):
             report = run_chaos_sweep((0.0, 0.3), seed=7, queries_per_rate=4,
-                                     attack_budget=3, observer=Collector(),
-                                     taint=taint)
+                                     attack_budget=3,
+                                     observer=_tainted() if taint else Collector())
             payload = report.to_dict()
             # The telemetry legitimately differs (taint.* counters exist,
             # block dispatch is declined under taint); the outcomes do not.
@@ -150,10 +155,10 @@ class TestOutcomeParity:
 
     def test_chaos_taint_counters_workers2_match_sequential(self):
         def sweep(workers):
-            observer = Collector()
+            observer = _tainted()
             report = run_chaos_sweep((0.0, 0.3), seed=7, queries_per_rate=4,
                                      attack_budget=3, observer=observer,
-                                     workers=workers, taint=True)
+                                     workers=workers)
             taint_counters = {
                 name: value
                 for name, value in observer.metrics.counters().items()
@@ -346,32 +351,33 @@ class TestPcapAnnotation:
 
 class TestTaintCli:
     def test_taint_crash_text(self, capsys):
-        assert main(["taint", "--scenario", "crash"]) == 0
+        assert main(["observe", "crash", "--emit", "taint"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("taint provenance: 1 source(s)")
         assert "PC <-" in out
 
     def test_taint_json_mode(self, capsys):
-        assert main(["taint", "--scenario", "crash", "--json"]) == 0
+        assert main(["observe", "crash", "--emit", "taint", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["sources"] and payload["seeds"]
         assert payload["seeded_bytes"] > 0
 
     def test_postmortem_taint_json_embeds_valid_summary(self, capsys):
-        assert main(["postmortem", "--taint", "--json"]) == 0
+        assert main(["observe", "crash", "--emit", "postmortem", "--taint",
+                     "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert validate_taint_summary(payload["taint"]) > 0
 
     def test_postmortem_without_taint_embeds_null(self, capsys):
-        assert main(["postmortem", "--json"]) == 0
+        assert main(["observe", "crash", "--emit", "postmortem", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["taint"] is None
 
     def test_pcap_taint_document_and_sniff_marks(self, capsys):
-        assert main(["pcap", "--taint"]) == 0
+        assert main(["observe", "crash", "--emit", "pcap", "--taint"]) == 0
         document = capsys.readouterr().out
         assert "# taint:" in document
         parse_pcap_text(document)
-        assert main(["pcap", "--taint", "--sniff"]) == 0
+        assert main(["observe", "crash", "--emit", "sniff", "--taint"]) == 0
         sniffed = capsys.readouterr().out
         assert "[bytes reached tainted PC]" in sniffed
 
