@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from typing import Callable, Dict, List, Optional
@@ -174,8 +175,15 @@ def _non_negative_int(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
+    return value
+
+
+def _fraction(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:  # NaN fails both comparisons
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {value}")
     return value
 
 
@@ -418,13 +426,10 @@ def cmd_bruteforce(args) -> int:
 
 def _parse_rates(text: str) -> tuple:
     try:
-        rates = tuple(float(rate) for rate in text.split(","))
+        return tuple(_fraction(rate) for rate in text.split(","))
     except ValueError:
-        raise SystemExit(f"repro chaos: invalid --rates {text!r} "
-                         "(want comma-separated floats, e.g. 0,0.2,0.5)")
-    if any(rate < 0.0 or rate > 1.0 for rate in rates):
-        raise SystemExit(f"repro chaos: --rates values must be in [0, 1], got {text!r}")
-    return rates
+        raise argparse.ArgumentTypeError(
+            f"want comma-separated floats, e.g. 0,0.2,0.5; got {text!r}")
 
 
 def cmd_chaos(args) -> int:
@@ -434,7 +439,6 @@ def cmd_chaos(args) -> int:
     from .core import CheckpointMismatch, RunPolicy
     from .obs import SWEEP_SLOS, SloRuleError, evaluate_slos, parse_rule
 
-    rates = _parse_rates(args.rates)
     checkpoint = args.resume or args.checkpoint
     resume = args.resume is not None
     if (not resume and checkpoint and os.path.exists(checkpoint)
@@ -461,7 +465,7 @@ def cmd_chaos(args) -> int:
         observer.attach_taint(TaintEngine())
     try:
         report = run_chaos_sweep(
-            rates,
+            args.rates,
             seed=args.seed,
             queries_per_rate=args.queries,
             attack_budget=args.attack_budget,
@@ -744,10 +748,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "artifact is byte-identical to an uninterrupted "
                               "run (PATH is trusted input: payloads are "
                               "unpickled, restricted to repro classes)")
-    run.add_argument("--trial-timeout", type=float, default=None,
+    run.add_argument("--trial-timeout", type=_positive_float, default=None,
                      help="wall-clock seconds before a hung trial's pool is "
                           "respawned (enables quarantine supervision)")
-    run.add_argument("--retries", type=int, default=None,
+    run.add_argument("--retries", type=_non_negative_int, default=None,
                      help="retry budget per trial before quarantine "
                           "(enables quarantine supervision)")
     run.add_argument("--results", metavar="PATH",
@@ -799,12 +803,12 @@ def build_parser() -> argparse.ArgumentParser:
     bruteforce.set_defaults(run=cmd_bruteforce)
 
     chaos = subparsers.add_parser("chaos", help="fault-rate sweep (E16 chaos table)")
-    chaos.add_argument("--rates", default="0,0.2,0.5",
+    chaos.add_argument("--rates", type=_parse_rates, default="0,0.2,0.5",
                        help="comma-separated fault levels, e.g. 0,0.1,0.3")
     chaos.add_argument("--seed", type=int, default=0xC4A05)
-    chaos.add_argument("--queries", type=int, default=24,
+    chaos.add_argument("--queries", type=_non_negative_int, default=24,
                        help="client queries per fault level")
-    chaos.add_argument("--attack-budget", type=int, default=32,
+    chaos.add_argument("--attack-budget", type=_non_negative_int, default=32,
                        help="brute-force attempts per fault level")
     chaos.add_argument("--workers", type=int, default=1,
                        help="fan sweep points out over N processes "
@@ -821,10 +825,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "uninterrupted run (PATH is trusted input: "
                               "payloads are unpickled, restricted to "
                               "classes from the repro package)")
-    chaos.add_argument("--trial-timeout", type=float, default=120.0,
+    chaos.add_argument("--trial-timeout", type=_positive_float, default=120.0,
                        help="wall-clock seconds before a hung trial's pool "
                             "is respawned (default 120)")
-    chaos.add_argument("--retries", type=int, default=2,
+    chaos.add_argument("--retries", type=_non_negative_int, default=2,
                        help="retry budget per trial before it is "
                             "quarantined (default 2)")
     chaos.add_argument("--health-slo", action="append", metavar="RULE",
@@ -842,11 +846,11 @@ def build_parser() -> argparse.ArgumentParser:
     dash.add_argument("--scenario", choices=("chaos", "crash", "attack"),
                       default="chaos",
                       help="which observed scenario feeds the board")
-    dash.add_argument("--level", dest="fault_level", type=float, default=0.3,
+    dash.add_argument("--level", dest="fault_level", type=_fraction, default=0.3,
                       help="fault level for the chaos scenario")
     dash.add_argument("--seed", type=int, default=0xB5EC)
-    dash.add_argument("--queries", type=int, default=16)
-    dash.add_argument("--attack-budget", type=int, default=12)
+    dash.add_argument("--queries", type=_non_negative_int, default=16)
+    dash.add_argument("--attack-budget", type=_non_negative_int, default=12)
     dash.add_argument("--interval", type=_positive_float, default=1.0,
                       help="series sampling interval (simulated seconds)")
     dash.add_argument("--slo", action="append", metavar="RULE",
@@ -879,15 +883,15 @@ def build_parser() -> argparse.ArgumentParser:
                          help="the view to render")
     _add_arch(observe)
     _add_level(observe)
-    observe.add_argument("--fault-level", type=float, default=0.3,
+    observe.add_argument("--fault-level", type=_fraction, default=0.3,
                          help="fault level for the chaos scenario")
     observe.add_argument("--seed", type=int, default=None,
                          help="scenario seed (default: attack 0x0B5E, crash "
                               "0xC4A5, chaos 0xB5EC, lan 0xCAB)")
-    observe.add_argument("--queries", type=int, default=None,
+    observe.add_argument("--queries", type=_non_negative_int, default=None,
                          help="client queries for chaos (default 16) and "
                               "lan (default 8)")
-    observe.add_argument("--attack-budget", type=int, default=12,
+    observe.add_argument("--attack-budget", type=_non_negative_int, default=12,
                          help="brute-force attempts for the chaos scenario")
     observe.add_argument("--json", action="store_true",
                          help="machine-readable events, metrics, spans, "
@@ -906,9 +910,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="run under the taint engine: postmortem gains "
                               "the PC-provenance section, pcap/sniff mark "
                               "the datagram whose bytes reached the PC")
-    observe.add_argument("--corrupt", type=float, default=0.25,
+    observe.add_argument("--corrupt", type=_fraction, default=0.25,
                          help="lan: corrupt rate on the capture link")
-    observe.add_argument("--duplicate", type=float, default=0.25,
+    observe.add_argument("--duplicate", type=_fraction, default=0.25,
                          help="lan: duplicate rate on the capture link")
     observe.set_defaults(run=cmd_observe)
 

@@ -16,19 +16,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..obs.metrics import MetricsRegistry
+from typing import List, Optional, Sequence, Tuple
 
 from ..connman import ConnmanDaemon, DaemonSupervisor
 from ..defenses import WX_ASLR
 from ..dns import ResilientResolver, SimpleDnsServer, make_query
 from ..exploit import AslrBruteForcer
 from ..net import FaultPolicy, faulty_transport
-from ..obs import Collector, TimeSeriesStore
-from .parallel import (DEFAULT_POLICY, RunPolicy, SweepStats, resolve_workers,
-                       run_supervised)
+from ..obs import Collector
+from .parallel import DEFAULT_POLICY, RunPolicy, SweepStats, run_supervised
 from .resume import SweepCheckpoint, TrialFailure, grid_hash
 from .report import render_table
 
@@ -233,30 +229,16 @@ def run_chaos_point(
 
 
 def _chaos_point_task(task: Tuple) -> Tuple:
-    """Worker for the parallel sweep: one fully seeded chaos point.
+    """Worker for the sweep: one fully seeded chaos point.
 
-    Module-level (pool-picklable).  When the sweep is observed, the worker
-    runs with its own collector and ships its metrics registry, span list,
-    time-series store (when the parent samples), and final clock back for
-    the parent to merge — counter totals, the span forest, and the sampled
-    series match the sequential run exactly.
+    Module-level (pool-picklable).  An observed sweep ships the parent
+    collector's :class:`~repro.obs.CollectorSpec`; the point runs under
+    the fresh collector it builds and returns that collector's snapshot
+    for the parent to :meth:`~repro.obs.Collector.adopt`.
     """
     (level, point_seed, queries, attack_budget, entropy_pages,
-     start_limit_burst, observed, sample_interval, sample_limit,
-     profile_interval, tainted) = task
-    collector = Collector() if observed else None
-    if collector is not None and sample_interval is not None:
-        collector.attach_series(
-            TimeSeriesStore(interval=sample_interval, limit=sample_limit))
-    if collector is not None and profile_interval is not None:
-        from ..obs import DeterministicProfiler
-
-        collector.attach_profiler(
-            DeterministicProfiler(sample_interval=profile_interval))
-    if collector is not None and tainted:
-        from ..obs.taint import TaintEngine
-
-        collector.attach_taint(TaintEngine())
+     start_limit_burst, spec) = task
+    collector = spec.build() if spec is not None else None
     cell = run_chaos_point(
         level,
         seed=point_seed,
@@ -266,12 +248,7 @@ def _chaos_point_task(task: Tuple) -> Tuple:
         start_limit_burst=start_limit_burst,
         observer=collector,
     )
-    if collector is None:
-        return cell, None, None, None, 0.0, None
-    return (cell, collector.metrics, collector.tracer.spans,
-            collector.series, collector.clock,
-            collector.profiler.snapshot() if collector.profiler is not None
-            else None)
+    return cell, collector.snapshot() if collector is not None else None
 
 
 #: Checkpoint identity for the chaos sweep (resume validates against it).
@@ -295,17 +272,19 @@ def run_chaos_sweep(
 ) -> ReliabilityReport:
     """Sweep the fault level; each point gets an independent derived seed.
 
-    Pass (or let the sweep create) a :class:`~repro.obs.Collector` to get
-    a metrics summary on the report; ``observer=None`` keeps the legacy
-    unobserved path byte-identical.
+    Every point runs through :func:`~repro.core.parallel.run_supervised`,
+    in-process at one worker and over a pool at more; cells are identical
+    at any worker count.  A failing point raises
+    :class:`~repro.core.resume.TaskError` (index and seed attached) under
+    the default strict policy.
 
-    ``workers>1`` fans the points out over the parallel runner: cells are
-    identical to the sequential sweep (each point is seeded independently),
-    and when observed, worker metrics and span trees are merged into
-    ``observer`` in point order (span ids are rebased so the merged forest
-    matches the sequential sweep's exactly).  Event traces stay per-worker
-    in that mode — only the sequential path streams events into the parent
-    collector.
+    Pass a :class:`~repro.obs.Collector` as ``observer`` to get a metrics
+    summary on the report.  Each point runs under a fresh collector built
+    from ``observer.spec()``; its snapshot is adopted into ``observer`` in
+    point order, so the metrics, span forest (ids rebased, times local to
+    each point), series, profile, and clock are the same at any worker
+    count.  Events, postmortems, and taint provenance stay with the point
+    that made them — ``repro observe chaos`` shows them for one point.
 
     Resilience: ``policy`` adds per-trial timeouts/retries (quarantined
     points land in ``report.failures`` instead of aborting the sweep);
@@ -319,90 +298,35 @@ def run_chaos_sweep(
     into the deterministic results artifact.
     """
     report = ReliabilityReport(seed=seed)
-    # Checkpointing (or resuming) always takes the task-fanout path, even
-    # sequentially, so the journal sees identical trial payloads at any
-    # worker count — the resume artifact must not depend on ``workers``.
-    # A supplied ``policy`` or ``sweep_observer`` forces it too: the
-    # supervised runner is the only place retries/quarantine/health
-    # counters exist, so a sequential `repro chaos --retries N` must not
-    # silently drop them (cells stay identical — each point is seeded
-    # independently and runs in-process at workers=1).
-    use_tasks = (checkpoint is not None or resume
-                 or policy is not None or sweep_observer is not None
-                 or (resolve_workers(workers) > 1 and len(rates) > 1))
-    if use_tasks:
-        store = observer.series if observer is not None else None
-        profiler = observer.profiler if observer is not None else None
-        tainted = observer is not None and observer.taint is not None
-        tasks = [
-            (level, seed + 7919 * index, queries_per_rate, attack_budget,
-             entropy_pages, start_limit_burst, observer is not None,
-             store.interval if store is not None else None,
-             store.limit if store is not None else 0,
-             profiler.sample_interval if profiler is not None else None,
-             tainted)
-            for index, level in enumerate(rates)
-        ]
-        journal = None
-        if checkpoint is not None:
-            journal = SweepCheckpoint(
-                checkpoint, experiment=CHAOS_EXPERIMENT_ID,
-                grid_hash=grid_hash(tasks), total=len(tasks), seed=seed,
-                resume=resume,
-            )
-        try:
-            outcome = run_supervised(
-                _chaos_point_task, tasks, workers=workers,
-                policy=policy if policy is not None else DEFAULT_POLICY,
-                observer=sweep_observer, checkpoint=journal,
-                seed_of=lambda task: task[1], label="chaos",
-            )
-        finally:
-            if journal is not None:
-                journal.close()
-        report.failures = outcome.failures
-        report.health = outcome.stats
-        for payload in outcome.results:
-            if isinstance(payload, TrialFailure):
-                continue  # quarantined point: reported, not merged
-            cell, metrics, spans, series, clock, profile = payload
-            report.cells.append(cell)
-            if observer is not None:
-                if store is not None and series is not None:
-                    # Adopt the worker's series *before* merging its
-                    # registry: the adopt offsets are the cumulative
-                    # counts of every prior point, exactly what the
-                    # shared sequential registry held during this one.
-                    store.adopt(series, observer.metrics)
-                if metrics is not None:
-                    observer.metrics.merge(metrics)
-                if spans:
-                    # Deterministic merge: task order + id rebasing
-                    # reproduce the sequential sweep's span forest exactly.
-                    observer.tracer.adopt(spans)
-                if profiler is not None and profile is not None:
-                    # Profiles are pure counter sums with run-scoped
-                    # sampling phases, so adopting point snapshots in
-                    # task order reproduces the sequential profile
-                    # byte for byte (folded stacks included).
-                    profiler.adopt(profile)
-                # The shared sequential clock is a running max over the
-                # points (advance_to); reproduce it after the adopts so
-                # no already-covered grid boundary is re-sampled.
-                observer.advance_to(clock)
-    else:
-        for index, level in enumerate(rates):
-            report.cells.append(
-                run_chaos_point(
-                    level,
-                    seed=seed + 7919 * index,
-                    queries=queries_per_rate,
-                    attack_budget=attack_budget,
-                    entropy_pages=entropy_pages,
-                    start_limit_burst=start_limit_burst,
-                    observer=observer,
-                )
-            )
+    spec = observer.spec() if observer is not None else None
+    tasks = [
+        (level, seed + 7919 * index, queries_per_rate, attack_budget,
+         entropy_pages, start_limit_burst, spec)
+        for index, level in enumerate(rates)
+    ]
+    journal = None
+    if checkpoint is not None:
+        journal = SweepCheckpoint(
+            checkpoint, experiment=CHAOS_EXPERIMENT_ID,
+            grid_hash=grid_hash(tasks), total=len(tasks), seed=seed,
+            resume=resume,
+        )
+    try:
+        outcome = run_supervised(
+            _chaos_point_task, tasks, workers=workers,
+            policy=policy or DEFAULT_POLICY,
+            observer=sweep_observer, checkpoint=journal,
+            seed_of=lambda task: task[1], label="chaos",
+        )
+    finally:
+        if journal is not None:
+            journal.close()
+    report.failures = outcome.failures
+    report.health = outcome.stats
+    for cell, snapshot in outcome.completed():
+        report.cells.append(cell)
+        if observer is not None:
+            observer.adopt(snapshot)
     if observer is not None:
         report.metrics = observer.metrics.to_dict()
     return report

@@ -38,12 +38,13 @@ conflated with it.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
                     Optional, Tuple, TypeVar)
 
@@ -104,8 +105,10 @@ class RunPolicy:
     on_failure: str = "raise"  # "raise" | "quarantine"
 
     def __post_init__(self):
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError(f"trial timeout must be positive, got {self.timeout!r}")
+        if self.timeout is not None and not (math.isfinite(self.timeout)
+                                             and self.timeout > 0):
+            raise ValueError(
+                f"trial timeout must be positive and finite, got {self.timeout!r}")
         if self.retries < 0:
             raise ValueError(f"retry budget cannot be negative: {self.retries}")
         if self.on_failure not in ("raise", "quarantine"):
@@ -459,33 +462,7 @@ def run_tasks(worker: Callable[[T], R], tasks: Iterable[T], *,
     surface sweep-health counters, and a ``checkpoint`` to make the run
     resumable; the defaults behave like the classic bare runner.
     """
-    if policy is None:
-        strict = DEFAULT_POLICY
-    elif policy.on_failure != "raise":
-        strict = RunPolicy(timeout=policy.timeout, retries=policy.retries,
-                           backoff=policy.backoff,
-                           backoff_factor=policy.backoff_factor,
-                           poll_interval=policy.poll_interval,
-                           on_failure="raise")
-    else:
-        strict = policy
-    tasks = list(tasks)
-    # Fast path: the sequential case stays a plain loop (no envelopes, no
-    # polling) but still reports failures with task context.
-    if (checkpoint is None and observer is None
-            and min(resolve_workers(workers), len(tasks)) <= 1
-            and strict.retries == 0):
-        seed_fn = seed_of if seed_of is not None else derive_task_seed
-        results: List[R] = []
-        for index, task in enumerate(tasks):
-            try:
-                results.append(worker(task))
-            except Exception as exc:  # re-raised with task context
-                raise TaskError(TrialFailure(
-                    index=index, kind="error", attempts=1, error=repr(exc),
-                    seed=seed_fn(task), task=repr(task)[:200],
-                )) from exc
-        return results
+    strict = replace(policy or DEFAULT_POLICY, on_failure="raise")
     outcome = run_supervised(worker, tasks, workers=workers, policy=strict,
                              observer=observer, checkpoint=checkpoint,
                              seed_of=seed_of, label=label)

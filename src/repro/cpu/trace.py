@@ -30,14 +30,18 @@ class TraceRecorder:
 
     limit: int = 4096
     entries: List[TraceEntry] = field(default_factory=list)
+    #: Records refused because the trace was already full.
+    dropped: int = 0
 
     def record(self, pc: int, kind: str, text: str) -> None:
         if len(self.entries) < self.limit:
             self.entries.append(TraceEntry(pc=pc, kind=kind, text=text))
+        else:
+            self.dropped += 1
 
     @property
     def truncated(self) -> bool:
-        return len(self.entries) >= self.limit
+        return self.dropped > 0
 
     def natives(self) -> List[TraceEntry]:
         return [entry for entry in self.entries if entry.kind == "native"]

@@ -21,7 +21,7 @@ from .chrome import (
     export_chrome_trace,
     validate_chrome_trace,
 )
-from .collector import Collector
+from .collector import Collector, CollectorSnapshot, CollectorSpec
 from .dashboard import (
     build_dashboard_json,
     dashboard_json,
@@ -85,6 +85,8 @@ __all__ = [
     "chrome_counter_events",
     "chrome_trace_events",
     "Collector",
+    "CollectorSnapshot",
+    "CollectorSpec",
     "Counter",
     "CrashReport",
     "dashboard_json",

@@ -13,15 +13,53 @@ produce identical traces, metrics, span trees, and postmortems.
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Any, List, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, List, NamedTuple, Optional
 
 from .events import EventBus, TraceEvent
 from .metrics import MetricsRegistry
-from .spans import Tracer
+from .profiler import DeterministicProfiler, ProfileData
+from .spans import Span, Tracer
+from .taint import TaintEngine
+from .timeseries import TimeSeriesStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .postmortem import CrashReport
-    from .timeseries import TimeSeriesStore
+
+
+@dataclass(frozen=True)
+class CollectorSpec:
+    """What a collector has attached, as a picklable value with a
+    deterministic ``repr`` (sweep checkpoints hash it into their grid)."""
+
+    series_interval: Optional[float] = None
+    series_limit: int = 0
+    profile_interval: Optional[int] = None
+    taint: bool = False
+
+    def build(self) -> "Collector":
+        """A fresh collector with the same attachments."""
+        collector = Collector()
+        if self.series_interval is not None:
+            collector.attach_series(TimeSeriesStore(
+                interval=self.series_interval, limit=self.series_limit))
+        if self.profile_interval is not None:
+            collector.attach_profiler(
+                DeterministicProfiler(sample_interval=self.profile_interval))
+        if self.taint:
+            collector.attach_taint(TaintEngine())
+        return collector
+
+
+class CollectorSnapshot(NamedTuple):
+    """The part of a run :meth:`Collector.adopt` merges: events,
+    postmortems, and taint provenance stay with the run that made them."""
+
+    metrics: MetricsRegistry
+    spans: List[Span]
+    series: Optional[TimeSeriesStore]
+    clock: float
+    profile: Optional[ProfileData]
 
 
 class Collector:
@@ -29,7 +67,7 @@ class Collector:
     :class:`~repro.obs.spans.Tracer` (+ an optional time-series store)."""
 
     def __init__(self, *, event_limit: int = 100_000,
-                 series: Optional["TimeSeriesStore"] = None):
+                 series: Optional[TimeSeriesStore] = None):
         self.clock = 0.0
         self.bus = EventBus(limit=event_limit)
         self.metrics = MetricsRegistry()
@@ -70,7 +108,7 @@ class Collector:
 
     # -- time series ----------------------------------------------------------
 
-    def attach_series(self, store: "TimeSeriesStore") -> "TimeSeriesStore":
+    def attach_series(self, store: TimeSeriesStore) -> TimeSeriesStore:
         """Attach a time-series store; clock movement now takes samples."""
         self.series = store
         return store
@@ -142,6 +180,48 @@ class Collector:
     @property
     def last_postmortem(self) -> Optional["CrashReport"]:
         return self.postmortems[-1] if self.postmortems else None
+
+    # -- worker merge ---------------------------------------------------------
+
+    def spec(self) -> CollectorSpec:
+        """This collector's attachments, for a worker to rebuild."""
+        series, profiler = self.series, self.profiler
+        return CollectorSpec(
+            series_interval=series.interval if series is not None else None,
+            series_limit=series.limit if series is not None else 0,
+            profile_interval=(profiler.sample_interval
+                              if profiler is not None else None),
+            taint=self.taint is not None,
+        )
+
+    def snapshot(self) -> CollectorSnapshot:
+        """What a worker ships back to the parent's :meth:`adopt`."""
+        return CollectorSnapshot(
+            metrics=self.metrics,
+            spans=self.tracer.spans,
+            series=self.series,
+            clock=self.clock,
+            profile=(self.profiler.snapshot()
+                     if self.profiler is not None else None),
+        )
+
+    def adopt(self, snapshot: CollectorSnapshot) -> None:
+        """Fold one worker's snapshot in, as if it had run on this collector.
+
+        Adopting points in task order reproduces one shared collector's
+        metrics, span ids, series, and profile (span times stay local to
+        each point).  The order matters: the
+        series is adopted *before* the registry merge, because its offsets
+        are the counts every earlier point left behind; the clock moves
+        last, so no grid boundary the series already covers is re-sampled.
+        """
+        if self.series is not None and snapshot.series is not None:
+            self.series.adopt(snapshot.series, self.metrics)
+        self.metrics.merge(snapshot.metrics)
+        self.tracer.adopt(snapshot.spans)
+        if self.profiler is not None and snapshot.profile is not None:
+            self.profiler.adopt(snapshot.profile)
+        self.advance_to(snapshot.clock)
 
     # -- export ---------------------------------------------------------------
 

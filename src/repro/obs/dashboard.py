@@ -172,7 +172,7 @@ def render_dashboard(collector: "Collector",
         lines.append("")
         lines.append(_paint(
             f"  {len(collector.postmortems)} crash postmortem(s) on file "
-            "(repro postmortem)", RED, color))
+            "(repro observe crash --emit postmortem)", RED, color))
     lines.append(_paint("─" * width, BOLD, color))
     return "\n".join(lines)
 

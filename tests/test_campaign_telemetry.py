@@ -318,6 +318,13 @@ class TestDashboard:
         assert "crash-free" in payload["breaches"]
         assert payload["postmortems"] >= 1
 
+    def test_dash_postmortem_hint_names_a_real_view(self, capsys):
+        assert main(["dash", "--scenario", "crash", "--once",
+                     "--no-color"]) == 1
+        hint = "repro observe crash --emit postmortem"
+        assert f"({hint})" in capsys.readouterr().out
+        assert main(hint.split()[1:]) == 0
+
     def test_dash_cli_rejects_bad_rule(self, capsys):
         assert main(["dash", "--once", "--slo", "nope"]) == 2
         assert "grammar" in capsys.readouterr().err

@@ -39,6 +39,36 @@ class TestCommands:
                      id="observe-limit"),
         pytest.param(["observe", "attack", "--emit", "profile", "--top", "-1"],
                      id="observe-top"),
+        pytest.param(["observe", "chaos", "--emit", "metrics",
+                      "--fault-level", "1.5"], id="observe-fault-level"),
+        pytest.param(["observe", "chaos", "--emit", "metrics",
+                      "--fault-level", "nan"], id="observe-fault-level-nan"),
+        pytest.param(["observe", "chaos", "--emit", "metrics",
+                      "--queries", "-1"], id="observe-queries"),
+        pytest.param(["observe", "chaos", "--emit", "metrics",
+                      "--attack-budget", "-1"], id="observe-attack-budget"),
+        pytest.param(["observe", "lan", "--emit", "pcap", "--corrupt", "2"],
+                     id="observe-corrupt"),
+        pytest.param(["observe", "lan", "--emit", "pcap", "--duplicate", "-0.5"],
+                     id="observe-duplicate"),
+        pytest.param(["dash", "--once", "--level", "1.5"], id="dash-level"),
+        pytest.param(["dash", "--once", "--interval", "nan"],
+                     id="dash-interval-nan"),
+        pytest.param(["dash", "--once", "--queries", "-3"], id="dash-queries"),
+        pytest.param(["chaos", "--rates", "nan"], id="chaos-rates-nan"),
+        pytest.param(["chaos", "--rates", "0,1.5"], id="chaos-rates-range"),
+        pytest.param(["chaos", "--rates", "0,x"], id="chaos-rates-syntax"),
+        pytest.param(["chaos", "--queries", "-1"], id="chaos-queries"),
+        pytest.param(["chaos", "--attack-budget", "-1"],
+                     id="chaos-attack-budget"),
+        pytest.param(["chaos", "--trial-timeout", "-1"],
+                     id="chaos-trial-timeout"),
+        pytest.param(["chaos", "--trial-timeout", "nan"],
+                     id="chaos-trial-timeout-nan"),
+        pytest.param(["chaos", "--retries", "-1"], id="chaos-retries"),
+        pytest.param(["run", "E16", "--trial-timeout", "-1"],
+                     id="run-trial-timeout"),
+        pytest.param(["run", "E16", "--retries", "-1"], id="run-retries"),
     ])
     def test_rejects_bad_numeric_input(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:

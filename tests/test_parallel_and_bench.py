@@ -1,10 +1,16 @@
 """Parallel sweep runner determinism and the tight-loop dispatch bench."""
 
 import json
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.core import (
+    RunPolicy,
     resolve_workers,
     run_chaos_sweep,
     run_reliability_study,
@@ -13,8 +19,11 @@ from repro.core import (
 )
 from repro.core.bench import run_dispatch_bench
 from repro.core.experiments import e10_bruteforce
-from repro.obs import Collector
+from repro.obs import (Collector, CollectorSpec, DeterministicProfiler,
+                       TaintEngine, TimeSeriesStore)
 from repro.obs.metrics import Histogram, MetricsRegistry
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _square(value):
@@ -38,6 +47,76 @@ class TestRunTasks:
         assert resolve_workers(1) == 1
         assert resolve_workers(None) >= 1
         assert resolve_workers(0) >= 1
+
+
+def _observed_sweep(**kwargs) -> str:
+    """One observed sweep with every attachment on, as its sorted export."""
+    collector = Collector(series=TimeSeriesStore())
+    collector.attach_profiler(DeterministicProfiler())
+    collector.attach_taint(TaintEngine())
+    run_chaos_sweep((0.0, 0.4), seed=21, queries_per_rate=6, attack_budget=6,
+                    observer=collector, **kwargs)
+    return json.dumps(collector.to_dict(), sort_keys=True)
+
+
+#: The kill-and-resume leg runs in a subprocess: the kill knob SIGKILLs
+#: the whole process right after the first point is journaled.
+RESUMABLE_SWEEP = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from test_parallel_and_bench import _observed_sweep
+print(_observed_sweep(checkpoint=sys.argv[2], resume=sys.argv[3] == "resume"))
+"""
+
+
+class TestObservedSweepParity:
+    """An observed sweep exports the same collector however its points ran."""
+
+    def _resumed_export(self, tmp_path):
+        ckpt = str(tmp_path / "observed.ckpt")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        env.pop("REPRO_SWEEP_KILL_AFTER", None)
+
+        def run(mode, **extra):
+            return subprocess.run(
+                [sys.executable, "-c", RESUMABLE_SWEEP,
+                 str(Path(__file__).resolve().parent), ckpt, mode],
+                capture_output=True, text=True, timeout=300,
+                env=dict(env, **extra))
+
+        killed = run("fresh", REPRO_SWEEP_KILL_AFTER="1")
+        assert killed.returncode == -9, killed.stderr  # died mid-sweep
+        resumed = run("resume")
+        assert resumed.returncode == 0, resumed.stderr
+        return resumed.stdout.strip()
+
+    def test_export_identical_across_execution_paths(self, tmp_path):
+        exports = {
+            "workers=1": _observed_sweep(workers=1),
+            "workers=2": _observed_sweep(workers=2),
+            "workers=1+policy": _observed_sweep(workers=1, policy=RunPolicy()),
+            "killed+resumed": self._resumed_export(tmp_path),
+        }
+        baseline = exports["workers=1"]
+        exported = json.loads(baseline)
+        assert exported["spans"] and exported["series"]["timeline"]
+        assert exported["profile"]["runs"] > 0
+        assert exported["metrics"]["counters"]["taint.sources"] > 0
+        for name, export in exports.items():
+            assert export == baseline, name
+
+    def test_spec_names_the_attachments(self):
+        collector = Collector(series=TimeSeriesStore(interval=2.5, limit=64))
+        collector.attach_profiler(DeterministicProfiler(sample_interval=9))
+        collector.attach_taint(TaintEngine())
+        spec = collector.spec()
+        # The repr feeds the checkpoint grid hash, so it must be stable.
+        assert repr(spec) == ("CollectorSpec(series_interval=2.5, "
+                              "series_limit=64, profile_interval=9, "
+                              "taint=True)")
+        assert pickle.loads(pickle.dumps(spec)) == spec
+        assert spec.build().spec() == spec
+        assert Collector().spec() == CollectorSpec()
 
 
 class TestParallelParity:

@@ -112,6 +112,13 @@ class TestTaskErrorContext:
                       policy=RunPolicy(on_failure="quarantine"))
 
 
+class TestRunPolicyValidation:
+    @pytest.mark.parametrize("timeout", [0, -1.0, float("nan"), float("inf")])
+    def test_rejects_non_positive_or_non_finite_timeout(self, timeout):
+        with pytest.raises(ValueError, match="timeout"):
+            RunPolicy(timeout=timeout)
+
+
 # -- tentpole: quarantine, retry, heartbeat -----------------------------------
 
 class TestQuarantine:
@@ -420,6 +427,23 @@ class TestChaosParity:
         assert supervised.health is not None
         assert supervised.health.executed == 2
         assert sweep_observer.metrics.value("sweep.quarantined") == 0
+
+    def test_failing_point_names_index_and_seed(self, monkeypatch):
+        from repro.core import chaos
+
+        real = chaos.run_chaos_point
+
+        def flaky(level, **kwargs):
+            if level > 0:
+                raise RuntimeError("faulty point")
+            return real(level, **kwargs)
+
+        monkeypatch.setattr(chaos, "run_chaos_point", flaky)
+        with pytest.raises(TaskError) as excinfo:
+            run_chaos_sweep(rates=[0.0, 0.3], seed=11, queries_per_rate=5,
+                            attack_budget=5, workers=1)
+        assert excinfo.value.index == 1
+        assert excinfo.value.seed == 11 + 7919
 
     def test_checkpointed_parallel_matches_sequential(self, tmp_path):
         plain = run_chaos_sweep(rates=[0.0, 0.3], seed=11, queries_per_rate=5,

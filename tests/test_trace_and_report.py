@@ -46,8 +46,13 @@ class TestTraceRecorder:
         recorder = TraceRecorder(limit=2)
         recorder.record(0x1000, "insn", "nop")
         recorder.record(0x1001, "insn", "nop")
+        # Exactly ``limit`` entries with nothing dropped is a full trace,
+        # not a truncated one.
+        assert len(recorder) == 2
+        assert not recorder.truncated
         recorder.record(0x1002, "insn", "nop")
         assert len(recorder) == 2
+        assert recorder.dropped == 1
         assert recorder.truncated
 
     def test_describe_last(self):
