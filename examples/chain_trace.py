@@ -15,13 +15,14 @@ from repro.core import AttackScenario, attacker_knowledge
 from repro.cpu import TraceRecorder
 from repro.defenses import NONE, WX, WX_ASLR
 from repro.exploit import builder_for, deliver
+from repro.obs import Collector
 
 
 def trace_attack(label, profile):
     print(f"=== {label} ===")
-    victim = ConnmanDaemon(arch="arm", profile=profile)
-    recorder = TraceRecorder(limit=48)
-    victim.loaded.process.trace = recorder
+    collector = Collector()
+    recorder = collector.attach_trace(TraceRecorder(limit=48))
+    victim = ConnmanDaemon(arch="arm", profile=profile, observer=collector)
     knowledge = attacker_knowledge(AttackScenario("arm", label, profile))
     exploit = builder_for("arm", profile).build(knowledge)
     report = deliver(exploit, victim)

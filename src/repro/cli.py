@@ -13,7 +13,6 @@
     python -m repro audit
     python -m repro gadgets --arch arm --contains "blx"
     python -m repro recon --arch x86 --aslr
-    python -m repro trace --arch arm --level wx+aslr
     python -m repro autogen --arch arm --level wx
     python -m repro bruteforce
     python -m repro offpath --burst 2048
@@ -25,6 +24,7 @@
     python -m repro observe attack --emit spans   # wire-to-verdict span tree
     python -m repro observe attack --emit chrome  # Perfetto-loadable trace JSON
     python -m repro observe attack --arch arm --emit folded  # flamegraph input
+    python -m repro observe attack --emit trace --arch arm --level wx+aslr
     python -m repro observe crash --emit postmortem --taint  # gdb-style report
     python -m repro observe crash --emit taint  # wire offset -> memory -> PC
     python -m repro observe lan --emit pcap     # faulty LAN capture, reprocap
@@ -63,7 +63,6 @@ from .exploit import (
     GadgetFinder,
     OffPathSpoofer,
     builder_for,
-    deliver,
 )
 from .net import DNS_PORT, FaultPolicy, Host, Network
 from .obs import (
@@ -382,21 +381,6 @@ def cmd_recon(args) -> int:
     return 0
 
 
-def cmd_trace(args) -> int:
-    profile = LEVELS[args.level]
-    victim = ConnmanDaemon(arch=args.arch, profile=profile)
-    recorder = TraceRecorder(limit=args.limit)
-    victim.loaded.process.trace = recorder
-    knowledge = attacker_knowledge(AttackScenario(args.arch, args.level, profile))
-    exploit = builder_for(args.arch, profile).build(knowledge)
-    report = deliver(exploit, victim)
-    print(f"exploit : {exploit.describe()}")
-    print(f"outcome : {report.event.describe()}")
-    print("trace (hijacked control flow):")
-    print(recorder.describe())
-    return 0 if report.got_root_shell else 1
-
-
 def cmd_listing(args) -> int:
     """Print the paper-Listing-style rendering of one exploit's chain."""
     from .exploit import render_exploit_listing
@@ -548,6 +532,16 @@ def _spans_text(_args, collector, run) -> str:
             f"{verdict}\n{tree}\n")
 
 
+def _trace_text(_args, collector, run) -> str:
+    header = ""
+    if isinstance(run, ObservedAttack):
+        exploit = run.exploit.describe() if run.exploit else "(no exploit)"
+        outcome = run.event.describe() if run.event else run.error
+        header = f"exploit : {exploit}\noutcome : {outcome}\n"
+    return (f"{header}trace (hijacked control flow):\n"
+            f"{collector.trace.describe()}\n")
+
+
 def _validated(document, validate, indent: Optional[int] = 2) -> str:
     validate(document)
     return json.dumps(document, indent=indent) + "\n"
@@ -594,6 +588,7 @@ EMITTERS: Dict[str, tuple] = {
                                           f"{c.tracer.render_tree()}\n"),
     "taint": (lambda _args, c, _run: c.taint.to_dict(),
               lambda _args, c, _run: render_provenance(c.taint) + "\n"),
+    "trace": (None, _trace_text),
     "pcap": (None, _capture_text),
     "sniff": (None, _capture_text),
 }
@@ -617,6 +612,9 @@ def cmd_observe(args) -> int:
             DeterministicProfiler(sample_interval=args.sample_interval))
     if args.emit == "taint" or args.taint:
         collector.attach_taint(TaintEngine())
+    if args.emit == "trace":
+        collector.attach_trace(
+            TraceRecorder(limit=64 if args.limit is None else args.limit))
     run = _run_scenario(args, collector)
     if args.emit == "postmortem" and collector.last_postmortem is None:
         print("no crash captured (daemon survived?)", file=sys.stderr)
@@ -626,6 +624,9 @@ def cmd_observe(args) -> int:
         sys.stdout.write(json.dumps(as_json(args, collector, run), indent=2) + "\n")
     else:
         sys.stdout.write(as_text(args, collector, run))
+    if args.emit == "trace" and not (isinstance(run, ObservedAttack)
+                                     and run.succeeded):
+        return 1
     return 0
 
 
@@ -781,12 +782,6 @@ def build_parser() -> argparse.ArgumentParser:
     recon.add_argument("--aslr", action="store_true", help="victim has ASLR (blind recon)")
     recon.set_defaults(run=cmd_recon)
 
-    trace = subparsers.add_parser("trace", help="run one attack with an execution trace")
-    _add_arch(trace)
-    _add_level(trace)
-    trace.add_argument("--limit", type=int, default=64)
-    trace.set_defaults(run=cmd_trace)
-
     listing = subparsers.add_parser("listing", help="paper-Listing view of a chain")
     _add_arch(listing)
     _add_level(listing)
@@ -897,7 +892,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="machine-readable events, metrics, spans, "
                               "profile, postmortem or taint")
     observe.add_argument("--limit", type=_non_negative_int, default=None,
-                         help="events: show only the last N")
+                         help="events: show only the last N; trace: keep "
+                              "the first N records (default 64)")
     observe.add_argument("--sample-interval", type=_non_negative_int,
                          default=DEFAULT_SAMPLE_INTERVAL,
                          help="profile: guest steps between stack samples "

@@ -90,18 +90,8 @@ class ConnmanDaemon:
             self.loaded.address_of("dnsproxy_resume"),
             NativeFunction("dnsproxy_resume", _resume_stop),
         )
-        # Emulator runs over this process flush decode-cache counters here.
-        self.loaded.process.observer = self.observer
-        if self.observer is not None and self.observer.profiler is not None:
-            # Profiled boot: the emulator attributes cost through the
-            # collector's profiler, and stack samples symbolize against
-            # *this* boot's tables (ASLR re-slides libc every boot).
-            self.loaded.process.profiler = self.observer.profiler
-            self.observer.profiler.register_symbols(self.loaded)
-        if self.observer is not None and getattr(self.observer, "taint", None) is not None:
-            # Tainted boot: a fresh shadow map over this boot's address
-            # space (the provenance record itself is cumulative).
-            self.observer.taint.attach_process(self.loaded.process)
+        if self.observer is not None:
+            self.observer.attach_process(self.loaded)
         canary = StackCanary(self.rng) if self.profile.canary else None
         ret_guard = ReturnAddressGuard(self.rng) if self.profile.ret_guard else None
         if self.profile.cfi:

@@ -2,7 +2,8 @@
 
 from .blocks import MAX_BLOCK_LEN, Block, BlockCache
 from .cache import DecodeCache
-from .emulator import DEFAULT_STEP_BUDGET, Emulator, ExecutionResult, make_emulator
+from .emulator import (DEFAULT_STEP_BUDGET, Emulator, ExecutionResult,
+                       RunObserver, make_emulator)
 from .events import (
     CanaryClobbered,
     ControlFlowViolation,
@@ -51,6 +52,7 @@ __all__ = [
     "pc_register",
     "Process",
     "RegisterFile",
+    "RunObserver",
     "sp_register",
     "SpawnRecord",
     "SUPPORTED_ARCHES",

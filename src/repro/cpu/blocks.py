@@ -36,8 +36,8 @@ The contract is the decode cache's, one level up: outcomes, traces, step
 counts, budget exhaustion, crash postmortems (including register/flag
 state at the fault), and W^X / code-injection verdicts are bit-identical
 with blocks on or off, at any worker count (``tests/test_block_translation``
-pins it).  Runs with a ``TraceRecorder`` or a taint engine attached fall
-back to per-instruction dispatch so per-step observation stays exact.
+pins it).  Runs with a per-step observer attached (trace recorder, taint
+engine) fall back to per-instruction dispatch so observation stays exact.
 """
 
 from __future__ import annotations
@@ -202,14 +202,7 @@ class BlockCache:
         Returns ``None`` when no block can start at ``address`` (the very
         first instruction fails to decode) — the per-step path then raises
         the exact fault the interpreter would.
-
-        Declines outright (before any counter moves) while a taint engine
-        is attached: label propagation needs per-instruction pre-step
-        register state that block dispatch never materializes, and the run
-        loop's own gate cannot cover callers that fetch blocks directly.
         """
-        if getattr(self.process, "taint", None) is not None:
-            return None
         block = self.lookup(address)
         if block is not None:
             return block

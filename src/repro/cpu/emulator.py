@@ -12,7 +12,7 @@ them like the paper does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from ..mem import MemoryFault
 from .events import CpuError, EmulationBudgetExceeded, _EmulationStop
@@ -22,6 +22,20 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..obs.postmortem import CrashReport
 
 DEFAULT_STEP_BUDGET = 200_000
+
+#: The cache counters every observed run reports to
+#: :meth:`RunObserver.end_run`, as deltas over the run, in this order.
+CACHE_COUNTERS = (
+    "decode_cache_hits",
+    "decode_cache_misses",
+    "decode_cache_invalidations",
+    "decode_cache_epoch_flushes",
+    "block_cache_hits",
+    "block_cache_misses",
+    "block_cache_invalidations",
+    "block_cache_epoch_flushes",
+    "block_cache_native_flushes",
+)
 
 
 @dataclass
@@ -59,6 +73,43 @@ class ExecutionResult:
         return text
 
 
+class RunObserver:
+    """What the run loop tells each observer in ``Process.observers``.
+
+    Every method is a no-op, so an implementation overrides only the
+    hooks it uses.  Observers are read-only over guest state: an observed
+    run has the same outcome, step count and fault as an unobserved one.
+    """
+
+    #: Needs :meth:`before_step`, so the run loop never dispatches blocks.
+    per_step = False
+
+    def begin_run(self, process: Process) -> None:
+        """A run starts."""
+
+    def before_step(self, process: Process) -> None:
+        """The native or instruction at ``process.pc`` is about to run."""
+
+    def on_insn(self, process: Process, insn) -> None:
+        """One instruction completed."""
+
+    def on_native(self, process: Process, native, pc: int) -> None:
+        """The native at ``pc`` completed and returned to its caller."""
+
+    def admits_block(self, length: int) -> bool:
+        """May a compiled block of ``length`` instructions run whole?"""
+        return True
+
+    def on_block(self, process: Process, block, executed: int) -> None:
+        """A block dispatch completed ``executed`` of its instructions."""
+
+    def on_build(self, block) -> None:
+        """A block was compiled."""
+
+    def end_run(self, process: Process, counters: Dict[str, int]) -> None:
+        """The run ended, however; ``counters`` are its cache deltas."""
+
+
 class Emulator:
     """Architecture-neutral run loop; subclasses implement :meth:`step`."""
 
@@ -68,24 +119,6 @@ class Emulator:
     def step(self):  # pragma: no cover - abstract
         """Execute one instruction; returns the executed Instruction."""
         raise NotImplementedError
-
-    def _peek_text(self, address: int) -> str:
-        """Best-effort disassembly of the next instruction (tracing only)."""
-        try:
-            memory = self.process.memory
-            if self.process.arch == "x86":
-                from .x86.disasm import decode
-
-                window = memory.read(
-                    address, memory.contiguous_span(address, 5), check=False
-                )
-                return decode(window, address, strict=False).text()
-            from .arm.disasm import decode
-
-            window = memory.read(address, 4, check=False)
-            return decode(window, address, strict=False).text()
-        except Exception:
-            return "(unreadable)"
 
     def run(self, max_steps: int = DEFAULT_STEP_BUDGET) -> ExecutionResult:
         """Execute until stop/fault/budget; observed runs get a ``cpu.run`` span.
@@ -122,85 +155,67 @@ class Emulator:
 
     def _run_loop(self, max_steps: int = DEFAULT_STEP_BUDGET) -> ExecutionResult:
         process = self.process
-        trace = getattr(process, "trace", None)
-        cache = process.decode_cache
+        observers = process.observers
         blocks = process.block_cache
-        cache_before = (cache.hits, cache.misses, cache.invalidations,
-                        cache.epoch_flushes)
-        blocks_before = (blocks.hits, blocks.misses, blocks.invalidations,
-                         blocks.epoch_flushes, blocks.native_flushes)
-        profiler = getattr(process, "profiler", None)
-        taint = getattr(process, "taint", None)
-        if profiler is not None:
-            # Run-scoped sampling phase: sample points become a pure
-            # function of each run's completed-step count, so sweep
-            # workers merge byte-identical to the sequential sweep.
-            profiler.begin_run()
-        # Block dispatch is outcome-identical but not *observation*-identical
-        # at instruction granularity, so tracing forces the per-instruction
-        # path: traces stay exact.  The profiler deliberately does NOT
-        # force the fallback — blocks carry their mnemonic/address lines,
-        # so block dispatch sums into the same per-opcode totals
-        # single-stepping would produce.  Taint DOES force it: label
-        # propagation needs each instruction's pre-step register file,
-        # which block dispatch never materializes.
-        use_blocks = blocks.enabled and trace is None and taint is None
+        # Block dispatch is outcome-identical but never shows an observer
+        # the state between two instructions of a block, so any per-step
+        # observer forces the per-instruction path.
+        stepped = tuple(observer for observer in observers if observer.per_step)
+        use_blocks = blocks.enabled and not stepped
+        if observers:
+            counters_before = _cache_counters(process)
+            for observer in observers:
+                observer.begin_run(process)
         steps = 0
         try:
             while steps < max_steps:
                 native = process.native_at(process.pc)
                 if native is not None:
                     pc = process.pc
-                    if trace is not None:
-                        trace.record(pc, "native", f"{native.name}(...)")
+                    for observer in stepped:
+                        observer.before_step(process)
                     native.invoke(process)
                     steps += 1
-                    if profiler is not None:
-                        profiler.record_native(process, native, pc)
+                    for observer in observers:
+                        observer.on_native(process, native, pc)
                     continue
                 if use_blocks:
-                    builds_before = blocks.builds if profiler is not None else 0
+                    builds_before = blocks.builds
                     block = blocks.fetch(self, process.pc)
-                    if profiler is not None and block is not None \
-                            and blocks.builds != builds_before:
-                        profiler.record_build(block)
+                    if blocks.builds != builds_before:
+                        for observer in observers:
+                            observer.on_build(block)
                     if (block is not None
                             and steps + block.length <= max_steps
-                            and (profiler is None
-                                 or profiler.admits_block(block.length))):
+                            and (not observers
+                                 or all(observer.admits_block(block.length)
+                                        for observer in observers))):
                         # A whole block fits in the remaining budget; one
                         # that doesn't falls through to single stepping so
                         # EmulationBudgetExceeded fires at exactly max_steps.
-                        # Same rule for a profiler sample boundary: a block
-                        # that would cross it is declined so the sample
-                        # observes exact per-step architectural state.
+                        # An observer may decline a block the same way (a
+                        # sampling observer does at its sample boundary).
                         try:
                             executed = block.execute(process)
                         except BaseException:
-                            steps += block.executed
-                            blocks.steps += block.executed
-                            if profiler is not None:
-                                profiler.record_block(process, block,
-                                                      block.executed)
+                            executed = block.executed
                             raise
-                        steps += executed
-                        blocks.steps += executed
-                        if profiler is not None:
-                            profiler.record_block(process, block, executed)
+                        finally:
+                            steps += executed
+                            blocks.steps += executed
+                            for observer in observers:
+                                observer.on_block(process, block, executed)
                         continue
-                if trace is not None:
-                    trace.record(process.pc, "insn", self._peek_text(process.pc))
-                # Snapshot the register file the instruction will *read*
-                # before stepping: propagation needs pre-step sp/base
-                # values to locate memory operands.
-                prev_regs = (dict(process.registers.values)
-                             if taint is not None else None)
-                insn = self.step()
-                steps += 1
-                if taint is not None:
-                    taint.step(process, insn, prev_regs)
-                if profiler is not None:
-                    profiler.record_insn(process, insn)
+                if observers:
+                    for observer in stepped:
+                        observer.before_step(process)
+                    insn = self.step()
+                    steps += 1
+                    for observer in observers:
+                        observer.on_insn(process, insn)
+                else:
+                    self.step()
+                    steps += 1
             raise EmulationBudgetExceeded(max_steps)
         except _EmulationStop as stop:
             return ExecutionResult(stop.reason, steps, stop.detail)
@@ -211,36 +226,23 @@ class Emulator:
             return ExecutionResult("fault", steps, str(fault),
                                    fault=fault.with_traceback(None))
         finally:
-            observer = process.observer
-            if profiler is not None:
-                profiler.end_run(process)
-            if observer is not None or profiler is not None:
-                deltas = {
-                    "decode_cache_hits": cache.hits - cache_before[0],
-                    "decode_cache_misses": cache.misses - cache_before[1],
-                    "decode_cache_invalidations":
-                        cache.invalidations - cache_before[2],
-                    "decode_cache_epoch_flushes":
-                        cache.epoch_flushes - cache_before[3],
-                    "block_cache_hits": blocks.hits - blocks_before[0],
-                    "block_cache_misses": blocks.misses - blocks_before[1],
-                    "block_cache_invalidations":
-                        blocks.invalidations - blocks_before[2],
-                    "block_cache_epoch_flushes":
-                        blocks.epoch_flushes - blocks_before[3],
-                    "block_cache_native_flushes":
-                        blocks.native_flushes - blocks_before[4],
-                }
-                if profiler is not None:
-                    profiler.record_cache(deltas)
-                if observer is not None:
-                    for name, delta in deltas.items():
-                        observer.inc(name, delta)
-                    for length in blocks.built_lengths:
-                        observer.observe("block.length", length)
+            if observers:
+                counters = _cache_counters(process)
+                for name, before in counters_before.items():
+                    counters[name] -= before
+                for observer in observers:
+                    observer.end_run(process, counters)
             # Drained or not, this run's build lengths end with it: an
             # unobserved run must not leak them into a later observed one.
             blocks.built_lengths.clear()
+
+
+def _cache_counters(process: Process) -> Dict[str, int]:
+    cache, blocks = process.decode_cache, process.block_cache
+    return dict(zip(CACHE_COUNTERS, (
+        cache.hits, cache.misses, cache.invalidations, cache.epoch_flushes,
+        blocks.hits, blocks.misses, blocks.invalidations,
+        blocks.epoch_flushes, blocks.native_flushes)))
 
 
 def make_emulator(process: Process) -> Emulator:

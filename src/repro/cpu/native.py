@@ -44,12 +44,6 @@ class NativeCallContext:
         else:
             self.registers["r0"] = retval
             self.process.pc = self.registers["r14"]
-        taint = getattr(self.process, "taint", None)
-        if taint is not None:
-            # A return address popped from tainted stack memory (or a
-            # tainted lr) is a PC write the emulator's step hook never
-            # sees — the provenance chain's most likely terminal link.
-            taint.on_native_return(self.process)
 
 
 #: A native handler receives the call context and either completes the

@@ -64,9 +64,6 @@ class Process:
         self.exit: Optional[ExitRecord] = None
         #: Optional CFI policy (defense §IV); emulators call its hooks.
         self.cfi = None
-        #: Optional TraceRecorder; the emulator records executed
-        #: instructions and native calls into it when set.
-        self.trace = None
         #: Decoded-instruction cache shared by every emulator run over this
         #: process (write-invalidated; see :mod:`repro.cpu.cache`).
         self.decode_cache = DecodeCache(memory)
@@ -78,19 +75,15 @@ class Process:
         #: (see :mod:`repro.cpu.blocks`).
         self.block_cache = BlockCache(self)
         #: Optional obs Collector — the process's trace context.  The
-        #: emulator flushes decode-cache counters into it, nests each run
-        #: under a ``cpu.run`` span on its tracer, and captures crash
-        #: postmortems through it when a run faults.
+        #: emulator nests each run under a ``cpu.run`` span on its tracer
+        #: and captures crash postmortems through it when a run faults.
         self.observer = None
-        #: Optional :class:`~repro.obs.profiler.DeterministicProfiler`;
-        #: the emulator attributes per-opcode/per-block cost and takes
-        #: guest stack samples through it when set.  Read-only over
-        #: guest state: profiled runs are outcome-identical.
-        self.profiler = None
-        #: Optional :class:`~repro.obs.taint.TaintEngine`; the emulator
-        #: propagates byte-level labels through each executed instruction
-        #: when set (per-step dispatch, like tracing).  Read-only over
-        #: guest state: tainted runs are outcome-identical.
+        #: The :class:`~repro.cpu.emulator.RunObserver` tuple every emulator
+        #: run reports to (``Collector.attach_process`` fills it).
+        self.observers: Tuple = ()
+        #: Optional :class:`~repro.obs.taint.TaintEngine`, for host-side
+        #: code only (dnsproxy, the guest cache, postmortems): the run loop
+        #: reaches the engine through :attr:`observers`.
         self.taint = None
         self._pc_name = pc_register(arch)
         self._sp_name = sp_register(arch)

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, List, NamedTuple, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional
 
+from ..cpu.emulator import RunObserver
 from .events import EventBus, TraceEvent
 from .metrics import MetricsRegistry
 from .profiler import DeterministicProfiler, ProfileData
@@ -62,9 +63,10 @@ class CollectorSnapshot(NamedTuple):
     profile: Optional[ProfileData]
 
 
-class Collector:
+class Collector(RunObserver):
     """Bundle of clock + :class:`EventBus` + :class:`MetricsRegistry` +
-    :class:`~repro.obs.spans.Tracer` (+ an optional time-series store)."""
+    :class:`~repro.obs.spans.Tracer` (+ an optional time-series store);
+    :meth:`attach_process` makes it and its run observers watch a process."""
 
     def __init__(self, *, event_limit: int = 100_000,
                  series: Optional[TimeSeriesStore] = None):
@@ -80,6 +82,9 @@ class Collector:
         #: Attached :class:`~repro.obs.taint.TaintEngine`, if any (the
         #: daemon wires it onto each booted process).
         self.taint = None
+        #: Attached :class:`~repro.cpu.trace.TraceRecorder`, if any (the
+        #: daemon wires it onto each booted process).
+        self.trace = None
         #: Crash forensics captured during the run, oldest first.
         self.postmortems: List["CrashReport"] = []
 
@@ -131,6 +136,36 @@ class Collector:
         self.taint = engine
         engine.collector = self
         return engine
+
+    # -- run observers --------------------------------------------------------
+
+    def attach_trace(self, recorder):
+        """Attach an execution trace; anything that boots a process under
+        this collector (the daemon does) records its runs into it."""
+        self.trace = recorder
+        return recorder
+
+    def attach_process(self, loaded) -> None:
+        """Observe a freshly booted process: its runs nest under
+        ``cpu.run`` spans here and report to every attached run observer.
+        The profiler takes this boot's symbol tables (ASLR re-slides libc
+        every boot), the taint engine a fresh shadow map."""
+        process = loaded.process
+        process.observer = self
+        if self.profiler is not None:
+            self.profiler.register_symbols(loaded)
+        if self.taint is not None:
+            self.taint.attach_process(process)
+        process.observers = tuple(
+            observer for observer in (self.trace, self.taint, self.profiler)
+            if observer is not None) + (self,)
+
+    def end_run(self, process, counters: Dict[str, int]) -> None:
+        """Flush a run's cache counters and built block lengths."""
+        for name, delta in counters.items():
+            self.metrics.inc(name, delta)
+        for length in process.block_cache.built_lengths:
+            self.metrics.observe("block.length", length)
 
     def _sample_grid(self) -> None:
         if self.series is not None:

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from ..cpu.trace import disassemble_at
 from .spans import snapshot_payload
 from .taint import format_offsets
 
@@ -153,26 +154,6 @@ class CrashReport:
         return "\n".join(lines)
 
 
-def _disassemble_at(process, address: int) -> str:
-    """Best-effort disassembly of the faulting location (mirrors the
-    emulator's trace peek; never raises)."""
-    try:
-        memory = process.memory
-        if process.arch == "x86":
-            from ..cpu.x86.disasm import decode
-
-            window = memory.read(
-                address, memory.contiguous_span(address, 5), check=False
-            )
-            return decode(window, address, strict=False).text()
-        from ..cpu.arm.disasm import decode
-
-        window = memory.read(address, 4, check=False)
-        return decode(window, address, strict=False).text()
-    except Exception:
-        return "(unmapped or undecodable)"
-
-
 def _stack_window(process) -> tuple:
     """Bytes around SP, clipped to the segment SP lives in."""
     try:
@@ -229,7 +210,8 @@ def capture_crash_report(
         reason=reason,
         pc=process.pc,
         sp=process.sp,
-        pc_disasm=_disassemble_at(process, process.pc),
+        pc_disasm=(disassemble_at(process, process.pc)
+                   or "(unmapped or undecodable)"),
         registers=process.registers.snapshot(),
         stack_base=stack_base,
         stack_hex=stack_bytes.hex(),

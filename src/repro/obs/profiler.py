@@ -63,6 +63,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..cpu.emulator import CACHE_COUNTERS, RunObserver
 from .postmortem import _return_walk
 
 PROFILE_SCHEMA = "repro-profile/v1"
@@ -78,19 +79,9 @@ DEFAULT_SAMPLE_INTERVAL = 23
 EXPORT_LIMIT = 64
 
 #: The stable cache-attribution line names, in export order.  They are
-#: exactly the observer counters the run loop flushes, so a test can
+#: exactly the counters the run loop reports to ``end_run``, so a test can
 #: assert ``profiler.data.cache[name] == collector.metrics[name]``.
-CACHE_LINES = (
-    "decode_cache_hits",
-    "decode_cache_misses",
-    "decode_cache_invalidations",
-    "decode_cache_epoch_flushes",
-    "block_cache_hits",
-    "block_cache_misses",
-    "block_cache_invalidations",
-    "block_cache_epoch_flushes",
-    "block_cache_native_flushes",
-)
+CACHE_LINES = CACHE_COUNTERS
 
 
 class ProfileData:
@@ -213,11 +204,11 @@ class ProfileData:
         }
 
 
-class DeterministicProfiler:
-    """Attach to a :class:`~repro.obs.Collector` (``attach_profiler``) or
-    directly to a ``Process`` (``process.profiler``); the run loop feeds
-    it.  Purely read-only over guest state: profiled runs are
-    outcome-bit-identical to unprofiled runs."""
+class DeterministicProfiler(RunObserver):
+    """A run observer: attach to a :class:`~repro.obs.Collector`
+    (``attach_profiler``) or put it in ``Process.observers``.  Purely
+    read-only over guest state: profiled runs are outcome-bit-identical
+    to unprofiled runs."""
 
     def __init__(self, *, sample_interval: int = DEFAULT_SAMPLE_INTERVAL):
         if sample_interval < 0:
@@ -268,9 +259,9 @@ class DeterministicProfiler:
             return segment.name
         return f"{address:#x}"
 
-    # -- run-loop hooks --------------------------------------------------------
+    # -- run observer ----------------------------------------------------------
 
-    def begin_run(self) -> None:
+    def begin_run(self, process) -> None:
         """Run-loop entry: reset the sampling phase.
 
         Sample points become a pure function of each run's step count,
@@ -280,9 +271,10 @@ class DeterministicProfiler:
         self._since = 0
         self.data.runs += 1
 
-    def end_run(self, process) -> None:
-        """Run-loop exit: flush one final sample if steps ran since the
-        last boundary (the run-end analog of ``Collector.sample()``).
+    def end_run(self, process, counters: Dict[str, int]) -> None:
+        """Run-loop exit: fold in the run's cache-counter deltas and flush
+        one final sample if steps ran since the last boundary (the
+        run-end analog of ``Collector.sample()``).
 
         Guest state at run exit is pinned identical with blocks on or
         off, so the flush sample is too — and short runs (the 12-step
@@ -291,6 +283,9 @@ class DeterministicProfiler:
         if self.sample_interval and self._since:
             self._since = 0
             self._take_sample(process)
+        cache = self.data.cache
+        for name, delta in counters.items():
+            cache[name] = cache.get(name, 0) + delta
 
     def admits_block(self, length: int) -> bool:
         """May a whole block of ``length`` instructions run before the
@@ -300,7 +295,7 @@ class DeterministicProfiler:
         return (self.sample_interval == 0
                 or self._since + length <= self.sample_interval)
 
-    def record_insn(self, process, insn) -> None:
+    def on_insn(self, process, insn) -> None:
         """One interpreter-path instruction completed."""
         data = self.data
         data.steps += 1
@@ -308,13 +303,9 @@ class DeterministicProfiler:
         data.opcodes[mnemonic] = data.opcodes.get(mnemonic, 0) + 1
         address = insn.address
         data.heat[address] = data.heat.get(address, 0) + 1
-        if self.sample_interval:
-            self._since += 1
-            if self._since >= self.sample_interval:
-                self._since = 0
-                self._take_sample(process)
+        self._advance(process, 1)
 
-    def record_native(self, process, native, address: int) -> None:
+    def on_native(self, process, native, address: int) -> None:
         """One native (libc model) invocation completed (one step unit)."""
         data = self.data
         data.steps += 1
@@ -322,13 +313,9 @@ class DeterministicProfiler:
         name = "native:" + (getattr(native, "name", None) or "?")
         data.opcodes[name] = data.opcodes.get(name, 0) + 1
         data.heat[address] = data.heat.get(address, 0) + 1
-        if self.sample_interval:
-            self._since += 1
-            if self._since >= self.sample_interval:
-                self._since = 0
-                self._take_sample(process)
+        self._advance(process, 1)
 
-    def record_block(self, process, block, executed: int) -> None:
+    def on_block(self, process, block, executed: int) -> None:
         """A block dispatch completed ``executed`` of its instructions.
 
         Summed into the same per-opcode/per-address lines the per-step
@@ -338,13 +325,7 @@ class DeterministicProfiler:
         the per-step state after that instruction.
         """
         data = self.data
-        stats = data.blocks.get(block.entry)
-        if stats is None:
-            stats = data.blocks[block.entry] = {
-                "length": block.length, "dispatches": 0, "steps": 0,
-                "builds": 0,
-            }
-        stats["length"] = block.length
+        stats = self._block_stats(block)
         stats["dispatches"] += 1
         stats["steps"] += executed
         data.steps += executed
@@ -358,28 +339,25 @@ class DeterministicProfiler:
             opcodes[mnemonic] = opcodes.get(mnemonic, 0) + 1
             address = addresses[index]
             heat[address] = heat.get(address, 0) + 1
+        self._advance(process, executed)
+
+    def on_build(self, block) -> None:
+        """A block was (re)compiled: charge its entry's amortization line."""
+        self._block_stats(block)["builds"] += 1
+
+    def _block_stats(self, block) -> Dict[str, int]:
+        stats = self.data.blocks.setdefault(block.entry, {
+            "length": block.length, "dispatches": 0, "steps": 0, "builds": 0})
+        stats["length"] = block.length
+        return stats
+
+    def _advance(self, process, steps: int) -> None:
+        """Count completed steps; sample the stack at each boundary."""
         if self.sample_interval:
-            self._since += executed
+            self._since += steps
             if self._since >= self.sample_interval:
                 self._since = 0
                 self._take_sample(process)
-
-    def record_build(self, block) -> None:
-        """A block was (re)compiled: charge its entry's amortization line."""
-        stats = self.data.blocks.get(block.entry)
-        if stats is None:
-            stats = self.data.blocks[block.entry] = {
-                "length": block.length, "dispatches": 0, "steps": 0,
-                "builds": 0,
-            }
-        stats["length"] = block.length
-        stats["builds"] += 1
-
-    def record_cache(self, deltas: Dict[str, int]) -> None:
-        """Run-loop exit: fold in this run's cache-counter deltas."""
-        cache = self.data.cache
-        for name, delta in deltas.items():
-            cache[name] = cache.get(name, 0) + delta
 
     def _take_sample(self, process) -> None:
         frames = [

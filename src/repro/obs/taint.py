@@ -16,8 +16,8 @@ engine that has **zero outcome effect**:
 * A sparse :class:`ShadowMemory` hangs off the address space; per-register
   label sets live here.  Propagation through guest execution is done by
   per-arch ``propagate_taint`` hooks in :mod:`repro.cpu.x86.emu` and
-  :mod:`repro.cpu.arm.emu`, driven from the emulator run loop (which falls
-  back to per-step dispatch under taint, exactly like ``TraceRecorder``).
+  :mod:`repro.cpu.arm.emu`; the engine is a per-step run observer (like
+  ``TraceRecorder``), so the run loop single-steps under taint.
 * Any write of tainted labels into the program counter is recorded as a
   **PC event** — the provenance chain's terminal link — and surfaces in
   ``CrashReport``, ``repro observe --emit taint``, the dashboard, and the
@@ -34,6 +34,8 @@ import hashlib
 import json
 from typing import (Any, Dict, FrozenSet, Iterable, List, Optional,
                     Sequence, Tuple)
+
+from ..cpu.emulator import RunObserver
 
 #: One taint label: ``(source_id, wire_offset)``.
 Label = Tuple[int, int]
@@ -173,7 +175,7 @@ class ShadowMemory:
         return runs
 
 
-class TaintEngine:
+class TaintEngine(RunObserver):
     """Deterministic taint tracker; attach via ``Collector.attach_taint``.
 
     One engine accumulates sources, seed records, and PC events across
@@ -181,6 +183,8 @@ class TaintEngine:
     :class:`ShadowMemory` — the address space is per-boot — while the
     provenance record is cumulative, like the profiler's sample log).
     """
+
+    per_step = True
 
     def __init__(self) -> None:
         #: Back-reference set by ``Collector.attach_taint`` (may stay
@@ -202,6 +206,7 @@ class TaintEngine:
         self.derived: Dict[str, Tuple[LabelSet, ...]] = {}
         self._source: Optional[int] = None
         self._propagate = None
+        self._prev_regs: Dict[str, int] = {}
 
     # -- wiring ---------------------------------------------------------------
 
@@ -285,14 +290,18 @@ class TaintEngine:
     def derived_labels(self, name: str) -> Optional[Tuple[LabelSet, ...]]:
         return self.derived.get(name.lower())
 
-    # -- propagation ----------------------------------------------------------
+    # -- propagation (run observer) -------------------------------------------
 
-    def step(self, process, insn, prev_regs: Dict[str, int]) -> None:
-        """Propagate across one executed instruction.  ``prev_regs`` is a
-        pre-step register snapshot: addresses (sp, bases) must be computed
-        from the values the instruction *read*, not the ones it wrote."""
+    def before_step(self, process) -> None:
+        """Snapshot the register file the step will *read*: propagation
+        computes memory operand addresses (sp, bases) from pre-step
+        values, not the ones the instruction wrote."""
+        self._prev_regs = dict(process.registers.values)
+
+    def on_insn(self, process, insn) -> None:
+        """Propagate labels across one executed instruction."""
         if self._propagate is not None:
-            self._propagate(self, process, insn, prev_regs)
+            self._propagate(self, process, insn, self._prev_regs)
 
     def reg_labels(self, name: str) -> LabelSet:
         return self.reg_shadows.get(name, NO_LABELS)
@@ -323,10 +332,10 @@ class TaintEngine:
             self.collector.emit("taint", "taint.pc", pc=event["pc"], via=via,
                                 offsets=format_labels(labels))
 
-    def on_native_return(self, process) -> None:
-        """Model the return-to-caller a native (libc-model) call performs:
-        x86 pops the return address off the stack, ARM moves lr into pc.
-        Called *after* the native layer updated sp/pc."""
+    def on_native(self, process, native, pc: int) -> None:
+        """Model the return-to-caller a completed native (libc-model) call
+        performed: x86 popped the return address off the stack, ARM moved
+        lr into pc — the provenance chain's most likely terminal link."""
         if self.shadow is None:
             return
         if process.arch == "x86":

@@ -127,6 +127,7 @@ class TestBlockDispatch:
         )
         process.pc = 0x1000
         process.observer = Collector()
+        process.observers = (process.observer,)
         make_emulator(process).run(max_steps=300)
         blocks = process.block_cache
         lengths = process.observer.metrics.histogram("block.length")
@@ -151,6 +152,7 @@ class TestBlockDispatch:
             process.memory.write(0x1000, TIGHT_LOOP, check=False)
         assert blocks.builds >= 3
         process.observer = Collector()
+        process.observers = (process.observer,)
         process.pc = 0x1000
         builds_before = blocks.builds
         emulator.run(max_steps=50)
@@ -166,11 +168,12 @@ class TestBlockDispatch:
             code_at={0x1000: TIGHT_LOOP},
         )
         process.pc = 0x1000
-        process.trace = TraceRecorder()
+        trace = TraceRecorder()
+        process.observers = (trace,)
         make_emulator(process).run(max_steps=40)
         assert process.block_cache.builds == 0
         assert process.block_cache.steps == 0
-        assert len(process.trace.entries) == 40
+        assert len(trace.entries) == 40
 
     def test_per_step_path_counts_natives_one_step_each(self):
         """Blocks off or traced, a native call costs exactly one step."""
@@ -199,7 +202,7 @@ class TestBlockDispatch:
             if mode == "blocks-off":
                 process.block_cache.enabled = False
             else:
-                process.trace = TraceRecorder()
+                process.observers = (TraceRecorder(),)
             result = make_emulator(process).run(max_steps=50)
             assert calls == [0x5000], mode  # the native ran exactly once
             assert result.reason == "fault"
@@ -208,8 +211,9 @@ class TestBlockDispatch:
             assert result.steps == 6, mode
             assert process.block_cache.steps == 0, mode
             if mode == "trace":
-                assert len(process.trace.natives()) == 1
-                assert len(process.trace.entries) == result.steps + 1  # + hlt
+                trace, = process.observers
+                assert len(trace.natives()) == 1
+                assert len(trace.entries) == result.steps + 1  # + hlt
 
 
 class TestBlockInvalidation:

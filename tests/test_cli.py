@@ -37,6 +37,8 @@ class TestCommands:
                       "--sample-interval", "-5"], id="observe-sample-interval"),
         pytest.param(["observe", "chaos", "--emit", "events", "--limit", "-2"],
                      id="observe-limit"),
+        pytest.param(["observe", "attack", "--emit", "trace", "--limit", "-1"],
+                     id="observe-trace-limit"),
         pytest.param(["observe", "attack", "--emit", "profile", "--top", "-1"],
                      id="observe-top"),
         pytest.param(["observe", "chaos", "--emit", "metrics",
@@ -115,7 +117,8 @@ class TestCommands:
         assert "(assumed)" not in capsys.readouterr().out
 
     def test_trace_shows_chain(self, capsys):
-        assert main(["trace", "--arch", "arm", "--level", "wx+aslr"]) == 0
+        assert main(["observe", "attack", "--emit", "trace", "--arch", "arm",
+                     "--level", "wx+aslr"]) == 0
         out = capsys.readouterr().out
         assert "blx r3" in out and "execlp@plt" in out
 
@@ -136,9 +139,10 @@ class TestCommands:
 #: ``repro observe`` invocations and the sha256 of their stdout.  The
 #: digests were recorded from the per-view verbs ``observe`` replaced
 #: (``metrics``, ``trace-events``, ``spans``, ``trace-export``, ``profile``,
-#: ``postmortem``, ``taint``, ``pcap``), so each view renders byte for byte
-#: what it did before.  Seeds 2910 (0x0B5E) and 3243 (0xCAB) are the
-#: defaults the ``taint`` and ``pcap --taint`` crash captures used to run.
+#: ``postmortem``, ``taint``, ``pcap``, ``trace``), so each view renders
+#: byte for byte what it did before.  Seeds 2910 (0x0B5E) and 3243 (0xCAB)
+#: are the defaults the ``taint`` and ``pcap --taint`` crash captures used
+#: to run.
 OBSERVE_DIGESTS = [
     ("chaos --emit metrics",
      "1a8bcfae964c1df6140b0afa43dc0134aa06c9419125cb5bff486067d194b04a"),
@@ -212,6 +216,18 @@ OBSERVE_DIGESTS = [
      "bef0dbd147413c5c9ff877bda410e6e6f412babae3ad616fa66e36dff7ca14ae"),
     ("crash --emit sniff --taint --seed 3243",
      "15ee8882f9ce93c1233413575866382ee73208cdf9c2ca052b14c7b8ce7ed356"),
+    ("attack --emit trace --arch x86 --level none",
+     "341c2b622d913bfe67a932d93fbbc90abf092ccd46b38b5f44e07259caf675ab"),
+    ("attack --emit trace --arch x86 --level wx",
+     "335b43c4a1c6586aff3dfceda0d3d75daa1468656f88584d3cd62e67c59ea7d0"),
+    ("attack --emit trace --arch x86 --level wx+aslr",
+     "1e4b877492df672a945244268dd82ab9f8587c42378559f68007bcb96fa1e942"),
+    ("attack --emit trace --arch arm --level none",
+     "fb24f75228a366523eb50f9e290c969dc6ebf489fcbdf9f09befb07bf2d1e418"),
+    ("attack --emit trace --arch arm --level wx",
+     "7dc842318c87de38544d02a7544291f2945ab677da6ad3b33b4727d3ac869712"),
+    ("attack --emit trace --arch arm --level wx+aslr",
+     "d510821c30ef0d8ea9a82cdea07a5b8ecc68910850437b7860f73751068707e0"),
 ]
 
 
@@ -227,7 +243,7 @@ class TestObserve:
 
     @pytest.mark.parametrize("verb", ["trace-events", "metrics", "spans",
                                       "trace-export", "profile", "postmortem",
-                                      "taint", "pcap"])
+                                      "taint", "pcap", "trace"])
     def test_replaced_verbs_no_longer_parse(self, verb, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main([verb])
@@ -239,7 +255,7 @@ class TestObserve:
         out = capsys.readouterr().out
         assert "{attack,crash,chaos,lan}" in out
         assert ("{events,metrics,openmetrics,spans,chrome,profile,folded,"
-                "speedscope,postmortem,taint,pcap,sniff}") in out
+                "speedscope,postmortem,taint,trace,pcap,sniff}") in out
 
     @pytest.mark.parametrize("argv", ["chaos --emit pcap", "chaos --emit sniff",
                                       "lan --emit spans", "lan --emit metrics"])

@@ -40,7 +40,7 @@ def profiled_run(max_steps, *, sample_interval=0, blocks=True):
     process = loop_process()
     process.block_cache.enabled = blocks
     profiler = DeterministicProfiler(sample_interval=sample_interval)
-    process.profiler = profiler
+    process.observers = (profiler,)
     result = make_emulator(process).run(max_steps=max_steps)
     return result, profiler
 
@@ -279,7 +279,7 @@ class TestFlushCauseAttribution:
 
         process = loop_process()
         profiler = DeterministicProfiler(sample_interval=0)
-        process.profiler = profiler
+        process.observers = (profiler,)
         emulator = make_emulator(process)
         emulator.run(max_steps=50)
 

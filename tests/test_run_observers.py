@@ -1,0 +1,222 @@
+"""The run-observer protocol: what the run loop promises every observer.
+
+Trace recorder, taint engine, profiler and collector are plain
+:class:`~repro.cpu.RunObserver` implementations in ``Process.observers``.
+This file pins the loop's side of the contract on both ISAs, with block
+dispatch on and off: every run is bracketed by exactly one ``begin_run``
+and one ``end_run`` however it ends, and the step hooks account for
+exactly ``result.steps``.  It also pins the observers' side: all four
+attached at once change no outcome, and none changes another's export.
+"""
+
+import json
+import random
+from collections import Counter
+
+import pytest
+
+from repro.connman import ConnmanDaemon
+from repro.core import AttackScenario, attacker_knowledge, run_observed_attack
+from repro.cpu import BlockCache, Process, RunObserver, TraceRecorder, make_emulator
+from repro.cpu.arm import asm as arm
+from repro.cpu.events import _EmulationStop
+from repro.cpu.native import NativeFunction
+from repro.cpu.x86 import asm as x86
+from repro.defenses import WX_ASLR
+from repro.exploit import builder_for, deliver
+from repro.mem import AddressSpace, Perm, Segment
+from repro.obs import Collector, DeterministicProfiler, TaintEngine
+
+NATIVE = 0x5000
+STACK_TOP = 0x20800
+
+
+class CountingObserver(RunObserver):
+    def __init__(self, per_step):
+        self.per_step = per_step
+        self.calls = Counter()
+        self.block_steps = 0
+        self.counters = None
+
+    def begin_run(self, process):
+        assert self.calls["begin_run"] == self.calls["end_run"]
+        self.calls["begin_run"] += 1
+
+    def before_step(self, process):
+        self.calls["before_step"] += 1
+
+    def on_insn(self, process, insn):
+        self.calls["on_insn"] += 1
+
+    def on_native(self, process, native, pc):
+        assert pc == NATIVE
+        self.calls["on_native"] += 1
+
+    def on_block(self, process, block, executed):
+        self.calls["on_block"] += 1
+        self.block_steps += executed
+
+    def end_run(self, process, counters):
+        self.calls["end_run"] += 1
+        self.counters = counters
+
+
+def _native(ending):
+    """A native that returns to its caller; under ``stop`` its fourth call
+    ends the run instead."""
+    calls = []
+
+    def handler(context):
+        calls.append(context.process.pc)
+        if ending == "stop" and len(calls) >= 4:
+            raise _EmulationStop("exit", "counting probe")
+        return 0
+    return NativeFunction("probe", handler)
+
+
+def x86_program(ending):
+    """push ret; jmp native; 8x inc eax; jmp top — or hlt to fault."""
+    tail = x86.hlt() if ending == "fault" else x86.jmp_rel8(0x1012, 0x1000)
+    code = (x86.push_imm32(0x100A) + x86.jmp_rel32(0x1005, NATIVE)
+            + x86.inc_reg("eax") * 8 + tail)
+    process = _process("x86", 0x1000, code)
+    process.registers["esp"] = STACK_TOP
+    return process
+
+
+def arm_program(ending):
+    """add r0; add r1; bl native; b top — or ldr from unmapped to fault."""
+    tail = arm.ldr("r5", "r6") if ending == "fault" else arm.b(0x1000C, 0x10000)
+    code = (arm.add_imm("r0", "r0", 1) + arm.add_imm("r1", "r1", 2)
+            + arm.bl(0x10008, NATIVE) + tail)
+    process = _process("arm", 0x10000, code)
+    process.registers["r6"] = 0xDEAD0000
+    process.registers["r13"] = STACK_TOP
+    return process
+
+
+def _process(arch, base, code):
+    space = AddressSpace()
+    space.map(Segment(".text", base, 0x1000, Perm.RX))
+    space.map(Segment("stack", 0x20000, 0x1000, Perm.RW))
+    space.write(base, code, check=False)
+    process = Process(arch, space, name="observer-test")
+    process.pc = base
+    return process
+
+
+class TestLoopContract:
+    @pytest.mark.parametrize("per_step", [False, True], ids=["plain", "per-step"])
+    @pytest.mark.parametrize("blocks", [True, False], ids=["blocks-on", "blocks-off"])
+    @pytest.mark.parametrize("ending", ["budget", "fault", "stop"])
+    @pytest.mark.parametrize("program", [x86_program, arm_program],
+                             ids=["x86", "arm"])
+    def test_hooks_bracket_and_count_every_step(self, program, ending, blocks,
+                                                 per_step):
+        process = program(ending)
+        process.register_native(NATIVE, _native(ending))
+        process.block_cache.enabled = blocks
+        observer = CountingObserver(per_step)
+        process.observers = (observer,)
+        emulator = make_emulator(process)
+        result = emulator.run(max_steps=200)
+
+        assert result.reason == {"budget": "fault", "fault": "fault",
+                                 "stop": "exit"}[ending]
+        assert (result.signal == "SIGKILL") == (ending == "budget")
+        calls = observer.calls
+        assert calls["begin_run"] == calls["end_run"] == 1
+        assert (calls["on_insn"] + calls["on_native"] + observer.block_steps
+                == result.steps)
+        assert calls["on_native"] >= 1
+        if per_step or not blocks:
+            assert calls["on_block"] == 0
+        if per_step:
+            # The step that faulted or stopped was announced but never
+            # completed; an exhausted budget announces nothing extra.
+            assert calls["before_step"] == result.steps + (ending != "budget")
+        else:
+            assert calls["before_step"] == 0
+        assert (observer.counters["decode_cache_misses"]
+                == process.decode_cache.misses)
+
+        # A second run over the same process is bracketed on its own.
+        process.pc = 0x1000 if process.arch == "x86" else 0x10000
+        emulator.run(max_steps=10)
+        assert calls["begin_run"] == calls["end_run"] == 2
+
+    def test_unobserved_process_has_no_observers(self):
+        assert x86_program("fault").observers == ()
+
+
+def _observed_attack(attach, arch="arm", level="wx+aslr"):
+    collector = Collector()
+    if "trace" in attach:
+        collector.attach_trace(TraceRecorder())
+    if "profiler" in attach:
+        collector.attach_profiler(DeterministicProfiler())
+    if "taint" in attach:
+        collector.attach_taint(TaintEngine())
+    return run_observed_attack(arch=arch, level_label=level, observer=collector)
+
+
+def _collector_export(collector):
+    """The collector's own export: what the taint engine writes into its
+    bus and registry (``taint.*`` counters, ``taint`` events) and the
+    attached observers' sections belong to those observers."""
+    exported = collector.to_dict()
+    for key in ("profile", "taint"):
+        exported.pop(key, None)
+    # Taint events interleave with the rest, shifting their bus numbers.
+    exported["events"] = [{**event, "seq": None} for event in exported["events"]
+                          if event["category"] != "taint"]
+    metrics = exported["metrics"]
+    metrics["counters"] = {
+        name: value for name, value in metrics["counters"].items()
+        if not name.startswith("taint.") and name != "events.taint"}
+    metrics["histograms"] = [histogram for histogram in metrics["histograms"]
+                             if not histogram["name"].startswith("taint.")]
+    return json.dumps(exported, sort_keys=True)
+
+
+EXPORTS = {
+    "trace": lambda c: c.trace.describe(),
+    "profiler": lambda c: json.dumps(c.profiler.to_dict(), sort_keys=True),
+    "taint": lambda c: json.dumps(c.taint.to_dict(), sort_keys=True),
+    "collector": _collector_export,
+}
+
+
+class TestObserversTogether:
+    def test_all_observers_change_no_outcome(self):
+        observed = _observed_attack({"trace", "profiler", "taint"})
+        profile = WX_ASLR
+        victim = ConnmanDaemon(arch="arm", profile=profile,
+                               rng=random.Random(0x0B5E))
+        knowledge = attacker_knowledge(AttackScenario("arm", "wx+aslr", profile))
+        report = deliver(builder_for("arm", profile).build(knowledge), victim)
+        assert observed.succeeded and report.got_root_shell
+        assert observed.event.describe() == report.event.describe()
+        assert (observed.daemon.loaded.process.spawns
+                == victim.loaded.process.spawns)
+
+    @pytest.mark.parametrize("arch, level", [("arm", "wx+aslr"), ("x86", "none")])
+    def test_each_export_matches_its_solo_run(self, arch, level, monkeypatch):
+        # Per-step observers turn block dispatch off for the whole run, so
+        # the dispatch-dependent lines (block and cache counters) only
+        # line up when the solo runs single-step too.
+        monkeypatch.setattr(BlockCache, "enabled_by_default", False)
+        together = _observed_attack(set(EXPORTS), arch, level).collector
+        assert together.trace.entries and together.taint.pc_events
+        for name, export in EXPORTS.items():
+            alone = _observed_attack({name}, arch, level).collector
+            assert export(together) == export(alone), name
+
+    def test_exports_that_ignore_dispatch_match_with_blocks_on(self):
+        together = _observed_attack(set(EXPORTS)).collector
+        for name in ("trace", "taint"):
+            alone = _observed_attack({name}).collector
+            assert EXPORTS[name](together) == EXPORTS[name](alone), name
+        alone = _observed_attack({"profiler"}).collector
+        assert together.profiler.folded() == alone.profiler.folded()
+        assert together.profiler.data.opcodes == alone.profiler.data.opcodes

@@ -5,17 +5,20 @@ import json
 from repro.cli import main
 from repro.connman import ConnmanDaemon
 from repro.core import e6_firmware_survey
+import pytest
+
 from repro.cpu import TraceRecorder
 from repro.defenses import NONE, WX_ASLR
 from repro.core import AttackScenario, attacker_knowledge
 from repro.exploit import builder_for, deliver
+from repro.obs import Collector
 
 
 class TestTraceRecorder:
     def test_records_instructions_and_natives(self):
-        victim = ConnmanDaemon(arch="arm", profile=WX_ASLR)
-        recorder = TraceRecorder()
-        victim.loaded.process.trace = recorder
+        collector = Collector()
+        recorder = collector.attach_trace(TraceRecorder())
+        victim = ConnmanDaemon(arch="arm", profile=WX_ASLR, observer=collector)
         exploit = builder_for("arm", WX_ASLR).build(
             attacker_knowledge(AttackScenario("arm", "t", WX_ASLR))
         )
@@ -27,9 +30,9 @@ class TestTraceRecorder:
         assert any("execlp" in name for name in native_names)
 
     def test_trace_order_matches_listing_5(self):
-        victim = ConnmanDaemon(arch="arm", profile=WX_ASLR)
-        recorder = TraceRecorder()
-        victim.loaded.process.trace = recorder
+        collector = Collector()
+        recorder = collector.attach_trace(TraceRecorder())
+        victim = ConnmanDaemon(arch="arm", profile=WX_ASLR, observer=collector)
         exploit = builder_for("arm", WX_ASLR).build(
             attacker_knowledge(AttackScenario("arm", "t", WX_ASLR))
         )
@@ -55,6 +58,10 @@ class TestTraceRecorder:
         assert recorder.dropped == 1
         assert recorder.truncated
 
+    def test_negative_limit_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            TraceRecorder(limit=-1)
+
     def test_describe_last(self):
         recorder = TraceRecorder()
         for index in range(5):
@@ -69,7 +76,7 @@ class TestTraceRecorder:
 
     def test_untraced_run_has_no_overhead_hooks(self):
         victim = ConnmanDaemon(arch="x86", profile=NONE)
-        assert victim.loaded.process.trace is None
+        assert victim.loaded.process.observers == ()
 
 
 class TestExperimentSerialization:
