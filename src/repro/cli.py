@@ -44,8 +44,10 @@ from .cpu import TraceRecorder
 from .defenses import NONE, WX, WX_ASLR, ProtectionProfile
 from .dns import SimpleDnsServer, make_query
 from .core import (
+    SUPERVISED_POLICY,
     AttackScenario,
     ObservedAttack,
+    RunPolicy,
     attacker_knowledge,
     e5_pineapple,
     e6_firmware_survey,
@@ -186,6 +188,65 @@ def _fraction(text: str) -> float:
     return value
 
 
+def _add_sweep_flags(parser: argparse.ArgumentParser, *,
+                     trial_timeout: Optional[float],
+                     retries: Optional[int]) -> None:
+    """The harness flags of every sweep verb (``run``, ``chaos``).
+
+    Supervision is on when ``--trial-timeout`` or ``--retries`` has a
+    value, so a verb that passes defaults for them quarantines by default.
+    """
+    def supervision(default) -> str:
+        if default is None:
+            return " (enables quarantine supervision)"
+        return f" (default {default:g})"
+
+    parser.add_argument("--workers", type=_non_negative_int, default=1,
+                        help="fan trials out over N processes "
+                             "(0 = one per CPU); output matches --workers 1")
+    journal = parser.add_mutually_exclusive_group()
+    journal.add_argument("--checkpoint", metavar="PATH",
+                         help="journal completed trials to an append-only "
+                              "JSONL checkpoint at PATH")
+    journal.add_argument("--resume", metavar="PATH",
+                         help="resume a killed run from its checkpoint; only "
+                              "unfinished trials re-execute and the output "
+                              "is byte-identical to an uninterrupted run "
+                              "(PATH is trusted input: payloads are "
+                              "unpickled, restricted to repro classes)")
+    parser.add_argument("--trial-timeout", type=_positive_float,
+                        default=trial_timeout,
+                        help="wall-clock seconds before a hung trial's pool "
+                             f"is respawned{supervision(trial_timeout)}")
+    parser.add_argument("--retries", type=_non_negative_int, default=retries,
+                        help="retry budget per trial before quarantine"
+                             f"{supervision(retries)}")
+
+
+def _sweep_settings(args, verb: str):
+    """Resolve :func:`_add_sweep_flags` into ``(checkpoint, resume,
+    policy)``, or None (after saying why on stderr) when ``--checkpoint``
+    would overwrite a journal that ``--resume`` should continue."""
+    import os
+
+    checkpoint = args.resume or args.checkpoint
+    resume = args.resume is not None
+    if (not resume and checkpoint and os.path.exists(checkpoint)
+            and os.path.getsize(checkpoint) > 0):
+        print(f"repro {verb}: checkpoint {checkpoint!r} already has "
+              "journaled trials; pass --resume to continue it or remove the "
+              "file to start over", file=sys.stderr)
+        return None
+    policy = None
+    if args.trial_timeout is not None or args.retries is not None:
+        retries = args.retries
+        policy = RunPolicy(
+            timeout=args.trial_timeout or SUPERVISED_POLICY.timeout,
+            retries=SUPERVISED_POLICY.retries if retries is None else retries,
+            on_failure="quarantine")
+    return checkpoint, resume, policy
+
+
 def cmd_matrix(_args) -> int:
     results = run_paper_matrix()
     print(render_table(
@@ -237,9 +298,7 @@ def cmd_run(args) -> int:
     artifact that ``repro report --results`` and ``repro dash --results``
     consume.
     """
-    import os
-
-    from .core import CheckpointMismatch, RunPolicy, TaskError
+    from .core import CheckpointMismatch, TaskError
     from .core.registry import get_experiment, run_experiment
     from .core.resume import write_results
 
@@ -265,20 +324,10 @@ def cmd_run(args) -> int:
                   file=sys.stderr)
             return 2
         params[key.strip()] = _parse_value(value)
-    checkpoint = args.resume or args.checkpoint
-    resume = args.resume is not None
-    if (not resume and checkpoint and os.path.exists(checkpoint)
-            and os.path.getsize(checkpoint) > 0):
-        print(f"repro run: checkpoint {checkpoint!r} already has journaled "
-              "trials; pass --resume to continue it or remove the file to "
-              "start over", file=sys.stderr)
+    settings = _sweep_settings(args, "run")
+    if settings is None:
         return 2
-    policy = None
-    if args.trial_timeout is not None or args.retries is not None:
-        policy = RunPolicy(
-            timeout=args.trial_timeout if args.trial_timeout is not None else 120.0,
-            retries=args.retries if args.retries is not None else 2,
-            on_failure="quarantine")
+    checkpoint, resume, policy = settings
     sweep_observer = Collector()
     try:
         run = run_experiment(
@@ -288,7 +337,7 @@ def cmd_run(args) -> int:
     except CheckpointMismatch as error:
         print(f"repro run: {error}", file=sys.stderr)
         return 2
-    except ValueError as error:  # unknown grid/param name
+    except ValueError as error:  # unknown or harness grid/param name
         print(f"repro run: {error}", file=sys.stderr)
         return 2
     except TaskError as error:
@@ -418,21 +467,13 @@ def _parse_rates(text: str) -> tuple:
 
 def cmd_chaos(args) -> int:
     """Sweep fault rates: client availability vs. attack success."""
-    import os
-
-    from .core import CheckpointMismatch, RunPolicy
+    from .core import CheckpointMismatch
     from .obs import SWEEP_SLOS, SloRuleError, evaluate_slos, parse_rule
 
-    checkpoint = args.resume or args.checkpoint
-    resume = args.resume is not None
-    if (not resume and checkpoint and os.path.exists(checkpoint)
-            and os.path.getsize(checkpoint) > 0):
-        print(f"repro chaos: checkpoint {checkpoint!r} already has journaled "
-              "trials; pass --resume to continue it or remove the file to "
-              "start over", file=sys.stderr)
+    settings = _sweep_settings(args, "chaos")
+    if settings is None:
         return 2
-    policy = RunPolicy(timeout=args.trial_timeout, retries=args.retries,
-                       on_failure="quarantine")
+    checkpoint, resume, policy = settings
     try:
         health_slos = tuple(
             parse_rule(rule) for rule in args.health_slo
@@ -731,30 +772,12 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="run one registered experiment (grids, checkpoints, "
                     "repro-results/v1 artifact)")
     run.add_argument("experiment", help="registry id, e.g. E15")
-    run.add_argument("--workers", type=int, default=1,
-                     help="fan grid/inner trials out over N processes "
-                          "(0 = one per CPU); output matches --workers 1")
+    _add_sweep_flags(run, trial_timeout=None, retries=None)
     run.add_argument("--grid", action="append", metavar="KEY=V1,V2",
                      help="widen a spec parameter into a sweep axis "
                           "(repeatable; values literal-eval'd)")
     run.add_argument("--set", action="append", metavar="KEY=VALUE",
                      help="pin one spec parameter (repeatable)")
-    journal = run.add_mutually_exclusive_group()
-    journal.add_argument("--checkpoint", metavar="PATH",
-                         help="journal completed trials to an append-only "
-                              "JSONL checkpoint at PATH")
-    journal.add_argument("--resume", metavar="PATH",
-                         help="resume a killed run from its checkpoint; only "
-                              "unfinished trials re-execute and the results "
-                              "artifact is byte-identical to an uninterrupted "
-                              "run (PATH is trusted input: payloads are "
-                              "unpickled, restricted to repro classes)")
-    run.add_argument("--trial-timeout", type=_positive_float, default=None,
-                     help="wall-clock seconds before a hung trial's pool is "
-                          "respawned (enables quarantine supervision)")
-    run.add_argument("--retries", type=_non_negative_int, default=None,
-                     help="retry budget per trial before quarantine "
-                          "(enables quarantine supervision)")
     run.add_argument("--results", metavar="PATH",
                      help="write the repro-results/v1 artifact to PATH")
     run.add_argument("--json", action="store_true",
@@ -805,27 +828,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="client queries per fault level")
     chaos.add_argument("--attack-budget", type=_non_negative_int, default=32,
                        help="brute-force attempts per fault level")
-    chaos.add_argument("--workers", type=int, default=1,
-                       help="fan sweep points out over N processes "
-                            "(0 = one per CPU); cells match --workers 1")
     chaos.add_argument("--json", action="store_true", help="machine-readable output")
-    journal = chaos.add_mutually_exclusive_group()
-    journal.add_argument("--checkpoint", metavar="PATH",
-                         help="journal completed trials to an append-only "
-                              "JSONL checkpoint at PATH")
-    journal.add_argument("--resume", metavar="PATH",
-                         help="resume a killed sweep from its checkpoint; "
-                              "only unfinished trials re-execute and the "
-                              "artifact is byte-identical to an "
-                              "uninterrupted run (PATH is trusted input: "
-                              "payloads are unpickled, restricted to "
-                              "classes from the repro package)")
-    chaos.add_argument("--trial-timeout", type=_positive_float, default=120.0,
-                       help="wall-clock seconds before a hung trial's pool "
-                            "is respawned (default 120)")
-    chaos.add_argument("--retries", type=_non_negative_int, default=2,
-                       help="retry budget per trial before it is "
-                            "quarantined (default 2)")
+    _add_sweep_flags(chaos, trial_timeout=SUPERVISED_POLICY.timeout,
+                     retries=SUPERVISED_POLICY.retries)
     chaos.add_argument("--health-slo", action="append", metavar="RULE",
                        help="sweep-health SLO gating the exit code, e.g. "
                             "'sweep.quarantined count == 0' (repeatable; "

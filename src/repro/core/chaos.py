@@ -23,9 +23,9 @@ from ..defenses import WX_ASLR
 from ..dns import ResilientResolver, SimpleDnsServer, make_query
 from ..exploit import AslrBruteForcer
 from ..net import FaultPolicy, faulty_transport
-from ..obs import Collector
+from ..obs import Collector, CollectorSpec
 from .parallel import DEFAULT_POLICY, RunPolicy, SweepStats, run_supervised
-from .resume import SweepCheckpoint, TrialFailure, grid_hash
+from .resume import TrialFailure
 from .report import render_table
 
 #: Client names rotate through this many hosts (so revisits hit the cache).
@@ -228,24 +228,33 @@ def run_chaos_point(
     )
 
 
-def _chaos_point_task(task: Tuple) -> Tuple:
-    """Worker for the sweep: one fully seeded chaos point.
+@dataclass(frozen=True)
+class ChaosPointTask:
+    """One fully seeded chaos point: the picklable unit the pool runs."""
 
-    Module-level (pool-picklable).  An observed sweep ships the parent
-    collector's :class:`~repro.obs.CollectorSpec`; the point runs under
-    the fresh collector it builds and returns that collector's snapshot
-    for the parent to :meth:`~repro.obs.Collector.adopt`.
+    level: float
+    derived_seed: int
+    queries: int
+    attack_budget: int
+    entropy_pages: int
+    start_limit_burst: int
+    spec: Optional[CollectorSpec]  # an observed sweep's collector config
+
+
+def _chaos_point_task(task: ChaosPointTask) -> Tuple:
+    """Worker for the sweep: one chaos point (module-level, pool-picklable).
+
+    The point runs under the fresh collector ``task.spec`` builds and
+    returns its snapshot for the parent to :meth:`~repro.obs.Collector.adopt`.
     """
-    (level, point_seed, queries, attack_budget, entropy_pages,
-     start_limit_burst, spec) = task
-    collector = spec.build() if spec is not None else None
+    collector = task.spec.build() if task.spec is not None else None
     cell = run_chaos_point(
-        level,
-        seed=point_seed,
-        queries=queries,
-        attack_budget=attack_budget,
-        entropy_pages=entropy_pages,
-        start_limit_burst=start_limit_burst,
+        task.level,
+        seed=task.derived_seed,
+        queries=task.queries,
+        attack_budget=task.attack_budget,
+        entropy_pages=task.entropy_pages,
+        start_limit_burst=task.start_limit_burst,
         observer=collector,
     )
     return cell, collector.snapshot() if collector is not None else None
@@ -300,27 +309,16 @@ def run_chaos_sweep(
     report = ReliabilityReport(seed=seed)
     spec = observer.spec() if observer is not None else None
     tasks = [
-        (level, seed + 7919 * index, queries_per_rate, attack_budget,
-         entropy_pages, start_limit_burst, spec)
+        ChaosPointTask(level, seed + 7919 * index, queries_per_rate,
+                       attack_budget, entropy_pages, start_limit_burst, spec)
         for index, level in enumerate(rates)
     ]
-    journal = None
-    if checkpoint is not None:
-        journal = SweepCheckpoint(
-            checkpoint, experiment=CHAOS_EXPERIMENT_ID,
-            grid_hash=grid_hash(tasks), total=len(tasks), seed=seed,
-            resume=resume,
-        )
-    try:
-        outcome = run_supervised(
-            _chaos_point_task, tasks, workers=workers,
-            policy=policy or DEFAULT_POLICY,
-            observer=sweep_observer, checkpoint=journal,
-            seed_of=lambda task: task[1], label="chaos",
-        )
-    finally:
-        if journal is not None:
-            journal.close()
+    outcome = run_supervised(
+        _chaos_point_task, tasks, workers=workers,
+        policy=policy or DEFAULT_POLICY, observer=sweep_observer,
+        checkpoint=checkpoint, resume=resume,
+        experiment=CHAOS_EXPERIMENT_ID, seed=seed,
+    )
     report.failures = outcome.failures
     report.health = outcome.stats
     for cell, snapshot in outcome.completed():

@@ -433,7 +433,7 @@ def e8_adaptation(profiles: Optional[Sequence[Tuple[str, ProtectionProfile]]] = 
 
 
 @register_experiment("E10", "brute-forcing ASLR (ret2libc, respawning daemon)",
-                     grid={"max_attempts": (2048,)}, supports=("workers",))
+                     grid={"max_attempts": (2048,)})
 def e10_bruteforce(max_attempts: int = 2048, *,
                    workers: Optional[int] = 1) -> ExperimentResult:
     """32-bit ASLR entropy is brute-forceable; §IV/§VII defenses are not."""
@@ -628,9 +628,7 @@ def e13_botnet() -> ExperimentResult:
 
 
 @register_experiment("E14", "exploit reliability across fresh boots",
-                     grid={"trials": (10,)},
-                     supports=("workers", "checkpoint", "policy",
-                               "sweep_observer"))
+                     grid={"trials": (10,)})
 def e14_reliability(trials: int = 10, *,
                     workers: Optional[int] = 1,
                     checkpoint: Optional[str] = None, resume: bool = False,
@@ -652,7 +650,8 @@ def e14_reliability(trials: int = 10, *,
     )
     for cell in run_reliability_study(trials=trials, workers=workers,
                                       policy=policy, checkpoint=checkpoint,
-                                      resume=resume, observer=sweep_observer):
+                                      resume=resume,
+                                      sweep_observer=sweep_observer):
         result.rows.append(cell.row() + (_check(cell.matches_expectation),))
     return result
 
@@ -661,9 +660,7 @@ def e14_reliability(trials: int = 10, *,
 
 
 @register_experiment("E15", "brute-force attempts vs. ASLR entropy (figure series)",
-                     grid={"runs_per_point": (5,)},
-                     supports=("workers", "checkpoint", "policy",
-                               "sweep_observer"))
+                     grid={"runs_per_point": (5,)})
 def e15_entropy_sweep(runs_per_point: int = 5, *,
                       workers: Optional[int] = 1,
                       checkpoint: Optional[str] = None, resume: bool = False,
@@ -685,7 +682,7 @@ def e15_entropy_sweep(runs_per_point: int = 5, *,
     points = sweep_bruteforce_entropy(runs_per_point=runs_per_point,
                                       workers=workers, policy=policy,
                                       checkpoint=checkpoint, resume=resume,
-                                      observer=sweep_observer)
+                                      sweep_observer=sweep_observer)
     for point in points:
         result.rows.append(point.row() + (_check(point.plausible),))
     medians = [point.median_attempts for point in points]
@@ -701,9 +698,7 @@ def e15_entropy_sweep(runs_per_point: int = 5, *,
 
 
 @register_experiment("E16", "chaos sweep: availability and attack success under faults",
-                     grid={"queries_per_rate": (24,), "attack_budget": (32,)},
-                     supports=("workers", "checkpoint", "policy",
-                               "sweep_observer"))
+                     grid={"queries_per_rate": (24,), "attack_budget": (32,)})
 def e16_chaos(rates: Sequence[float] = (0.0, 0.2, 0.5),
               queries_per_rate: int = 24, attack_budget: int = 32, *,
               workers: Optional[int] = 1, checkpoint: Optional[str] = None,

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field, replace
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
                     Optional, Tuple, TypeVar)
 
-from .resume import SweepCheckpoint, TaskError, TrialFailure, derive_task_seed
+from .resume import SweepCheckpoint, TaskError, TrialFailure, grid_hash
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs import Collector
@@ -203,9 +203,9 @@ def _run_envelope(packed: Tuple[Callable, int, Any]) -> Tuple[int, str, Any, str
 class _ObserverHooks:
     """Null-safe shims around the optional harness observer."""
 
-    def __init__(self, observer: Optional["Collector"], label: str):
+    def __init__(self, observer: Optional["Collector"], experiment: str):
         self.observer = observer
-        self.label = label
+        self.experiment = experiment
 
     def inc(self, name: str, amount: int = 1) -> None:
         if self.observer is not None:
@@ -217,28 +217,51 @@ class _ObserverHooks:
 
     def emit(self, kind: str, **detail) -> None:
         if self.observer is not None:
-            self.observer.emit("sweep", kind, sweep=self.label, **detail)
+            self.observer.emit("sweep", kind, sweep=self.experiment, **detail)
 
 
 def run_supervised(worker: Callable[[T], R], tasks: Iterable[T], *,
                    workers: Optional[int] = 1,
                    policy: RunPolicy = SUPERVISED_POLICY,
                    observer: Optional["Collector"] = None,
-                   checkpoint: Optional[SweepCheckpoint] = None,
-                   seed_of: Optional[Callable[[T], Optional[int]]] = None,
-                   label: str = "sweep") -> SweepOutcome:
+                   checkpoint: Optional[str] = None,
+                   resume: bool = False,
+                   experiment: str = "sweep",
+                   seed: Optional[int] = None) -> SweepOutcome:
     """Run ``worker(task)`` for every task under full supervision.
 
     Results are positional.  ``worker`` must be a module-level callable
     and every task picklable; each task must embed its own derived seed
-    so execution order, retries, and resume cannot leak into outcomes.
-    ``checkpoint`` journal entries short-circuit their trials (counted as
-    ``sweep.resumed_trials``); newly completed trials are journaled
-    before the sweep moves on.
+    (``task.derived_seed`` names it in failure records) so execution
+    order, retries, and resume cannot leak into outcomes.
+    ``checkpoint`` is a journal path, keyed by ``experiment``/``seed`` and
+    the tasks' grid hash; with ``resume`` its entries short-circuit their
+    trials (counted as ``sweep.resumed_trials``).  Newly completed trials
+    are journaled before the sweep moves on.  ``experiment`` also names
+    the sweep in its ``sweep`` events.
     """
     tasks = list(tasks)
-    hooks = _ObserverHooks(observer, label)
-    seed_fn = seed_of if seed_of is not None else derive_task_seed
+    if resume and checkpoint is None:
+        raise ValueError(f"{experiment}: resume=True needs a checkpoint "
+                         "path to resume from")
+    journal = None
+    if checkpoint is not None:
+        journal = SweepCheckpoint(
+            checkpoint, experiment=experiment, grid_hash=grid_hash(tasks),
+            total=len(tasks), seed=seed, resume=resume)
+    try:
+        return _supervise(worker, tasks, workers, policy,
+                          _ObserverHooks(observer, experiment), journal)
+    finally:
+        if journal is not None:
+            journal.close()
+
+
+def _supervise(worker: Callable[[T], R], tasks: List[T],
+               workers: Optional[int], policy: RunPolicy,
+               hooks: _ObserverHooks,
+               checkpoint: Optional[SweepCheckpoint]) -> SweepOutcome:
+    """The engine behind :func:`run_supervised` (journal already open)."""
     stats = SweepStats(total=len(tasks))
     unset = object()
     slots: List[Any] = [unset] * len(tasks)
@@ -270,8 +293,8 @@ def run_supervised(worker: Callable[[T], R], tasks: Iterable[T], *,
             return True
         failure = TrialFailure(
             index=index, kind=kind, attempts=attempts[index], error=error,
-            seed=seed_fn(tasks[index]), task=repr(tasks[index])[:200],
-            traceback=tb,
+            seed=getattr(tasks[index], "derived_seed", None),
+            task=repr(tasks[index])[:200], traceback=tb,
         )
         if policy.on_failure == "raise":
             raise TaskError(failure)
@@ -450,20 +473,21 @@ def run_tasks(worker: Callable[[T], R], tasks: Iterable[T], *,
               workers: Optional[int] = 1,
               policy: Optional[RunPolicy] = None,
               observer: Optional["Collector"] = None,
-              checkpoint: Optional[SweepCheckpoint] = None,
-              seed_of: Optional[Callable[[T], Optional[int]]] = None,
-              label: str = "sweep") -> List[R]:
+              checkpoint: Optional[str] = None,
+              resume: bool = False,
+              experiment: str = "sweep",
+              seed: Optional[int] = None) -> List[R]:
     """Run ``worker(task)`` for every task; results in task order.
 
     The strict entry point: a trial that exhausts its retry budget raises
     :class:`TaskError` (task index + derived seed attached) instead of
     quarantining, so callers always get a *complete* results list.  Pass
     a ``policy`` to add per-trial timeouts/retries, an ``observer`` to
-    surface sweep-health counters, and a ``checkpoint`` to make the run
-    resumable; the defaults behave like the classic bare runner.
+    surface sweep-health counters, and a ``checkpoint`` path to make the
+    run resumable; the defaults behave like the classic bare runner.
     """
     strict = replace(policy or DEFAULT_POLICY, on_failure="raise")
     outcome = run_supervised(worker, tasks, workers=workers, policy=strict,
                              observer=observer, checkpoint=checkpoint,
-                             seed_of=seed_of, label=label)
+                             resume=resume, experiment=experiment, seed=seed)
     return outcome.results

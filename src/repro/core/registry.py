@@ -12,8 +12,8 @@ hand.  This module replaces the wiring with data:
   hand-written table.
 * :func:`run_experiment` — the grid orchestrator.  It expands a spec's
   parameter grid into seeded :class:`GridTrial`\\ s, shards them through
-  the supervised runner (:func:`~repro.core.parallel.run_supervised`)
-  with :class:`~repro.core.resume.SweepCheckpoint` journaling, and folds
+  the supervised runner (:func:`~repro.core.parallel.run_supervised`,
+  which owns the checkpoint journal), and folds
   the positional results into an :class:`ExperimentRun`.  The parity
   invariant every prior PR preserved holds here too: trials carry their
   own derived seeds, so ``workers=N`` is bit-identical to sequential and
@@ -44,16 +44,22 @@ import inspect
 import itertools
 import zlib
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, FrozenSet, Iterable, List, Mapping,
-                    Optional, Sequence, Tuple)
+from typing import (Any, Callable, Dict, FrozenSet, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from ..obs import Collector
 from ..obs.slo import (SWEEP_SLOS, SloReport, SloRule, evaluate_slos,
                        parse_rules)
 from .parallel import DEFAULT_POLICY, RunPolicy, SweepStats, run_supervised
 from .report import render_table
-from .resume import (RESULTS_SCHEMA, SweepCheckpoint, TrialFailure,
-                     grid_hash as compute_grid_hash)
+from .resume import RESULTS_SCHEMA, TrialFailure, grid_hash as compute_grid_hash
+
+#: Harness parameters: how a sweep runs, never what it measures.  A runner
+#: that accepts one of these gets it passed through from the orchestrator
+#: (its own inner sweep then supervises and journals per trial); none of
+#: them may be a grid axis or a ``--set`` parameter.
+HARNESS_PARAMS = frozenset(
+    {"workers", "checkpoint", "resume", "policy", "sweep_observer"})
 
 
 def derive_seed(*parts: object) -> int:
@@ -100,10 +106,7 @@ class ExperimentSpec:
     registrations pin each axis to the runner's default (one grid point,
     exactly the legacy call), and ``repro run --grid`` or
     :func:`run_experiment`'s ``grid=`` widen axes into real sweeps.
-    ``supports`` lists the passthrough kwargs the runner itself accepts
-    (``workers``/``checkpoint``/``resume``/``policy``/``sweep_observer``)
-    so single-point runs delegate supervision to the experiment's own
-    inner sweep at trial granularity.
+    :attr:`passthrough` is read off the runner's signature.
     """
 
     id: str
@@ -117,7 +120,6 @@ class ExperimentSpec:
     slos: Tuple[SloRule, ...] = SWEEP_SLOS
     expected: Callable[[Any], bool] = field(default=lambda result: result.all_pass)
     expected_doc: str = "every row's expected column says ok"
-    supports: FrozenSet[str] = frozenset()
     description: str = ""
 
     def grid_points(self, grid: Optional[Mapping[str, Sequence[Any]]] = None,
@@ -144,13 +146,37 @@ class ExperimentSpec:
         return [dict(zip(names, combo))
                 for combo in itertools.product(*(axes[name] for name in names))]
 
+    @property
+    def passthrough(self) -> FrozenSet[str]:
+        """The :data:`HARNESS_PARAMS` the runner accepts: single-point runs
+        hand these to the experiment's own inner sweep."""
+        return HARNESS_PARAMS.intersection(
+            inspect.signature(self.runner).parameters)
+
+    def listed_passthrough(self) -> List[str]:
+        """Passthrough as listed (``resume`` only qualifies ``checkpoint``)."""
+        return sorted(self.passthrough - {"resume"})
+
     def _check_params(self, axes: Mapping[str, Any]) -> None:
-        accepted = inspect.signature(self.runner).parameters
+        harness = sorted(HARNESS_PARAMS.intersection(axes))
+        if harness:
+            raise ValueError(
+                f"{self.id}: {', '.join(harness)}: harness setting(s), not "
+                "experiment parameters; use the matching CLI flag instead")
+        accepted = sorted(set(inspect.signature(self.runner).parameters)
+                          - HARNESS_PARAMS)
         unknown = [name for name in axes if name not in accepted]
         if unknown:
             raise ValueError(
                 f"{self.id}: unknown parameter(s) {', '.join(sorted(unknown))} "
-                f"(runner accepts: {', '.join(sorted(accepted))})")
+                f"(runner accepts: {', '.join(accepted)})")
+
+    def trial_kwargs(self, trial: GridTrial) -> Dict[str, Any]:
+        """The runner keyword arguments for one grid trial."""
+        kwargs = trial.params_dict()
+        if self.seed_param is not None:
+            kwargs.setdefault(self.seed_param, trial.seed)
+        return kwargs
 
     def trials(self, grid: Optional[Mapping[str, Sequence[Any]]] = None,
                params: Optional[Mapping[str, Any]] = None) -> List[GridTrial]:
@@ -177,7 +203,7 @@ class ExperimentSpec:
             self.title[:56],
             axes if axes else "-",
             len(self.grid_points()),
-            ",".join(sorted(self.supports)) if self.supports else "-",
+            ",".join(self.listed_passthrough()) or "-",
         )
 
 
@@ -192,7 +218,6 @@ def register_experiment(experiment_id: str, title: str, *,
                         slos: Sequence[SloRule] = SWEEP_SLOS,
                         expected: Optional[Callable[[Any], bool]] = None,
                         expected_doc: str = "every row's expected column says ok",
-                        supports: Iterable[str] = (),
                         description: str = ""):
     """Decorator: declare one experiment into :data:`REGISTRY`.
 
@@ -219,7 +244,6 @@ def register_experiment(experiment_id: str, title: str, *,
             expected=expected if expected is not None
             else (lambda result: result.all_pass),
             expected_doc=expected_doc,
-            supports=frozenset(supports),
             description=doc,
         )
         REGISTRY[experiment_id] = spec
@@ -259,10 +283,7 @@ def _run_grid_trial(trial: GridTrial) -> Any:
     """Pool worker: execute one grid point (module-level, picklable)."""
     _ensure_registered()
     spec = REGISTRY[trial.experiment]
-    kwargs = trial.params_dict()
-    if spec.seed_param is not None:
-        kwargs.setdefault(spec.seed_param, trial.seed)
-    return spec.runner(**kwargs)
+    return spec.runner(**spec.trial_kwargs(trial))
 
 
 # -- outcomes ----------------------------------------------------------------------
@@ -371,10 +392,6 @@ class ExperimentRun:
         return {"header": self.artifact_header(), "rows": self.artifact_rows()}
 
 
-def _checkpoint_experiment_id(spec: ExperimentSpec) -> str:
-    return f"{spec.id}.grid"
-
-
 def run_experiment(spec_or_id, *,
                    grid: Optional[Mapping[str, Sequence[Any]]] = None,
                    params: Optional[Mapping[str, Any]] = None,
@@ -385,8 +402,9 @@ def run_experiment(spec_or_id, *,
                    sweep_observer: Optional[Collector] = None) -> ExperimentRun:
     """Run one registered experiment through the grid orchestrator.
 
-    Single-point grids whose runner natively supports the requested
-    facilities delegate to the experiment's *inner* sweep (checkpointing
+    Single-point grids whose runner accepts the requested harness
+    facilities (:attr:`ExperimentSpec.passthrough`) delegate to the
+    experiment's *inner* sweep (checkpointing
     at trial granularity — ``repro run E15 --checkpoint`` journals every
     brute-force trial, not one opaque blob).  Everything else fans the
     grid out over :func:`~repro.core.parallel.run_supervised`: trials are
@@ -405,50 +423,31 @@ def run_experiment(spec_or_id, *,
     hash_ = compute_grid_hash(trials)
     observer = sweep_observer if sweep_observer is not None else Collector()
 
-    wants = set()
-    if checkpoint is not None or resume:
-        wants.add("checkpoint")
-    if policy is not None:
-        wants.add("policy")
-    inner = len(trials) == 1 and wants <= spec.supports
+    harness = {"workers": workers, "checkpoint": checkpoint,
+               "resume": resume, "policy": policy, "sweep_observer": observer}
+    # Both paths honour workers and the health observer; a single point
+    # goes inward only if its runner takes every facility requested.
+    wants = {name for name in ("checkpoint", "resume", "policy")
+             if harness[name]}
+    inner = len(trials) == 1 and wants <= spec.passthrough
 
     outcomes: List[TrialOutcome]
     stats: Optional[SweepStats] = None
     if inner:
-        kwargs = trials[0].params_dict()
-        if spec.seed_param is not None:
-            kwargs.setdefault(spec.seed_param, trials[0].seed)
-        if "workers" in spec.supports:
-            kwargs["workers"] = workers
-        if "checkpoint" in spec.supports and (checkpoint is not None or resume):
-            kwargs["checkpoint"] = checkpoint
-            kwargs["resume"] = resume
-        if "policy" in spec.supports and policy is not None:
-            kwargs["policy"] = policy
-        if "sweep_observer" in spec.supports:
-            kwargs["sweep_observer"] = observer
+        kwargs = spec.trial_kwargs(trials[0])
+        kwargs.update((name, harness[name]) for name in spec.passthrough)
         result = spec.runner(**kwargs)
         outcomes = [TrialOutcome(
             index=0, params=trials[0].params_dict(), seed=trials[0].seed,
             result=result, expected_ok=bool(spec.expected(result)),
         )]
     else:
-        journal = None
-        if checkpoint is not None:
-            journal = SweepCheckpoint(
-                checkpoint, experiment=_checkpoint_experiment_id(spec),
-                grid_hash=hash_, total=len(trials), seed=spec.entropy,
-                resume=resume,
-            )
-        try:
-            outcome = run_supervised(
-                _run_grid_trial, trials, workers=workers,
-                policy=policy if policy is not None else DEFAULT_POLICY,
-                observer=observer, checkpoint=journal, label=spec.id,
-            )
-        finally:
-            if journal is not None:
-                journal.close()
+        outcome = run_supervised(
+            _run_grid_trial, trials, workers=workers,
+            policy=policy if policy is not None else DEFAULT_POLICY,
+            observer=observer, checkpoint=checkpoint, resume=resume,
+            experiment=f"{spec.id}.grid", seed=spec.entropy,
+        )
         stats = outcome.stats
         outcomes = []
         for trial, payload in zip(trials, outcome.results):
@@ -488,7 +487,8 @@ def registry_index_markdown() -> str:
     ]
     for spec in all_experiments():
         axes = ", ".join(f"`{name}`" for name, _values in spec.grid) or "—"
-        passthrough = ", ".join(f"`{name}`" for name in sorted(spec.supports)) or "—"
+        passthrough = ", ".join(
+            f"`{name}`" for name in spec.listed_passthrough()) or "—"
         lines.append(f"| {spec.id} | {spec.title} | {axes} | {passthrough} |")
     return "\n".join(lines)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..connman import ConnmanDaemon
 from ..defenses import NONE, WX, WX_ASLR, ProtectionProfile
@@ -86,16 +86,31 @@ STUDY_PLAN = (
 )
 
 
-def _reliability_cell(task: Tuple[int, int, int]) -> ReliabilityCell:
-    """Worker: one STUDY_PLAN row's full trial series (pool-picklable).
+@dataclass(frozen=True)
+class ReliabilityTask:
+    """One STUDY_PLAN row's trial series: the picklable unit the pool runs."""
 
-    Each cell's rng is derived from a stable digest of the cell key, never
-    from other cells' progress — so the fan-out is order-independent and
-    ``workers=N`` reproduces the sequential study exactly.
-    """
-    plan_index, trials, seed = task
+    plan_index: int
+    trials: int
+    seed: int  # the study seed every cell derives from
+
+    @property
+    def derived_seed(self) -> int:
+        """The seed this cell's rng is built from: a stable digest of the
+        cell key, never other cells' progress, so ``workers=N`` reproduces
+        the sequential study.  crc32, not hash(): per-process str hashing
+        (PYTHONHASHSEED) once handed lottery wins to random 6-trial runs.
+        """
+        label, arch, *_middle, victim_profile, _expect = STUDY_PLAN[
+            self.plan_index]
+        cell_key = f"{label}/{arch}/{victim_profile.label()}"
+        return self.seed ^ (zlib.crc32(cell_key.encode()) & 0xFFFF)
+
+
+def _reliability_cell(task: ReliabilityTask) -> ReliabilityCell:
+    """Worker: one STUDY_PLAN row's full trial series (pool-picklable)."""
     label, arch, builder_cls, recon_profile, blind, victim_profile, expectation = (
-        STUDY_PLAN[plan_index]
+        STUDY_PLAN[task.plan_index]
     )
     knowledge = attacker_knowledge(
         AttackScenario(arch, "reliability", recon_profile)
@@ -103,15 +118,10 @@ def _reliability_cell(task: Tuple[int, int, int]) -> ReliabilityCell:
         AttackScenario(arch, "reliability", victim_profile)
     )
     exploit = builder_cls().build(knowledge)
-    # crc32, not hash(): str hashes are randomized per process
-    # (PYTHONHASHSEED), which made the study's lottery cells flaky —
-    # a different derived seed could hand the 1-in-2^entropy win to a
-    # 6-trial run.  A stable digest keeps E14 bit-identical everywhere.
-    cell_key = f"{label}/{arch}/{victim_profile.label()}"
-    rng = random.Random(seed ^ (zlib.crc32(cell_key.encode()) & 0xFFFF))
+    rng = random.Random(task.derived_seed)
     successes = 0
     victim = ConnmanDaemon(arch=arch, profile=victim_profile, rng=rng)
-    for _trial in range(trials):
+    for _trial in range(task.trials):
         if not victim.alive:
             victim.restart()
         if deliver(exploit, victim, rng=rng).got_root_shell:
@@ -122,7 +132,7 @@ def _reliability_cell(task: Tuple[int, int, int]) -> ReliabilityCell:
         arch=arch,
         victim_profile=victim_profile.label(),
         successes=successes,
-        trials=trials,
+        trials=task.trials,
         expectation=expectation,
     )
 
@@ -131,7 +141,7 @@ def run_reliability_study(trials: int = 10, seed: int = 0xE14, *,
                           workers: Optional[int] = 1, policy=None,
                           checkpoint: Optional[str] = None,
                           resume: bool = False,
-                          observer=None) -> List[ReliabilityCell]:
+                          sweep_observer=None) -> List[ReliabilityCell]:
     """Build each exploit once, deliver it to ``trials`` fresh boots.
 
     Like the entropy sweep, the study journals per STUDY_PLAN cell when
@@ -141,23 +151,10 @@ def run_reliability_study(trials: int = 10, seed: int = 0xE14, *,
     one exactly.
     """
     from .parallel import run_tasks
-    from .resume import SweepCheckpoint, grid_hash
 
-    tasks = [(index, trials, seed) for index in range(len(STUDY_PLAN))]
-    journal = None
-    if checkpoint is not None:
-        journal = SweepCheckpoint(
-            checkpoint, experiment=RELIABILITY_EXPERIMENT_ID,
-            grid_hash=grid_hash(tasks), total=len(tasks), seed=seed,
-            resume=resume,
-        )
-    try:
-        # seed_of: failure context for tuple-shaped tasks (the derived
-        # study seed lives in slot 2 of each spec).
-        return run_tasks(_reliability_cell, tasks, workers=workers,
-                         policy=policy, checkpoint=journal,
-                         observer=observer, seed_of=lambda task: task[2],
-                         label="reliability")
-    finally:
-        if journal is not None:
-            journal.close()
+    tasks = [ReliabilityTask(index, trials, seed)
+             for index in range(len(STUDY_PLAN))]
+    return run_tasks(_reliability_cell, tasks, workers=workers,
+                     policy=policy, observer=sweep_observer,
+                     checkpoint=checkpoint, resume=resume,
+                     experiment=RELIABILITY_EXPERIMENT_ID, seed=seed)

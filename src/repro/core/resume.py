@@ -71,7 +71,7 @@ class TrialFailure:
 
     Occupies the trial's positional slot in a supervised sweep's results
     so downstream consumers can tell *which* trial degraded; ``seed`` is
-    the trial's derived seed when the task spec exposes one.
+    the task's ``derived_seed`` when the task spec exposes one.
     """
 
     index: int
@@ -118,21 +118,6 @@ class TaskError(RuntimeError):
     @property
     def seed(self) -> Optional[int]:
         return self.failure.seed
-
-
-def derive_task_seed(task: Any) -> Optional[int]:
-    """Best-effort derived seed of a task spec (for failure context).
-
-    Seeded specs in this codebase expose one of these attributes
-    (:class:`~repro.exploit.bruteforce.BruteForceTrial` has
-    ``victim_seed``/``derived_seed``); tuple-shaped tasks pass an
-    explicit ``seed_of`` callable to the runner instead.
-    """
-    for attr in ("derived_seed", "victim_seed", "seed"):
-        value = getattr(task, attr, None)
-        if isinstance(value, int) and not isinstance(value, bool):
-            return value
-    return None
 
 
 def grid_hash(tasks: Iterable[Any]) -> str:
@@ -316,11 +301,6 @@ class SweepCheckpoint:
 
     def __exit__(self, *_exc) -> None:
         self.close()
-
-    def describe(self) -> str:
-        return (f"checkpoint {self.path}: {len(self.completed)} resumed + "
-                f"{self.recorded} journaled of {self.total} trials "
-                f"({self.experiment}, grid {self.grid_hash})")
 
 
 # -- the repro-results/v1 artifact ---------------------------------------------

@@ -16,7 +16,6 @@ from typing import List, Optional, Sequence
 from ..exploit import BruteForceTrial, run_bruteforce_trial
 from .parallel import RunPolicy, run_tasks
 from .registry import derive_seed
-from .resume import SweepCheckpoint, grid_hash
 
 DEFAULT_ENTROPY_SERIES = (16, 64, 256, 1024)
 
@@ -69,7 +68,7 @@ def sweep_bruteforce_entropy(
     policy: Optional[RunPolicy] = None,
     checkpoint: Optional[str] = None,
     resume: bool = False,
-    observer=None,
+    sweep_observer=None,
 ) -> List[EntropyPoint]:
     """Median brute-force attempts as the randomization span grows.
 
@@ -100,20 +99,10 @@ def sweep_bruteforce_entropy(
         for entropy in entropy_series
         for run in range(runs_per_point)
     ]
-    journal = None
-    if checkpoint is not None:
-        journal = SweepCheckpoint(
-            checkpoint, experiment=ENTROPY_EXPERIMENT_ID,
-            grid_hash=grid_hash(trials), total=len(trials), seed=seed,
-            resume=resume,
-        )
-    try:
-        results = run_tasks(run_bruteforce_trial, trials, workers=workers,
-                            policy=policy, checkpoint=journal,
-                            observer=observer, label="entropy")
-    finally:
-        if journal is not None:
-            journal.close()
+    results = run_tasks(run_bruteforce_trial, trials, workers=workers,
+                        policy=policy, observer=sweep_observer,
+                        checkpoint=checkpoint, resume=resume,
+                        experiment=ENTROPY_EXPERIMENT_ID, seed=seed)
     points: List[EntropyPoint] = []
     for index, entropy in enumerate(entropy_series):
         slice_ = results[index * runs_per_point : (index + 1) * runs_per_point]

@@ -68,9 +68,11 @@ class TestCommands:
         pytest.param(["chaos", "--trial-timeout", "nan"],
                      id="chaos-trial-timeout-nan"),
         pytest.param(["chaos", "--retries", "-1"], id="chaos-retries"),
+        pytest.param(["chaos", "--workers", "-1"], id="chaos-workers"),
         pytest.param(["run", "E16", "--trial-timeout", "-1"],
                      id="run-trial-timeout"),
         pytest.param(["run", "E16", "--retries", "-1"], id="run-retries"),
+        pytest.param(["run", "E16", "--workers", "-1"], id="run-workers"),
     ])
     def test_rejects_bad_numeric_input(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:

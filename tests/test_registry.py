@@ -33,6 +33,7 @@ from repro.core.registry import (
     register_experiment,
     registry_index_markdown,
 )
+from repro.cli import main
 from repro.core.resume import load_checkpoint_results
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -115,6 +116,26 @@ class TestGridExpansion:
         spec = get_experiment("E14")
         with pytest.raises(ValueError, match="bogus"):
             spec.grid_points(grid={"bogus": (1,)})
+
+    def test_harness_names_are_not_grid_axes(self, capsys):
+        # As an axis, ``workers`` would run the same science once per
+        # value and leak into every trial's params and the grid hash.
+        with pytest.raises(ValueError, match="workers"):
+            get_experiment("E10").grid_points(grid={"workers": (1, 2)})
+        assert main(["run", "E10", "--grid", "workers=1,2", "--json"]) == 2
+        assert "workers" in capsys.readouterr().err
+
+    def test_harness_names_are_not_set_params(self, tmp_path, capsys):
+        # As a parameter, ``checkpoint`` would truncate an existing journal
+        # behind the back of --checkpoint's overwrite refusal.
+        journal = tmp_path / "journal.ckpt"
+        journal.write_text("earlier run\n")
+        with pytest.raises(ValueError, match="checkpoint"):
+            get_experiment("E16").grid_points(
+                params={"checkpoint": str(journal)})
+        assert main(["run", "E16", "--set", f"checkpoint={journal}"]) == 2
+        assert "checkpoint" in capsys.readouterr().err
+        assert journal.read_text() == "earlier run\n"
 
     def test_trial_seeds_follow_the_derivation_rule(self):
         spec = get_experiment("E14")
@@ -217,48 +238,71 @@ class TestGridOrchestrator:
         assert run_experiment(spec).ok
 
 
-# -- acceptance: SIGKILL a grid sweep, resume, byte-identical artifact --------
+# -- acceptance: SIGKILL a sweep, resume, byte-identical artifact -------------
 
-def _run_registry_cli(tmp_path, *extra, env_extra=None):
+#: The registry's two journaling paths: a widened grid journals one line
+#: per grid point; a single-point run delegates to the experiment's own
+#: sweep, which journals one line per inner trial (E14 cell, E15 trial).
+KILL_RESUME_CASES = {
+    "E14-grid": (("E14", "--grid", "trials=2,3"), 2),
+    "E14-single": (("E14", "--set", "trials=2"), 9),
+    "E15-single": (("E15", "--set", "runs_per_point=2"), 8),
+}
+
+
+def _run_registry_cli(tmp_path, case, *extra, env_extra=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     env.pop("REPRO_SWEEP_KILL_AFTER", None)
     if env_extra:
         env.update(env_extra)
+    argv, _total = KILL_RESUME_CASES[case]
     return subprocess.run(
-        [sys.executable, "-m", "repro", "run", "E14",
-         "--grid", "trials=2,3", "--workers", "2", *extra],
+        [sys.executable, "-m", "repro", "run", *argv, "--workers", "2",
+         *extra],
         capture_output=True, text=True, env=env, cwd=str(tmp_path),
         timeout=120,
     )
 
 
+def _assert_kill_resume_byte_identical(tmp_path, case):
+    clean = _run_registry_cli(tmp_path, case, "--results", "clean.jsonl")
+    assert clean.returncode == 0, clean.stderr
+
+    ckpt = str(tmp_path / "sweep.ckpt")
+    killed = _run_registry_cli(
+        tmp_path, case, "--checkpoint", ckpt, "--results", "killed.jsonl",
+        env_extra={"REPRO_SWEEP_KILL_AFTER": "1"})
+    assert killed.returncode == -9  # SIGKILL mid-sweep
+    assert len(load_checkpoint_results(ckpt)) == 1
+    assert not (tmp_path / "killed.jsonl").exists()
+
+    resumed = _run_registry_cli(
+        tmp_path, case, "--resume", ckpt, "--results", "resumed.jsonl")
+    assert resumed.returncode == 0, resumed.stderr
+    assert resumed.stdout == clean.stdout
+    clean_bytes = (tmp_path / "clean.jsonl").read_bytes()
+    assert (tmp_path / "resumed.jsonl").read_bytes() == clean_bytes
+    # Only the unfinished trials re-executed, each journaled once more.
+    assert len(load_checkpoint_results(ckpt)) == KILL_RESUME_CASES[case][1]
+    return resumed
+
+
 class TestKillAndResumeCli:
     def test_sigkilled_grid_resumes_byte_identical(self, tmp_path):
-        clean = _run_registry_cli(tmp_path, "--results", "clean.jsonl")
-        assert clean.returncode == 0, clean.stderr
-
-        ckpt = str(tmp_path / "grid.ckpt")
-        killed = _run_registry_cli(
-            tmp_path, "--checkpoint", ckpt, "--results", "killed.jsonl",
-            env_extra={"REPRO_SWEEP_KILL_AFTER": "1"})
-        assert killed.returncode == -9  # SIGKILL mid-grid
-        assert len(load_checkpoint_results(ckpt)) == 1
-        assert not (tmp_path / "killed.jsonl").exists()
-
-        resumed = _run_registry_cli(
-            tmp_path, "--resume", ckpt, "--results", "resumed.jsonl")
-        assert resumed.returncode == 0, resumed.stderr
-        assert resumed.stdout == clean.stdout
+        resumed = _assert_kill_resume_byte_identical(tmp_path, "E14-grid")
         assert "resumed" in resumed.stderr
-        clean_bytes = (tmp_path / "clean.jsonl").read_bytes()
-        assert (tmp_path / "resumed.jsonl").read_bytes() == clean_bytes
+
+    @pytest.mark.parametrize("case", ["E14-single", "E15-single"])
+    def test_sigkilled_single_point_resumes_byte_identical(self, tmp_path,
+                                                           case):
+        _assert_kill_resume_byte_identical(tmp_path, case)
 
     def test_checkpoint_refuses_overwrite_without_resume(self, tmp_path):
         ckpt = str(tmp_path / "grid.ckpt")
-        killed = _run_registry_cli(tmp_path, "--checkpoint", ckpt,
+        killed = _run_registry_cli(tmp_path, "E14-grid", "--checkpoint", ckpt,
                                    env_extra={"REPRO_SWEEP_KILL_AFTER": "1"})
         assert killed.returncode == -9
-        rerun = _run_registry_cli(tmp_path, "--checkpoint", ckpt)
+        rerun = _run_registry_cli(tmp_path, "E14-grid", "--checkpoint", ckpt)
         assert rerun.returncode == 2
         assert "--resume" in rerun.stderr

@@ -1,8 +1,10 @@
 """E14 reliability study."""
 
+import zlib
+
 import pytest
 
-from repro.core import e14_reliability
+from repro.core import TaskError, e14_reliability
 from repro.core.reliability import STUDY_PLAN, run_reliability_study
 
 
@@ -48,3 +50,31 @@ class TestExperiment:
         assert always and all(row[3] == "5/5" for row in always)
         assert lottery and all(row[3].startswith("0/") for row in lottery)
         assert len(result.rows) == len(STUDY_PLAN)
+
+
+class _BrokenBuilder:
+    """Stands in for a plan row's exploit builder and always raises."""
+
+    def build(self, knowledge):
+        raise RuntimeError("builder down")
+
+
+class TestFailureSeed:
+    def test_failing_cell_reports_its_own_rng_seed(self, monkeypatch):
+        from repro.core import reliability
+
+        seeds = []
+        for row in (0, 1):
+            plan = list(STUDY_PLAN)
+            plan[row] = plan[row][:2] + (_BrokenBuilder,) + plan[row][3:]
+            monkeypatch.setattr(reliability, "STUDY_PLAN", tuple(plan))
+            with pytest.raises(TaskError) as excinfo:
+                run_reliability_study(trials=1, workers=1)
+            label, arch, *_middle, victim_profile, _expect = STUDY_PLAN[row]
+            cell_key = f"{label}/{arch}/{victim_profile.label()}"
+            rng_seed = 0xE14 ^ (zlib.crc32(cell_key.encode()) & 0xFFFF)
+            assert excinfo.value.index == row
+            assert excinfo.value.seed == rng_seed
+            seeds.append(excinfo.value.seed)
+        assert seeds[0] != seeds[1]
+        assert 0xE14 not in seeds

@@ -25,6 +25,7 @@ from repro.core import (
     grid_hash,
     load_checkpoint_results,
     run_chaos_sweep,
+    run_experiment,
     run_supervised,
     run_tasks,
 )
@@ -250,10 +251,8 @@ class TestCheckpoint:
         path = str(tmp_path / "sweep.ckpt")
         tasks = [10, 11, 12]
         digest = grid_hash(tasks)
-        with SweepCheckpoint(path, experiment="unit", grid_hash=digest,
-                             total=3, seed=9) as journal:
-            outcome = run_supervised(_square, tasks, workers=1, policy=FAST,
-                                     checkpoint=journal)
+        outcome = run_supervised(_square, tasks, workers=1, policy=FAST,
+                                 checkpoint=path, experiment="unit", seed=9)
         assert outcome.results == [100, 121, 144]
         lines = Path(path).read_text().splitlines()
         header = json.loads(lines[0])
@@ -272,16 +271,26 @@ class TestCheckpoint:
                              total=3) as journal:
             journal.record(0, 100)
             journal.record(2, 144)
-        with SweepCheckpoint(path, experiment="unit", grid_hash=digest,
-                             total=3, resume=True) as journal:
-            assert journal.completed == {0: 100, 2: 144}
-            observer = Collector()
-            outcome = run_supervised(_square, tasks, workers=1, policy=FAST,
-                                     checkpoint=journal, observer=observer)
+        assert load_checkpoint_results(path) == {0: 100, 2: 144}
+        observer = Collector()
+        outcome = run_supervised(_square, tasks, workers=1, policy=FAST,
+                                 checkpoint=path, resume=True,
+                                 experiment="unit", observer=observer)
         assert outcome.results == [100, 121, 144]
         assert outcome.stats.resumed == 2
         assert outcome.stats.executed == 1  # only trial 1 re-ran
         assert observer.metrics.value("sweep.resumed_trials") == 2
+
+    def test_resume_without_checkpoint_is_an_error(self):
+        # Every sweep hands resume= to the runner, so one check covers the
+        # raw runner, a sweep function and both registry paths.
+        with pytest.raises(ValueError, match="checkpoint"):
+            run_supervised(_square, [1], resume=True)
+        with pytest.raises(ValueError, match="checkpoint"):
+            run_chaos_sweep(rates=[0.0], resume=True)
+        for experiment_id in ("E1", "E14"):  # grid path, inner path
+            with pytest.raises(ValueError, match="checkpoint"):
+                run_experiment(experiment_id, resume=True)
 
     def test_resume_rejects_different_grid(self, tmp_path):
         path = str(tmp_path / "sweep.ckpt")
