@@ -66,6 +66,7 @@ from .exploit import (
     OffPathSpoofer,
     builder_for,
 )
+from .exploit.offpath import ID_SPACE
 from .net import DNS_PORT, FaultPolicy, Host, Network
 from .obs import (
     DEFAULT_SAMPLE_INTERVAL,
@@ -171,6 +172,21 @@ def _non_negative_int(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _burst(text: str) -> int:
+    value = int(text)
+    if not 1 <= value <= ID_SPACE:
+        raise argparse.ArgumentTypeError(
+            f"must be in 1..{ID_SPACE} (the DNS ID space), got {value}")
     return value
 
 
@@ -407,11 +423,11 @@ def cmd_gadgets(args) -> int:
     for gadget in gadgets:
         if args.contains and args.contains not in gadget.text:
             continue
-        print(gadget)
-        shown += 1
         if shown >= args.limit:
             print(f"... ({len(gadgets)} total)")
             break
+        print(gadget)
+        shown += 1
     print(finder.summary())
     return 0
 
@@ -795,7 +811,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_arch(gadgets)
     gadgets.add_argument("--seed", type=int, default=0, help="diversity build seed")
     gadgets.add_argument("--contains", help="filter by substring of the gadget text")
-    gadgets.add_argument("--limit", type=int, default=40)
+    gadgets.add_argument("--limit", type=_non_negative_int, default=40)
     gadgets.add_argument("--census", action="store_true",
                          help="print category counts instead of a listing")
     gadgets.set_defaults(run=cmd_gadgets)
@@ -816,7 +832,7 @@ def build_parser() -> argparse.ArgumentParser:
     autogen.set_defaults(run=cmd_autogen)
 
     bruteforce = subparsers.add_parser("bruteforce", help="E10 ASLR brute force")
-    bruteforce.add_argument("--max-attempts", type=int, default=4096)
+    bruteforce.add_argument("--max-attempts", type=_positive_int, default=4096)
     bruteforce.add_argument("--seed", type=int, default=99)
     bruteforce.set_defaults(run=cmd_bruteforce)
 
@@ -918,8 +934,8 @@ def build_parser() -> argparse.ArgumentParser:
     observe.set_defaults(run=cmd_observe)
 
     offpath = subparsers.add_parser("offpath", help="E11 off-path spoofing")
-    offpath.add_argument("--burst", type=int, default=2048)
-    offpath.add_argument("--max-queries", type=int, default=512)
+    offpath.add_argument("--burst", type=_burst, default=2048)
+    offpath.add_argument("--max-queries", type=_positive_int, default=512)
     offpath.add_argument("--seed", type=int, default=3)
     offpath.set_defaults(run=cmd_offpath)
 

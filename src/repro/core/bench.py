@@ -1,11 +1,10 @@
 """Tight-loop dispatch microbench for the emulation core.
 
 ``run_dispatch_bench`` drives the full run loop over a self-branching
-9-instruction loop until the step budget runs out, with superblock
-translation on or off.  The end-to-end benchmark (``benchmarks/e2e``)
-reports its ``steps_per_s`` as the guest-emulation layer figure;
-``tests/test_parallel_and_bench.py`` pins its deterministic counters
-(decode calls, block step share, builds).
+9-instruction loop until the step budget runs out.  The end-to-end
+benchmark (``benchmarks/e2e``) reports its ``steps_per_s`` as the
+guest-emulation layer figure; ``tests/test_parallel_and_bench.py`` pins
+its deterministic counters (steps, decode calls, cache hits).
 """
 
 from __future__ import annotations
@@ -51,15 +50,12 @@ def run_dispatch_bench(arch: str = "x86", steps: int = 12_000, *,
     """Run the full run loop to budget exhaustion; report dispatch counters.
 
     Goes through ``Emulator.run`` — the path every experiment takes — so
-    superblock dispatch engages.  The decode cache stays on in both
-    variants: with blocks off this measures the decode-cache-only dispatch
-    baseline the block layer is built over.
+    the decode cache serves every step after the loop's first pass.
     """
+    # Read by benchmarks/e2e/child.py: delete with the benchmark's cpu.block_* / blocks_{on,off} metrics.
+    del blocks_enabled
     emulator = _build_loop_emulator(arch)
-    process = emulator.process
-    blocks = process.block_cache
-    blocks.enabled = blocks_enabled
-    cache = process.decode_cache
+    cache = emulator.process.decode_cache
     started = perf_counter()
     result = emulator.run(max_steps=steps)
     wall_s = max(perf_counter() - started, 1e-9)
@@ -67,12 +63,8 @@ def run_dispatch_bench(arch: str = "x86", steps: int = 12_000, *,
         "arch": arch,
         "steps": result.steps,
         "outcome": result.reason,
-        "blocks_enabled": blocks_enabled,
         "decode_calls": cache.misses,
         "cache_hits": cache.hits,
-        "block_steps": blocks.steps,
-        "block_execs": blocks.hits,
-        "block_builds": blocks.builds,
         "wall_s": wall_s,
         "steps_per_s": result.steps / wall_s,
     }

@@ -1,6 +1,5 @@
 """CPU substrate: x86 and ARMv7 assemblers, decoders and emulators."""
 
-from .blocks import MAX_BLOCK_LEN, Block, BlockCache
 from .cache import DecodeCache
 from .emulator import (DEFAULT_STEP_BUDGET, Emulator, ExecutionResult,
                        RunObserver, make_emulator)
@@ -27,8 +26,6 @@ from .registers import (
 
 __all__ = [
     "ARM",
-    "Block",
-    "BlockCache",
     "CanaryClobbered",
     "check_arch",
     "ControlFlowViolation",
@@ -45,7 +42,6 @@ __all__ = [
     "make_emulator",
     "make_registers",
     "make_x86_registers",
-    "MAX_BLOCK_LEN",
     "NativeCallContext",
     "NativeFunction",
     "NativeHandler",

@@ -16,7 +16,6 @@ from .disasm import decode
 
 N_BIT = 1 << 31
 Z_BIT = 1 << 30
-_NOT_NZ = MASK32 ^ (N_BIT | Z_BIT)
 
 
 class ArmEmulator(Emulator):
@@ -175,233 +174,6 @@ class ArmEmulator(Emulator):
             raise IllegalInstruction(address, insn.raw, f"unimplemented mnemonic {mnemonic}")
 
         process.pc = next_pc
-
-
-# -- superblock compiler backend (see repro.cpu.blocks) --------------------------
-#
-# Mirrors the x86 backend: classification predicates plus a per-instruction
-# closure compiler reproducing ``_execute`` exactly — including the r15+8
-# pipeline read (folded to a constant at compile time), LDMIA/STMDB register
-# ordering, and the sp commit order around faulting stack accesses.
-
-#: Unconditional block enders.  Any instruction whose *destination* may be
-#: r15 is also terminal (checked in block_terminal): those run through the
-#: interpreter so its pc-write quirks (mvn/ldrb fall through to next_pc)
-#: are kept by construction rather than replicated.
-_TERMINAL = frozenset(("bx", "blx", "b", "bl", "svc"))
-
-_PC_DEST = frozenset((
-    "mov", "movs", "mvn", "mvns", "add", "adds", "sub", "subs",
-    "and", "ands", "eor", "eors", "orr", "orrs", "ldr", "ldrb"))
-
-#: Instructions that write NZ in this interpreter (mvns notably does not).
-_WRITES_FLAGS = frozenset(("movs", "adds", "subs", "ands", "eors", "orrs", "cmp"))
-
-_CAN_FAULT = frozenset(("ldr", "str", "ldrb", "strb", "push", "pop"))
-
-_WRITES_MEMORY = frozenset(("str", "strb", "push"))
-
-_DATA3 = frozenset((
-    "add", "adds", "sub", "subs", "and", "ands", "eor", "eors", "orr", "orrs"))
-
-
-def decode_block_insn(process, address: int) -> Instruction:
-    """The front half of :meth:`ArmEmulator.step`: cached decode at address."""
-    if address % 4:
-        raise IllegalInstruction(address, b"", "misaligned ARM pc")
-    cache = process.decode_cache
-    insn = cache.lookup(address)
-    if insn is None:
-        raw = process.memory.fetch(address, 4)
-        insn = decode(raw, address, strict=True)
-        cache.record_decode(insn)
-    return insn
-
-
-def block_terminal(insn: Instruction) -> bool:
-    mnemonic = insn.mnemonic
-    if mnemonic in _TERMINAL:
-        return True
-    if mnemonic in _PC_DEST and insn.operands[0] == "r15":
-        return True
-    return mnemonic == "pop" and "r15" in insn.operands[0]
-
-
-def block_writes_flags(insn: Instruction) -> bool:
-    return insn.mnemonic in _WRITES_FLAGS
-
-
-def block_can_fault(insn: Instruction) -> bool:
-    return insn.mnemonic in _CAN_FAULT
-
-
-def block_writes_memory(insn: Instruction) -> bool:
-    return insn.mnemonic in _WRITES_MEMORY
-
-
-def _operand_slot(operand, insn_address: int):
-    """Resolve an operand at compile time: (register name, constant).
-
-    Immediates and r15 reads (address + 8, the pipeline rule) fold to
-    constants; everything else stays a register-dict key.
-    """
-    if isinstance(operand, int):
-        return None, operand & MASK32
-    if operand == "r15":
-        return None, (insn_address + 8) & MASK32
-    return operand, 0
-
-
-def compile_block_op(insn: Instruction, memory, *, flags_needed: bool, guard):
-    """Compile one fall-through instruction into ``op(process, values)``.
-
-    Only called for instructions ``block_terminal`` rejected, so every
-    register destination here is a plain register (never r15).
-    """
-    mnemonic = insn.mnemonic
-    address = insn.address
-    end = insn.end & MASK32
-    operands = insn.operands
-
-    if mnemonic in ("mov", "movs"):
-        rd, operand2 = operands
-        src_reg, src_const = _operand_slot(operand2, address)
-        sets_flags = mnemonic == "movs" and flags_needed
-
-        def op(process, v):
-            value = v[src_reg] if src_reg is not None else src_const
-            if sets_flags:
-                cpsr = v["cpsr"] & _NOT_NZ
-                if value == 0:
-                    cpsr |= Z_BIT
-                if value & 0x80000000:
-                    cpsr |= N_BIT
-                v["cpsr"] = cpsr
-            v[rd] = value
-            v["r15"] = end
-
-    elif mnemonic in ("mvn", "mvns"):
-        rd, operand2 = operands
-        src_reg, src_const = _operand_slot(operand2, address)
-
-        def op(process, v):
-            value = v[src_reg] if src_reg is not None else src_const
-            v[rd] = (~value) & MASK32
-            v["r15"] = end
-
-    elif mnemonic in _DATA3:
-        rd, rn, operand2 = operands
-        left_reg, left_const = _operand_slot(rn, address)
-        right_reg, right_const = _operand_slot(operand2, address)
-        base = mnemonic.rstrip("s")
-        sets_flags = mnemonic.endswith("s") and mnemonic != base and flags_needed
-
-        def op(process, v):
-            left = v[left_reg] if left_reg is not None else left_const
-            right = v[right_reg] if right_reg is not None else right_const
-            if base == "add":
-                result = left + right
-            elif base == "sub":
-                result = left - right
-            elif base == "and":
-                result = left & right
-            elif base == "eor":
-                result = left ^ right
-            else:
-                result = left | right
-            result &= MASK32
-            if sets_flags:
-                cpsr = v["cpsr"] & _NOT_NZ
-                if result == 0:
-                    cpsr |= Z_BIT
-                if result & 0x80000000:
-                    cpsr |= N_BIT
-                v["cpsr"] = cpsr
-            v[rd] = result
-            v["r15"] = end
-
-    elif mnemonic == "cmp":
-        rn, operand2 = operands
-        left_reg, left_const = _operand_slot(rn, address)
-        right_reg, right_const = _operand_slot(operand2, address)
-
-        def op(process, v):
-            if flags_needed:
-                left = v[left_reg] if left_reg is not None else left_const
-                right = v[right_reg] if right_reg is not None else right_const
-                result = (left - right) & MASK32
-                cpsr = v["cpsr"] & _NOT_NZ
-                if result == 0:
-                    cpsr |= Z_BIT
-                if result & 0x80000000:
-                    cpsr |= N_BIT
-                v["cpsr"] = cpsr
-            v["r15"] = end
-
-    elif mnemonic == "pop":
-        (reglist,) = operands  # never contains r15 here (terminal otherwise)
-        read_u32 = memory.read_u32
-
-        def op(process, v):
-            for name in reglist:  # LDMIA: lowest register from lowest address
-                value = read_u32(v["r13"])
-                v["r13"] = (v["r13"] + 4) & MASK32
-                v[name] = value
-            v["r15"] = end
-
-    elif mnemonic == "push":
-        (reglist,) = operands
-        # STMDB stores the highest register highest; r15 reads fold to pc+8.
-        slots = tuple(_operand_slot(name, address) for name in reversed(reglist))
-        write_u32 = memory.write_u32
-
-        def op(process, v):
-            for src_reg, src_const in slots:
-                value = v[src_reg] if src_reg is not None else src_const
-                sp = (v["r13"] - 4) & MASK32
-                v["r13"] = sp
-                write_u32(sp, value)
-            v["r15"] = end
-            guard()
-
-    elif mnemonic in ("ldr", "ldrb"):
-        rd, rn, offset = operands
-        base_reg, base_const = _operand_slot(rn, address)
-        read = memory.read_u32 if mnemonic == "ldr" else memory.read_u8
-
-        def op(process, v):
-            base = v[base_reg] if base_reg is not None else base_const
-            v[rd] = read((base + offset) & MASK32)
-            v["r15"] = end
-
-    elif mnemonic in ("str", "strb"):
-        rd, rn, offset = operands
-        src_reg, src_const = _operand_slot(rd, address)
-        base_reg, base_const = _operand_slot(rn, address)
-        if mnemonic == "str":
-            write_u32 = memory.write_u32
-
-            def op(process, v):
-                base = v[base_reg] if base_reg is not None else base_const
-                value = v[src_reg] if src_reg is not None else src_const
-                write_u32((base + offset) & MASK32, value)
-                v["r15"] = end
-                guard()
-        else:
-            write_u8 = memory.write_u8
-
-            def op(process, v):
-                base = v[base_reg] if base_reg is not None else base_const
-                value = v[src_reg] if src_reg is not None else src_const
-                write_u8((base + offset) & MASK32, value & 0xFF)
-                v["r15"] = end
-                guard()
-
-    else:  # pragma: no cover - classification and compiler kept in sync
-        raise IllegalInstruction(address, insn.raw,
-                                 f"uncompilable mnemonic {mnemonic}")
-
-    return op
 
 
 # -- taint propagation (see repro.obs.taint) -------------------------------------

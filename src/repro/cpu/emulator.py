@@ -30,11 +30,6 @@ CACHE_COUNTERS = (
     "decode_cache_misses",
     "decode_cache_invalidations",
     "decode_cache_epoch_flushes",
-    "block_cache_hits",
-    "block_cache_misses",
-    "block_cache_invalidations",
-    "block_cache_epoch_flushes",
-    "block_cache_native_flushes",
 )
 
 
@@ -81,9 +76,6 @@ class RunObserver:
     run has the same outcome, step count and fault as an unobserved one.
     """
 
-    #: Needs :meth:`before_step`, so the run loop never dispatches blocks.
-    per_step = False
-
     def begin_run(self, process: Process) -> None:
         """A run starts."""
 
@@ -95,16 +87,6 @@ class RunObserver:
 
     def on_native(self, process: Process, native, pc: int) -> None:
         """The native at ``pc`` completed and returned to its caller."""
-
-    def admits_block(self, length: int) -> bool:
-        """May a compiled block of ``length`` instructions run whole?"""
-        return True
-
-    def on_block(self, process: Process, block, executed: int) -> None:
-        """A block dispatch completed ``executed`` of its instructions."""
-
-    def on_build(self, block) -> None:
-        """A block was compiled."""
 
     def end_run(self, process: Process, counters: Dict[str, int]) -> None:
         """The run ended, however; ``counters`` are its cache deltas."""
@@ -156,12 +138,6 @@ class Emulator:
     def _run_loop(self, max_steps: int = DEFAULT_STEP_BUDGET) -> ExecutionResult:
         process = self.process
         observers = process.observers
-        blocks = process.block_cache
-        # Block dispatch is outcome-identical but never shows an observer
-        # the state between two instructions of a block, so any per-step
-        # observer forces the per-instruction path.
-        stepped = tuple(observer for observer in observers if observer.per_step)
-        use_blocks = blocks.enabled and not stepped
         if observers:
             counters_before = _cache_counters(process)
             for observer in observers:
@@ -172,42 +148,14 @@ class Emulator:
                 native = process.native_at(process.pc)
                 if native is not None:
                     pc = process.pc
-                    for observer in stepped:
+                    for observer in observers:
                         observer.before_step(process)
                     native.invoke(process)
                     steps += 1
                     for observer in observers:
                         observer.on_native(process, native, pc)
-                    continue
-                if use_blocks:
-                    builds_before = blocks.builds
-                    block = blocks.fetch(self, process.pc)
-                    if blocks.builds != builds_before:
-                        for observer in observers:
-                            observer.on_build(block)
-                    if (block is not None
-                            and steps + block.length <= max_steps
-                            and (not observers
-                                 or all(observer.admits_block(block.length)
-                                        for observer in observers))):
-                        # A whole block fits in the remaining budget; one
-                        # that doesn't falls through to single stepping so
-                        # EmulationBudgetExceeded fires at exactly max_steps.
-                        # An observer may decline a block the same way (a
-                        # sampling observer does at its sample boundary).
-                        try:
-                            executed = block.execute(process)
-                        except BaseException:
-                            executed = block.executed
-                            raise
-                        finally:
-                            steps += executed
-                            blocks.steps += executed
-                            for observer in observers:
-                                observer.on_block(process, block, executed)
-                        continue
-                if observers:
-                    for observer in stepped:
+                elif observers:
+                    for observer in observers:
                         observer.before_step(process)
                     insn = self.step()
                     steps += 1
@@ -232,17 +180,12 @@ class Emulator:
                     counters[name] -= before
                 for observer in observers:
                     observer.end_run(process, counters)
-            # Drained or not, this run's build lengths end with it: an
-            # unobserved run must not leak them into a later observed one.
-            blocks.built_lengths.clear()
 
 
 def _cache_counters(process: Process) -> Dict[str, int]:
-    cache, blocks = process.decode_cache, process.block_cache
+    cache = process.decode_cache
     return dict(zip(CACHE_COUNTERS, (
-        cache.hits, cache.misses, cache.invalidations, cache.epoch_flushes,
-        blocks.hits, blocks.misses, blocks.invalidations,
-        blocks.epoch_flushes, blocks.native_flushes)))
+        cache.hits, cache.misses, cache.invalidations, cache.epoch_flushes)))
 
 
 def make_emulator(process: Process) -> Emulator:

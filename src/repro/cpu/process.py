@@ -9,11 +9,11 @@ attack ends with a :class:`SpawnRecord` for ``/bin/sh`` at uid 0 in
 from __future__ import annotations
 
 import struct
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..mem import AddressSpace
-from .blocks import BlockCache
 from .cache import DecodeCache
 from .isa import check_arch
 from .registers import RegisterFile, make_registers, pc_register, sp_register
@@ -48,6 +48,8 @@ class Process:
     """One emulated 32-bit process."""
 
     _next_pid = 100
+    # Read by benchmarks/e2e/layers.py: delete with the benchmark's cpu.block_* / blocks_{on,off} metrics.
+    block_cache = namedtuple("BlockCounters", "steps builds")(0, 0)
 
     def __init__(self, arch: str, memory: AddressSpace, *, uid: int = 0, name: str = "proc"):
         self.arch = check_arch(arch)
@@ -67,13 +69,6 @@ class Process:
         #: Decoded-instruction cache shared by every emulator run over this
         #: process (write-invalidated; see :mod:`repro.cpu.cache`).
         self.decode_cache = DecodeCache(memory)
-        #: Bumped on every ``register_native`` — compiled superblocks are
-        #: keyed on it so a native handler registered mid-run is never
-        #: skipped by an already-compiled straight line.
-        self.native_version = 0
-        #: Compiled-superblock cache layered over the decode cache
-        #: (see :mod:`repro.cpu.blocks`).
-        self.block_cache = BlockCache(self)
         #: Optional obs Collector — the process's trace context.  The
         #: emulator nests each run under a ``cpu.run`` span on its tracer
         #: and captures crash postmortems through it when a run faults.
@@ -146,7 +141,6 @@ class Process:
 
     def register_native(self, address: int, function: "NativeFunctionType") -> None:
         self.native[address] = function
-        self.native_version += 1
 
     def native_at(self, address: int) -> Optional["NativeFunctionType"]:
         return self.native.get(address & 0xFFFFFFFF)

@@ -37,10 +37,6 @@ class RegisterFile:
     def values(self) -> Dict[str, int]:
         """The raw canonical-name → value mapping (live, not a copy).
 
-        The superblock compiler (:mod:`repro.cpu.blocks`) executes against
-        this dict directly: both decoders emit only canonical names, and
-        compiled ops pre-mask every stored value, so the alias resolution
-        and masking in :meth:`set` would be pure overhead on that path.
         Mutators must store 32-bit-masked values under canonical names.
         """
         return self._values

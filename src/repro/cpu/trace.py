@@ -37,8 +37,6 @@ class TraceRecorder(RunObserver):
     #: Records refused because the trace was already full.
     dropped: int = 0
 
-    per_step = True
-
     def __post_init__(self) -> None:
         if self.limit < 0:
             raise ValueError(f"trace limit cannot be negative: {self.limit!r}")

@@ -11,7 +11,6 @@ from .disasm import decode
 
 ZF_BIT = 1 << 6
 MASK32 = 0xFFFFFFFF
-_NOT_ZF = MASK32 ^ ZF_BIT
 
 #: Longest encodable instruction in our subset.
 MAX_INSN_LEN = 5
@@ -208,281 +207,6 @@ class X86Emulator(Emulator):
             raise IllegalInstruction(insn.address, insn.raw, f"unimplemented mnemonic {mnemonic}")
 
         process.pc = next_pc
-
-
-# -- superblock compiler backend (see repro.cpu.blocks) --------------------------
-#
-# Classification tables and the per-instruction closure compiler.  Every
-# compiled op reproduces ``_execute``'s semantics byte for byte, including the
-# order of side effects around a possible MemoryFault (sp committed before a
-# push's store, after a pop's load) and the pc commit at the end of each
-# instruction, so a fault or mid-block bail leaves exactly the architectural
-# state the interpreter would.
-
-#: Instructions that end a block: control transfers, traps, syscalls.
-_TERMINAL = frozenset((
-    "ret", "retn", "call", "jmp", "jz", "jnz", "int", "int3", "hlt"))
-
-#: Instructions whose only flag effect is the emulated ZF write.
-_WRITES_FLAGS = frozenset((
-    "xor", "add", "sub", "cmp", "test", "and", "or", "neg", "shl", "shr",
-    "inc", "dec"))
-
-#: Instructions that can raise MemoryFault (every memory toucher).
-_CAN_FAULT = frozenset(("push", "pop", "store", "load", "leave"))
-
-#: Instructions that write guest memory (need the self-modification guard).
-_WRITES_MEMORY = frozenset(("push", "store"))
-
-
-def decode_block_insn(process, address: int) -> Instruction:
-    """The front half of :meth:`X86Emulator.step`: cached decode at address."""
-    cache = process.decode_cache
-    insn = cache.lookup(address)
-    if insn is None:
-        memory = process.memory
-        window = memory.fetch(address, memory.contiguous_span(address, MAX_INSN_LEN))
-        insn = decode(window, address, strict=True)
-        cache.record_decode(insn)
-    return insn
-
-
-def block_terminal(insn: Instruction) -> bool:
-    return insn.mnemonic in _TERMINAL
-
-
-def block_writes_flags(insn: Instruction) -> bool:
-    return insn.mnemonic in _WRITES_FLAGS
-
-
-def block_can_fault(insn: Instruction) -> bool:
-    return insn.mnemonic in _CAN_FAULT
-
-
-def block_writes_memory(insn: Instruction) -> bool:
-    return insn.mnemonic in _WRITES_MEMORY
-
-
-def compile_block_op(insn: Instruction, memory, *, flags_needed: bool, guard):
-    """Compile one fall-through instruction into ``op(process, values)``.
-
-    ``values`` is the raw register dict (the decoder only emits canonical
-    names, so no alias resolution is needed); all constants are pre-masked
-    here so the hot closure does no compile-time work.  ``flags_needed``
-    False elides the ZF computation (proven dead by the liveness pass);
-    ``guard`` is the block's post-store self-modification check.
-    """
-    mnemonic = insn.mnemonic
-    end = insn.end & MASK32
-    operands = insn.operands
-
-    if mnemonic in ("nop", "daa", "das", "aaa", "aas"):
-        def op(process, v):
-            v["eip"] = end
-
-    elif mnemonic == "push":
-        (operand,) = operands
-        write_u32 = memory.write_u32
-        if isinstance(operand, str):
-            def op(process, v):
-                value = v[operand]
-                sp = (v["esp"] - 4) & MASK32
-                v["esp"] = sp
-                write_u32(sp, value)
-                v["eip"] = end
-                guard()
-        else:
-            imm = operand & MASK32
-
-            def op(process, v):
-                sp = (v["esp"] - 4) & MASK32
-                v["esp"] = sp
-                write_u32(sp, imm)
-                v["eip"] = end
-                guard()
-
-    elif mnemonic == "pop":
-        dst = operands[0]
-        read_u32 = memory.read_u32
-
-        def op(process, v):
-            value = read_u32(v["esp"])
-            v["esp"] = (v["esp"] + 4) & MASK32
-            v[dst] = value
-            v["eip"] = end
-
-    elif mnemonic == "mov":
-        dst, src = operands
-        if isinstance(src, str):
-            def op(process, v):
-                v[dst] = v[src]
-                v["eip"] = end
-        else:
-            imm = src & MASK32
-
-            def op(process, v):
-                v[dst] = imm
-                v["eip"] = end
-
-    elif mnemonic == "mov8":
-        dst, value = operands
-        index = X86_REG8.index(dst)
-        parent = X86_REGISTERS[index & 3]
-        shift = 8 if index >= 4 else 0
-        keep = ~(0xFF << shift) & MASK32
-        insert = (value & 0xFF) << shift
-
-        def op(process, v):
-            v[parent] = (v[parent] & keep) | insert
-            v["eip"] = end
-
-    elif mnemonic == "xor":
-        dst, src = operands
-
-        def op(process, v):
-            result = v[dst] ^ v[src]
-            v[dst] = result
-            if flags_needed:
-                flags = v["eflags"]
-                v["eflags"] = (flags | ZF_BIT) if result == 0 else (flags & _NOT_ZF)
-            v["eip"] = end
-
-    elif mnemonic in ("and", "or"):
-        dst, src = operands
-        conjunction = mnemonic == "and"
-
-        def op(process, v):
-            if conjunction:
-                result = v[dst] & v[src]
-            else:
-                result = v[dst] | v[src]
-            v[dst] = result
-            if flags_needed:
-                flags = v["eflags"]
-                v["eflags"] = (flags | ZF_BIT) if result == 0 else (flags & _NOT_ZF)
-            v["eip"] = end
-
-    elif mnemonic == "test":
-        dst, src = operands
-
-        def op(process, v):
-            if flags_needed:
-                flags = v["eflags"]
-                v["eflags"] = ((flags | ZF_BIT) if v[dst] & v[src] == 0
-                               else (flags & _NOT_ZF))
-            v["eip"] = end
-
-    elif mnemonic in ("add", "sub", "cmp"):
-        dst, src = operands
-        src_reg = src if isinstance(src, str) else None
-        imm = 0 if src_reg is not None else src & MASK32
-        negate = mnemonic in ("sub", "cmp")
-        writes_dst = mnemonic != "cmp"
-
-        def op(process, v):
-            value = v[src_reg] if src_reg is not None else imm
-            if negate:
-                result = (v[dst] - value) & MASK32
-            else:
-                result = (v[dst] + value) & MASK32
-            if writes_dst:
-                v[dst] = result
-            if flags_needed:
-                flags = v["eflags"]
-                v["eflags"] = (flags | ZF_BIT) if result == 0 else (flags & _NOT_ZF)
-            v["eip"] = end
-
-    elif mnemonic == "not":
-        name = operands[0]
-
-        def op(process, v):
-            v[name] = ~v[name] & MASK32
-            v["eip"] = end
-
-    elif mnemonic == "neg":
-        name = operands[0]
-
-        def op(process, v):
-            result = (-v[name]) & MASK32
-            v[name] = result
-            if flags_needed:
-                flags = v["eflags"]
-                v["eflags"] = (flags | ZF_BIT) if result == 0 else (flags & _NOT_ZF)
-            v["eip"] = end
-
-    elif mnemonic in ("shl", "shr"):
-        name, count = operands
-        left = mnemonic == "shl"
-
-        def op(process, v):
-            if left:
-                result = (v[name] << count) & MASK32
-            else:
-                result = v[name] >> count
-            v[name] = result
-            if flags_needed:
-                flags = v["eflags"]
-                v["eflags"] = (flags | ZF_BIT) if result == 0 else (flags & _NOT_ZF)
-            v["eip"] = end
-
-    elif mnemonic == "xchg":
-        left_name, right_name = operands
-
-        def op(process, v):
-            v[left_name], v[right_name] = v[right_name], v[left_name]
-            v["eip"] = end
-
-    elif mnemonic == "store":
-        base, src = operands
-        write_u32 = memory.write_u32
-
-        def op(process, v):
-            write_u32(v[base], v[src])
-            v["eip"] = end
-            guard()
-
-    elif mnemonic == "load":
-        dst, base = operands
-        read_u32 = memory.read_u32
-
-        def op(process, v):
-            v[dst] = read_u32(v[base])
-            v["eip"] = end
-
-    elif mnemonic in ("inc", "dec"):
-        name = operands[0]
-        delta = 1 if mnemonic == "inc" else -1
-
-        def op(process, v):
-            result = (v[name] + delta) & MASK32
-            v[name] = result
-            if flags_needed:
-                flags = v["eflags"]
-                v["eflags"] = (flags | ZF_BIT) if result == 0 else (flags & _NOT_ZF)
-            v["eip"] = end
-
-    elif mnemonic == "cdq":
-        def op(process, v):
-            v["edx"] = 0xFFFFFFFF if v["eax"] & 0x80000000 else 0
-            v["eip"] = end
-
-    elif mnemonic == "leave":
-        # Interpreter ordering: esp takes ebp *before* the pop's load, so a
-        # fault on the load leaves esp already moved (and eip on this insn).
-        read_u32 = memory.read_u32
-
-        def op(process, v):
-            v["esp"] = v["ebp"]
-            value = read_u32(v["esp"])
-            v["esp"] = (v["esp"] + 4) & MASK32
-            v["ebp"] = value
-            v["eip"] = end
-
-    else:  # pragma: no cover - classification and compiler kept in sync
-        raise IllegalInstruction(insn.address, insn.raw,
-                                 f"uncompilable mnemonic {mnemonic}")
-
-    return op
 
 
 # -- taint propagation (see repro.obs.taint) -------------------------------------

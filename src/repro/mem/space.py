@@ -153,7 +153,7 @@ class AddressSpace:
     def page_generation_span(self, address: int, length: int) -> Tuple[Tuple[int, int], ...]:
         """Snapshot ``(page, generation)`` for every page a byte range spans.
 
-        The validation stamp used by the decode and block caches: cheap
+        The validation stamp used by the decode cache: cheap
         (one dict probe per page, no segment resolution) and taken over the
         exact bytes a cached decode was derived from.
         """

@@ -161,11 +161,9 @@ class Collector(RunObserver):
             if observer is not None) + (self,)
 
     def end_run(self, process, counters: Dict[str, int]) -> None:
-        """Flush a run's cache counters and built block lengths."""
+        """Flush a run's cache counters."""
         for name, delta in counters.items():
             self.metrics.inc(name, delta)
-        for length in process.block_cache.built_lengths:
-            self.metrics.observe("block.length", length)
 
     def _sample_grid(self) -> None:
         if self.series is not None:

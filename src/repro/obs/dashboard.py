@@ -145,14 +145,6 @@ def render_dashboard(collector: "Collector",
         for name, count in data.opcode_table(5):
             lines.append(f"  {name:<28} {count:>8}  "
                          f"{100.0 * count / total:5.1f}%")
-        blocks = data.block_table(3)
-        if blocks:
-            lines.append(_paint("hot blocks (dispatch economics)", BOLD, color))
-            for row in blocks:
-                lines.append(
-                    f"  {row['entry']:#010x} len={row['length']:<3} "
-                    f"dispatches={row['dispatches']:<6} "
-                    f"steps={row['steps']:<8} builds={row['builds']}")
     taint = getattr(collector, "taint", None)
     if taint is not None:
         lines.append("")

@@ -1,28 +1,22 @@
-"""Deterministic profiling: per-opcode/per-block cost attribution and
-guest flamegraphs over the simulated clock.
+"""Deterministic profiling: per-opcode cost attribution and guest
+flamegraphs over the simulated clock.
 
-The decode cache (PR 3) and superblock translation (PR 7) made the
-emulator faster, but only in aggregate — nothing said *where* the
-remaining cycles go.  This layer attributes simulated cost with zero
-effect on outcomes, the same contract every other ``observer=`` hook
-honors:
+The decode cache made the emulator faster, but only in aggregate —
+nothing said *where* the remaining steps go.  This layer attributes
+simulated cost with zero effect on outcomes, the same contract every
+other run observer honors:
 
 * **Per-opcode attribution** — each completed guest instruction costs
   exactly one step-budget unit, so an opcode's "cost" is its step count
   and its share of the run's budget.  Native (libc model) invocations
   cost one unit too and appear as ``native:<name>`` lines, which makes
   the profiler's summed step count equal the run loop's ``steps`` on
-  the same run, with blocks on or off.
-* **Per-address heat** — how often each guest pc executed (the map a
-  JIT-threshold or trace-selection heuristic would consume).
-* **Per-superblock economics** — dispatches, executed steps, and
-  rebuild count per block entry, so compile cost can be amortized
-  against execution (``steps / builds``).
-* **Cache attribution** — the same decode/block cache deltas the run
-  loop flushes into observer counters, recorded per cause (per-entry
-  page-generation invalidation vs whole-cache mapping-epoch flush vs
-  native-registration flush) so the profiler lines reconcile exactly
-  with the ``decode_cache_*`` / ``block_cache_*`` counters.
+  the same run.
+* **Per-address heat** — how often each guest pc executed.
+* **Cache attribution** — the decode-cache deltas the run loop flushes
+  into observer counters, recorded per cause (per-entry page-generation
+  invalidation vs whole-cache mapping-epoch flush) so the profiler lines
+  reconcile exactly with the ``decode_cache_*`` counters.
 * **Guest stack samples** — every ``sample_interval`` completed steps
   the profiler reuses the postmortem return-address walk to capture the
   guest call stack, symbolizes it through the loader's symbol tables
@@ -35,17 +29,10 @@ Determinism model
 
 Sampling is counted in *completed guest steps*, and the counter is
 reset at every run-loop entry, so sample points are a pure function of
-the workload.  Block dispatch **stays enabled** under profiling (unlike
-tracing and taint, which force the per-instruction path): a compiled
-block carries its mnemonic/address line, the run loop reports how many
-of its instructions completed, and the profiler sums them into the same
-per-opcode lines single-stepping would produce.  The one interaction is :meth:`~DeterministicProfiler.
-admits_block` — a block that would *cross* a sample boundary is
-declined, so the run loop single-steps up to the boundary and every
-sample observes the exact architectural state the per-step path would
-have had.  Folded stacks and opcode tables are therefore byte-identical
-with blocks on or off, and profiled runs are outcome-bit-identical to
-unprofiled runs.
+the workload.  Every step reaches the profiler through ``on_insn`` or
+``on_native``, so each sample sees the exact architectural state after
+its step, and profiled runs are outcome-bit-identical to unprofiled
+runs.
 
 Worker merge mirrors :meth:`~repro.obs.spans.Tracer.adopt`: workers
 ship a picklable :class:`ProfileData` snapshot and the parent folds
@@ -54,7 +41,7 @@ merged profile is byte-identical to the sequential sweep's.
 
 Wall-clock time never enters :class:`ProfileData`: real seconds per
 layer come from the end-to-end benchmark (``benchmarks/e2e``), the same
-split PR 6 made between deterministic results artifacts and
+split the sweep layer makes between deterministic results artifacts and
 wall-dependent sweep telemetry.
 """
 
@@ -66,15 +53,15 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..cpu.emulator import CACHE_COUNTERS, RunObserver
 from .postmortem import _return_walk
 
-PROFILE_SCHEMA = "repro-profile/v1"
+PROFILE_SCHEMA = "repro-profile/v2"
 
 #: Default stack-sampling period, in completed guest steps.  Prime, so
-#: sample points do not phase-lock with loop bodies or block lengths,
+#: sample points do not phase-lock with loop bodies,
 #: and small enough that the canonical attack scenario's short guest
 #: runs (~90 steps of injected payload) still collect samples.
 DEFAULT_SAMPLE_INTERVAL = 23
 
-#: Heat-map and block-table rows kept in exports (full maps stay in
+#: Heat-map rows kept in exports (full maps stay in
 #: memory; exports cap so campaign artifacts stay small).
 EXPORT_LIMIT = 64
 
@@ -97,8 +84,6 @@ class ProfileData:
         self.opcodes: Dict[str, int] = {}
         #: guest address -> times an instruction at it completed.
         self.heat: Dict[int, int] = {}
-        #: block entry address -> {"length", "dispatches", "steps", "builds"}.
-        self.blocks: Dict[int, Dict[str, int]] = {}
         #: cache-attribution lines (see :data:`CACHE_LINES`).
         self.cache: Dict[str, int] = {}
         #: folded guest stack (outermost-first frame names) -> samples.
@@ -106,7 +91,6 @@ class ProfileData:
         self.sample_count = 0
         self.steps = 0
         self.native_steps = 0
-        self.block_steps = 0
         self.runs = 0
 
     # -- merge -----------------------------------------------------------------
@@ -121,14 +105,6 @@ class ProfileData:
             self.opcodes[name] = self.opcodes.get(name, 0) + count
         for address, count in other.heat.items():
             self.heat[address] = self.heat.get(address, 0) + count
-        for entry, stats in other.blocks.items():
-            mine = self.blocks.get(entry)
-            if mine is None:
-                self.blocks[entry] = dict(stats)
-            else:
-                mine["length"] = stats["length"]
-                for key in ("dispatches", "steps", "builds"):
-                    mine[key] += stats[key]
         for name, count in other.cache.items():
             self.cache[name] = self.cache.get(name, 0) + count
         for stack, count in other.samples.items():
@@ -136,7 +112,6 @@ class ProfileData:
         self.sample_count += other.sample_count
         self.steps += other.steps
         self.native_steps += other.native_steps
-        self.block_steps += other.block_steps
         self.runs += other.runs
 
     def copy(self) -> "ProfileData":
@@ -144,13 +119,11 @@ class ProfileData:
         data = ProfileData(self.sample_interval)
         data.opcodes = dict(self.opcodes)
         data.heat = dict(self.heat)
-        data.blocks = {entry: dict(stats) for entry, stats in self.blocks.items()}
         data.cache = dict(self.cache)
         data.samples = dict(self.samples)
         data.sample_count = self.sample_count
         data.steps = self.steps
         data.native_steps = self.native_steps
-        data.block_steps = self.block_steps
         data.runs = self.runs
         return data
 
@@ -165,15 +138,6 @@ class ProfileData:
         rows = sorted(self.heat.items(), key=lambda kv: (-kv[1], kv[0]))
         return rows[:top] if top is not None else rows
 
-    def block_table(self, top: Optional[int] = None) -> List[Dict[str, int]]:
-        """Per-block economics, hottest (most executed steps) first."""
-        rows = [
-            {"entry": entry, **stats}
-            for entry, stats in sorted(
-                self.blocks.items(), key=lambda kv: (-kv[1]["steps"], kv[0]))
-        ]
-        return rows[:top] if top is not None else rows
-
     # -- export ----------------------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -182,7 +146,6 @@ class ProfileData:
             "sample_interval": self.sample_interval,
             "steps": self.steps,
             "native_steps": self.native_steps,
-            "block_steps": self.block_steps,
             "runs": self.runs,
             "opcodes": {name: count for name, count in self.opcode_table()},
             "heat": [
@@ -190,8 +153,6 @@ class ProfileData:
                 for address, count in self.hot_addresses(EXPORT_LIMIT)
             ],
             "heat_sites": len(self.heat),
-            "blocks": self.block_table(EXPORT_LIMIT),
-            "blocks_total": len(self.blocks),
             "cache": {
                 name: self.cache.get(name, 0)
                 for name in CACHE_LINES if name in self.cache
@@ -274,11 +235,8 @@ class DeterministicProfiler(RunObserver):
     def end_run(self, process, counters: Dict[str, int]) -> None:
         """Run-loop exit: fold in the run's cache-counter deltas and flush
         one final sample if steps ran since the last boundary (the
-        run-end analog of ``Collector.sample()``).
-
-        Guest state at run exit is pinned identical with blocks on or
-        off, so the flush sample is too — and short runs (the 12-step
-        ARM payload) still contribute at least one stack.
+        run-end analog of ``Collector.sample()``), so short runs (the
+        12-step ARM payload) still contribute at least one stack.
         """
         if self.sample_interval and self._since:
             self._since = 0
@@ -287,23 +245,15 @@ class DeterministicProfiler(RunObserver):
         for name, delta in counters.items():
             cache[name] = cache.get(name, 0) + delta
 
-    def admits_block(self, length: int) -> bool:
-        """May a whole block of ``length`` instructions run before the
-        next sample boundary?  A block that would cross it is declined —
-        the run loop single-steps instead, so the sample is taken at the
-        exact architectural state the per-step path produces."""
-        return (self.sample_interval == 0
-                or self._since + length <= self.sample_interval)
-
     def on_insn(self, process, insn) -> None:
-        """One interpreter-path instruction completed."""
+        """One guest instruction completed."""
         data = self.data
         data.steps += 1
         mnemonic = insn.mnemonic
         data.opcodes[mnemonic] = data.opcodes.get(mnemonic, 0) + 1
         address = insn.address
         data.heat[address] = data.heat.get(address, 0) + 1
-        self._advance(process, 1)
+        self._advance(process)
 
     def on_native(self, process, native, address: int) -> None:
         """One native (libc model) invocation completed (one step unit)."""
@@ -313,48 +263,12 @@ class DeterministicProfiler(RunObserver):
         name = "native:" + (getattr(native, "name", None) or "?")
         data.opcodes[name] = data.opcodes.get(name, 0) + 1
         data.heat[address] = data.heat.get(address, 0) + 1
-        self._advance(process, 1)
+        self._advance(process)
 
-    def on_block(self, process, block, executed: int) -> None:
-        """A block dispatch completed ``executed`` of its instructions.
-
-        Summed into the same per-opcode/per-address lines the per-step
-        path produces.  ``admits_block`` guaranteed no sample boundary
-        falls strictly inside the block, so at most the *final*
-        instruction lands on one — at which point guest state is exactly
-        the per-step state after that instruction.
-        """
-        data = self.data
-        stats = self._block_stats(block)
-        stats["dispatches"] += 1
-        stats["steps"] += executed
-        data.steps += executed
-        data.block_steps += executed
-        opcodes = data.opcodes
-        heat = data.heat
-        mnemonics = block.mnemonics
-        addresses = block.addresses
-        for index in range(executed):
-            mnemonic = mnemonics[index]
-            opcodes[mnemonic] = opcodes.get(mnemonic, 0) + 1
-            address = addresses[index]
-            heat[address] = heat.get(address, 0) + 1
-        self._advance(process, executed)
-
-    def on_build(self, block) -> None:
-        """A block was (re)compiled: charge its entry's amortization line."""
-        self._block_stats(block)["builds"] += 1
-
-    def _block_stats(self, block) -> Dict[str, int]:
-        stats = self.data.blocks.setdefault(block.entry, {
-            "length": block.length, "dispatches": 0, "steps": 0, "builds": 0})
-        stats["length"] = block.length
-        return stats
-
-    def _advance(self, process, steps: int) -> None:
-        """Count completed steps; sample the stack at each boundary."""
+    def _advance(self, process) -> None:
+        """Count one completed step; sample the stack at each boundary."""
         if self.sample_interval:
-            self._since += steps
+            self._since += 1
             if self._since >= self.sample_interval:
                 self._since = 0
                 self._take_sample(process)
@@ -497,11 +411,10 @@ def validate_speedscope(payload: Any) -> int:
 
 
 def render_profile(data: ProfileData, *, top: int = 10) -> str:
-    """Deterministic text report: opcode/block/cache attribution tables."""
+    """Deterministic text report: opcode and cache attribution tables."""
     lines = [
         f"deterministic profile: {data.steps} steps "
-        f"({data.block_steps} via blocks, {data.native_steps} native, "
-        f"{data.runs} runs)",
+        f"({data.native_steps} native, {data.runs} runs)",
     ]
     total = data.steps or 1
     rows = data.opcode_table(top)
@@ -511,17 +424,6 @@ def render_profile(data: ProfileData, *, top: int = 10) -> str:
         for name, count in rows:
             lines.append(
                 f"    {name:<{width}}  {count:>10}  {100.0 * count / total:5.1f}%")
-    blocks = data.block_table(top)
-    if blocks:
-        lines.append(
-            f"  hot blocks (of {len(data.blocks)}): "
-            f"entry len dispatches steps builds steps/build")
-        for row in blocks:
-            amortized = (row["steps"] / row["builds"]) if row["builds"] else 0.0
-            lines.append(
-                f"    {row['entry']:#010x} {row['length']:>3} "
-                f"{row['dispatches']:>10} {row['steps']:>8} "
-                f"{row['builds']:>6} {amortized:>11.1f}")
     if data.cache:
         lines.append("  cache attribution:")
         for name in CACHE_LINES:

@@ -184,8 +184,6 @@ class TaintEngine(RunObserver):
     provenance record is cumulative, like the profiler's sample log).
     """
 
-    per_step = True
-
     def __init__(self) -> None:
         #: Back-reference set by ``Collector.attach_taint`` (may stay
         #: ``None`` for direct use; metrics/events are skipped then).

@@ -73,6 +73,16 @@ class TestCommands:
                      id="run-trial-timeout"),
         pytest.param(["run", "E16", "--retries", "-1"], id="run-retries"),
         pytest.param(["run", "E16", "--workers", "-1"], id="run-workers"),
+        pytest.param(["bruteforce", "--max-attempts", "-3"],
+                     id="bruteforce-max-attempts"),
+        pytest.param(["bruteforce", "--max-attempts", "0"],
+                     id="bruteforce-max-attempts-zero"),
+        pytest.param(["gadgets", "--limit", "-1"], id="gadgets-limit"),
+        pytest.param(["offpath", "--burst", "-1"], id="offpath-burst"),
+        pytest.param(["offpath", "--burst", "0"], id="offpath-burst-zero"),
+        pytest.param(["offpath", "--burst", "70000"], id="offpath-burst-range"),
+        pytest.param(["offpath", "--max-queries", "-2"],
+                     id="offpath-max-queries"),
     ])
     def test_rejects_bad_numeric_input(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -108,6 +118,12 @@ class TestCommands:
         assert main(["gadgets", "--arch", "x86", "--limit", "5"]) == 0
         out = capsys.readouterr().out
         assert "total)" in out
+
+    def test_gadgets_limit_zero_lists_no_gadget(self, capsys):
+        assert main(["gadgets", "--arch", "x86", "--limit", "0"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("... (") and lines[0].endswith(" total)")
+        assert len(lines) == 2  # the total, then the finder summary
 
     def test_recon_blind(self, capsys):
         assert main(["recon", "--arch", "x86", "--aslr"]) == 0
@@ -147,21 +163,21 @@ class TestCommands:
 #: to run.
 OBSERVE_DIGESTS = [
     ("chaos --emit metrics",
-     "1a8bcfae964c1df6140b0afa43dc0134aa06c9419125cb5bff486067d194b04a"),
+     "fd3c1e4142589547f248b695b743f4912e2b3acf6bea5d14422ec5995553ac4c"),
     ("chaos --emit metrics --json",
-     "a7fc99c82457620479b09d6a8a524ca52bfd0ac3b6a3905e7074b4e02296e60e"),
+     "7b56008f73342a3986d64c22735a69c9455d1e579990216574a48b3c48a24cb5"),
     ("chaos --emit openmetrics",
-     "380a3ef0877ea495f5050782494d1f23e67eb89303ac2b503ecb2e363bbd68ec"),
+     "a6186481b981e1ae3d3fa2b84d103de2f3580fc54a795d7f6a292088a8d590ec"),
     ("chaos --emit metrics --json --queries 8 --attack-budget 6",
-     "7db4ff0e62b1107fdd1854fbfe4a382fbe0e5bba1a255aa58e35d94c7a87bb9b"),
+     "a8933c7670b7b409e7b5e083c3f350e3e62dda61a201a96fcdafb8e56c709145"),
     ("chaos --emit openmetrics --queries 4 --attack-budget 2",
-     "02685c0355b98969ff94a47c672a07460f9d7c5f1b0e1f7f5b55cf03ffe8046d"),
+     "d638f0aa0771ebfcf14f333ab8f50dc473410e070a8e1a68ecd470e974dd27c1"),
     ("chaos --emit events",
      "dc99823df9186ad0cae058c21580efc8278dfb82942555922cc328c0a0f2b14a"),
     ("chaos --emit events --json",
-     "31a585011af959955822303e05dadd197b4a32c0c1276950597b4f4d36325ea2"),
+     "33e0e69c7a146957b58ff81e80e57b48223bad857a6ffbc91e283f8b8c5a99c3"),
     ("chaos --emit events --json --queries 8 --attack-budget 6",
-     "9232f775d2a8ed16f68ff246eec6a5aa52006abd1f151f720571f6f66bd7967f"),
+     "6b59f3219bcf164c0ed406ef8818b484751c3e465bca49382af9336a7678e91d"),
     ("chaos --emit events --limit 5",
      "ef7c730ba791d1c5704d7b1d8f7ce5f27b6225e5adbf8760ce9808aefd88c9d5"),
     ("attack --emit spans",
@@ -171,11 +187,11 @@ OBSERVE_DIGESTS = [
     ("attack --emit spans --arch arm --level wx",
      "8df94d0787d8ce8910b63b1d92d8b88affc1d6bdeb0d36d9d6079636dffaba49"),
     ("attack --emit chrome",
-     "b6196b99236c51f8f096efc52678c5d6db505b5870e9b0f54849575cf46bd17a"),
+     "e82fe35bc09eb120ade6feb38a30f1df5eee4ad590c8967d2cf95763204b4bac"),
     ("attack --emit chrome --compact",
-     "5cc6f2ae8ce0437009a52c9b1d42fd6d1dfa51dec615cb439ebe2e9d9d1e55d8"),
+     "0258ff282abdc4aacb016c42a80ec14bfa4cf3715de684a389f0d982c37bd95c"),
     ("attack --emit profile",
-     "78258194c0f2358fd0204d22dfdc20f6b6a026132d2177b268b5756774cbf41b"),
+     "aca1d74cf53f347ae3fda5399e703b2c5bba965b25288aa394ab442759885564"),
     ("attack --arch x86 --emit folded",
      "5c191c1590efc11e11a7424262f8d4371596ee47c168f3dcdf30d7d411a1efd0"),
     ("attack --arch arm --emit folded",
@@ -183,13 +199,13 @@ OBSERVE_DIGESTS = [
     ("attack --emit speedscope",
      "d129646e7c0d52c3fd34c2796fdb7aceee3f1734b818e920cd6ea7c84da718a5"),
     ("attack --arch x86 --emit profile --top 5",
-     "a591627bcdccb612b67623d88052f87c5dd9d4f688aedfaaa914fc4f9911b970"),
+     "690bc96e3093cc41835de4ea5767db121b5413e3c324e06555249da82494cbc4"),
     ("attack --emit profile --json",
-     "694f036bf3b107061ad4511e784022ffd4155580ce38f959c984bea09dccb5a5"),
+     "e407bc72c88ba3e01a44f06592a4114fe575ba780b456e51dffecf61c8868975"),
     ("crash --emit profile --seed 2910",
-     "210c5aab58220d86838f83b3649b9a2c8753a6c7e3f19784a87a5c3b803d0cc8"),
+     "59170032358e6bd82c4da415db8de6427961ad2872efd19534af18e5725c772b"),
     ("chaos --emit profile --seed 2910",
-     "804e9d8706d01a89b8cc4cff3b07f9fe7d307e0c28147b1470d2c3d0ad538a92"),
+     "0275d2818b646cc363d1c822aba0b18c914277004c6274d3654b6b55136c3cf8"),
     ("crash --emit postmortem",
      "c801f1b5fed2506f8253d8b7b49cec0b8c3ca53f1261d3f0713248290b5eb6a4"),
     ("crash --emit postmortem --json",

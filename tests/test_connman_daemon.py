@@ -1,9 +1,14 @@
 """Daemon lifecycle, proxy data path, and overflow semantics."""
 
+import gc
+import random
+import weakref
+
 import pytest
 
 from repro.connman import ConnmanDaemon, EventKind
-from repro.core import naive_overflow_blob
+from repro.core import AttackScenario, attacker_knowledge, naive_overflow_blob
+from repro.core.reliability import STUDY_PLAN
 from repro.defenses import NONE, WX_ASLR, ProtectionProfile
 from repro.dns import (
     Message,
@@ -13,6 +18,8 @@ from repro.dns import (
     fixed_blob_server,
     make_query,
 )
+from repro.exploit import AslrBruteForcer, deliver
+from repro.exploit.builders import X86Ret2Libc
 from tests.conftest import fresh_daemon
 
 
@@ -204,3 +211,48 @@ class TestDiversitySeedBoot:
             "d.example",
         )
         assert result.address == "4.4.4.4"
+
+
+class TestRestartFreesTheVictim:
+    """A restarted victim's process and address space die by refcount.
+
+    Nothing may hold the old process in a reference cycle: with the cycle
+    collector off, the weakrefs must be dead right after ``restart()``.
+    Workloads that restart thousands of victims depend on it.
+    """
+
+    @pytest.fixture(autouse=True)
+    def no_cycle_collector(self):
+        gc.disable()
+        yield
+        gc.enable()
+
+    @staticmethod
+    def _refs(victim):
+        process = victim.loaded.process
+        return weakref.ref(process), weakref.ref(process.memory)
+
+    def test_after_root_shell_delivery(self):
+        # E14's x86 ret2libc row, expected to succeed on every boot.
+        label, arch, builder_cls, recon, _blind, profile, expectation = next(
+            row for row in STUDY_PLAN if row[:2] == ("ret2libc", "x86"))
+        assert expectation == "always"
+        exploit = builder_cls().build(
+            attacker_knowledge(AttackScenario(arch, "reliability", recon)))
+        victim = ConnmanDaemon(arch=arch, profile=profile, rng=random.Random(14))
+        report = deliver(exploit, victim, rng=random.Random(14))
+        assert report.got_root_shell
+        process, memory = self._refs(victim)
+        victim.restart()
+        assert process() is None and memory() is None
+
+    def test_after_crashed_wrong_slide_guess(self):
+        # One E10 brute-force attempt whose libc slide guess is wrong.
+        victim = ConnmanDaemon(arch="x86", profile=WX_ASLR, rng=random.Random(10))
+        forcer = AslrBruteForcer(victim, max_attempts=1, rng=random.Random(10))
+        exploit = X86Ret2Libc().build(forcer.knowledge_for_slide(0))
+        report = deliver(exploit, victim, rng=random.Random(10))
+        assert (report.event.kind, report.event.signal) == (EventKind.CRASHED, "SIGSEGV")
+        process, memory = self._refs(victim)
+        victim.restart()
+        assert process() is None and memory() is None

@@ -239,23 +239,20 @@ class TestMetricsMerge:
 
 class TestDispatchBench:
     def test_tight_loop_dispatch_counters(self):
-        # The contract benchmarks/e2e reads (steps_per_s per arch, blocks
-        # on/off), plus the deterministic cache counters behind it.
+        # benchmarks/e2e still passes blocks_enabled and reads steps_per_s
+        # per arch; the keyword must change no counter.
         budget = 1200
         for arch in ("x86", "arm"):
-            off = run_dispatch_bench(arch, budget, blocks_enabled=False)
-            on = run_dispatch_bench(arch, budget, blocks_enabled=True)
-            assert off["steps"] == on["steps"] == budget
-            # Budget exhaustion ends the run as a hung-process kill.
-            assert off["outcome"] == on["outcome"] == "fault"
-            assert off["block_steps"] == off["block_builds"] == 0
-            # Decode-cache floor: the 9-instruction loop decodes each
-            # instruction once, far past 3x fewer calls than steps.
-            assert off["decode_calls"] == 9
-            assert off["cache_hits"] == budget - 9
-            # 9-insn loop: all but the final budget remainder runs in
-            # blocks.  (The remainder single-steps and may build small tail
-            # blocks it never executes, so builds is small but not 1.)
-            assert on["block_steps"] / budget >= 0.99
-            assert 1 <= on["block_builds"] <= 4
-            assert off["steps_per_s"] > 0 and on["steps_per_s"] > 0
+            runs = [run_dispatch_bench(arch, budget, blocks_enabled=enabled)
+                    for enabled in (True, False)]
+            for run in runs:
+                assert run["steps"] == budget
+                # Budget exhaustion ends the run as a hung-process kill.
+                assert run["outcome"] == "fault"
+                # The 9-instruction loop decodes each instruction once.
+                assert run["decode_calls"] == 9
+                assert run["cache_hits"] == budget - 9
+                assert run["steps_per_s"] > 0
+            on, off = ({key: value for key, value in run.items()
+                        if key not in ("wall_s", "steps_per_s")} for run in runs)
+            assert on == off

@@ -1,26 +1,23 @@
 """Deterministic profiling: attribution accuracy and observation purity.
 
 The profiler's contract has three legs, and this file pins all of them:
-its step accounting must agree exactly with the run loop's (and with a
-blocks-off run, which executes one instruction per dispatch), its
-attribution output must be byte-identical with block dispatch on or
-off and across worker counts, and attaching it must change no outcome —
-the observed scenarios behind E2, E3, and E16 produce the same verdicts
-profiled or not.
+its step accounting must agree exactly with the run loop's, its
+attribution output must be byte-identical across worker counts, and
+attaching it must change no outcome — the observed scenarios behind E2,
+E3, and E16 produce the same verdicts profiled or not.
 """
 
 import json
 
 import pytest
 
-from repro.cpu import BlockCache, Process, make_emulator
+from repro.cpu import Process, make_emulator
 from repro.mem import AddressSpace, Perm, Segment
 from repro.obs import (
     CACHE_LINES,
     Collector,
     DeterministicProfiler,
     ProfileData,
-    folded_stacks,
     validate_speedscope,
 )
 
@@ -36,9 +33,8 @@ def loop_process():
     return process
 
 
-def profiled_run(max_steps, *, sample_interval=0, blocks=True):
+def profiled_run(max_steps, *, sample_interval=0):
     process = loop_process()
-    process.block_cache.enabled = blocks
     profiler = DeterministicProfiler(sample_interval=sample_interval)
     process.observers = (profiler,)
     result = make_emulator(process).run(max_steps=max_steps)
@@ -47,28 +43,17 @@ def profiled_run(max_steps, *, sample_interval=0, blocks=True):
 
 class TestStepAccounting:
     def test_per_step_run_steps_equal_profiler_summed_steps(self):
-        # A blocks-off run executes one instruction per dispatch; the
-        # profiler keeps blocks enabled.  Both must account for exactly
-        # the same number of step-budget units.
-        per_step = loop_process()
-        per_step.block_cache.enabled = False
-        per_step_result = make_emulator(per_step).run(max_steps=500)
+        # An unprofiled run and a profiled one account for exactly the
+        # same number of step-budget units.
+        unprofiled = make_emulator(loop_process()).run(max_steps=500)
 
-        result, profiler = profiled_run(500)
-        assert per_step_result.steps == 500
-        assert per_step.block_cache.steps == 0
-        assert profiler.data.block_steps > 0
-        assert profiler.data.steps == result.steps == per_step_result.steps
-        assert sum(profiler.data.opcodes.values()) == per_step_result.steps
-
-    def test_block_and_interpreter_paths_sum_to_total(self):
         result, profiler = profiled_run(500)
         data = profiler.data
-        assert data.block_steps > 0
-        assert data.block_steps < data.steps  # budget tail single-steps
-        assert sum(stats["steps"] for stats in data.blocks.values()) \
-            == data.block_steps
+        assert unprofiled.steps == result.steps == data.steps == 500
+        # 55 laps of 8 inc + jmp, then 5 more incs.
+        assert data.opcodes == {"inc": 445, "jmp": 55}
         assert sum(data.heat.values()) == data.steps
+        assert data.heat[0x1000] == 56 and data.heat[0x1008] == 55
 
     def test_native_steps_appear_as_opcode_lines(self):
         from repro.core import run_observed_attack
@@ -88,42 +73,6 @@ class TestStepAccounting:
             if not name.startswith("native:")) == data.steps
 
 
-class TestBlocksParity:
-    """Attribution output is byte-identical with blocks on or off."""
-
-    def _attack_profile(self):
-        from repro.core import run_observed_attack
-
-        collector = Collector()
-        profiler = collector.attach_profiler(DeterministicProfiler())
-        run = run_observed_attack(observer=collector)
-        return run, profiler
-
-    def test_folded_and_opcode_tables_identical(self, monkeypatch):
-        monkeypatch.setattr(BlockCache, "enabled_by_default", True)
-        run_on, prof_on = self._attack_profile()
-        monkeypatch.setattr(BlockCache, "enabled_by_default", False)
-        run_off, prof_off = self._attack_profile()
-        assert prof_on.folded() == prof_off.folded()
-        assert prof_on.folded()  # and non-empty
-        assert prof_on.data.opcode_table() == prof_off.data.opcode_table()
-        assert prof_on.data.heat == prof_off.data.heat
-        assert prof_on.data.steps == prof_off.data.steps
-        assert prof_on.data.sample_count == prof_off.data.sample_count
-        # Outcomes too, not just attribution.
-        assert run_on.event.kind == run_off.event.kind
-        assert prof_on.data.block_steps > 0
-        assert prof_off.data.block_steps == 0
-
-    def test_synthetic_loop_attribution_identical(self):
-        _result, prof_on = profiled_run(300, sample_interval=23)
-        _result, prof_off = profiled_run(300, sample_interval=23, blocks=False)
-        assert folded_stacks(prof_on.data) == folded_stacks(prof_off.data)
-        assert prof_on.data.opcodes == prof_off.data.opcodes == {
-            "inc": 267, "jmp": 33}
-        assert prof_on.data.heat == prof_off.data.heat
-
-
 class TestCacheReconciliation:
     def test_profiler_cache_lines_match_observer_counters(self):
         from repro.core import run_observed_attack
@@ -134,7 +83,8 @@ class TestCacheReconciliation:
         counters = collector.metrics.counters()
         for name in CACHE_LINES:
             assert profiler.data.cache.get(name, 0) == counters.get(name, 0), name
-        assert profiler.data.cache["decode_cache_hits"] > 0
+        # The attack's guest code runs straight through: every decode misses.
+        assert profiler.data.cache["decode_cache_misses"] > 0
 
 
 class TestWorkerMergeParity:
@@ -195,7 +145,7 @@ class TestOutcomeParity:
             counters = {
                 name: value
                 for name, value in collector.metrics.counters().items()
-                if not name.startswith(("decode_cache_", "block_cache_"))
+                if not name.startswith("decode_cache_")
             }
             outcomes.append({
                 "event": run.event.kind.value if run.event else None,
@@ -270,24 +220,3 @@ class TestFlamegraphFormats:
         assert profiler.data.sample_count == 0
         assert profiler.folded() == ""
         assert profiler.data.steps == 300  # attribution still runs
-
-
-class TestFlushCauseAttribution:
-    def test_native_registration_attributed_separately(self):
-        from repro.cpu.native import NativeFunction
-        from repro.cpu.events import _EmulationStop
-
-        process = loop_process()
-        profiler = DeterministicProfiler(sample_interval=0)
-        process.observers = (profiler,)
-        emulator = make_emulator(process)
-        emulator.run(max_steps=50)
-
-        def handler(proc):
-            raise _EmulationStop("exit", "probe")
-
-        process.register_native(0x1002, NativeFunction("probe", handler))
-        process.pc = 0x1000
-        emulator.run(max_steps=50)
-        assert profiler.data.cache["block_cache_native_flushes"] >= 1
-        assert profiler.data.cache["block_cache_epoch_flushes"] == 0

@@ -2,10 +2,9 @@
 
 Trace recorder, taint engine, profiler and collector are plain
 :class:`~repro.cpu.RunObserver` implementations in ``Process.observers``.
-This file pins the loop's side of the contract on both ISAs, with block
-dispatch on and off: every run is bracketed by exactly one ``begin_run``
-and one ``end_run`` however it ends, and the step hooks account for
-exactly ``result.steps``.  It also pins the observers' side: all four
+This file pins the loop's side of the contract on both ISAs: every run
+is bracketed by exactly one ``begin_run`` and one ``end_run`` however it
+ends, and the step hooks account for exactly ``result.steps``.  It also pins the observers' side: all four
 attached at once change no outcome, and none changes another's export.
 """
 
@@ -17,7 +16,7 @@ import pytest
 
 from repro.connman import ConnmanDaemon
 from repro.core import AttackScenario, attacker_knowledge, run_observed_attack
-from repro.cpu import BlockCache, Process, RunObserver, TraceRecorder, make_emulator
+from repro.cpu import Process, RunObserver, TraceRecorder, make_emulator
 from repro.cpu.arm import asm as arm
 from repro.cpu.events import _EmulationStop
 from repro.cpu.native import NativeFunction
@@ -32,10 +31,8 @@ STACK_TOP = 0x20800
 
 
 class CountingObserver(RunObserver):
-    def __init__(self, per_step):
-        self.per_step = per_step
+    def __init__(self):
         self.calls = Counter()
-        self.block_steps = 0
         self.counters = None
 
     def begin_run(self, process):
@@ -51,10 +48,6 @@ class CountingObserver(RunObserver):
     def on_native(self, process, native, pc):
         assert pc == NATIVE
         self.calls["on_native"] += 1
-
-    def on_block(self, process, block, executed):
-        self.calls["on_block"] += 1
-        self.block_steps += executed
 
     def end_run(self, process, counters):
         self.calls["end_run"] += 1
@@ -106,17 +99,13 @@ def _process(arch, base, code):
 
 
 class TestLoopContract:
-    @pytest.mark.parametrize("per_step", [False, True], ids=["plain", "per-step"])
-    @pytest.mark.parametrize("blocks", [True, False], ids=["blocks-on", "blocks-off"])
     @pytest.mark.parametrize("ending", ["budget", "fault", "stop"])
     @pytest.mark.parametrize("program", [x86_program, arm_program],
                              ids=["x86", "arm"])
-    def test_hooks_bracket_and_count_every_step(self, program, ending, blocks,
-                                                 per_step):
+    def test_hooks_bracket_and_count_every_step(self, program, ending):
         process = program(ending)
         process.register_native(NATIVE, _native(ending))
-        process.block_cache.enabled = blocks
-        observer = CountingObserver(per_step)
+        observer = CountingObserver()
         process.observers = (observer,)
         emulator = make_emulator(process)
         result = emulator.run(max_steps=200)
@@ -126,17 +115,11 @@ class TestLoopContract:
         assert (result.signal == "SIGKILL") == (ending == "budget")
         calls = observer.calls
         assert calls["begin_run"] == calls["end_run"] == 1
-        assert (calls["on_insn"] + calls["on_native"] + observer.block_steps
-                == result.steps)
+        assert calls["on_insn"] + calls["on_native"] == result.steps
         assert calls["on_native"] >= 1
-        if per_step or not blocks:
-            assert calls["on_block"] == 0
-        if per_step:
-            # The step that faulted or stopped was announced but never
-            # completed; an exhausted budget announces nothing extra.
-            assert calls["before_step"] == result.steps + (ending != "budget")
-        else:
-            assert calls["before_step"] == 0
+        # The step that faulted or stopped was announced but never
+        # completed; an exhausted budget announces nothing extra.
+        assert calls["before_step"] == result.steps + (ending != "budget")
         assert (observer.counters["decode_cache_misses"]
                 == process.decode_cache.misses)
 
@@ -201,22 +184,9 @@ class TestObserversTogether:
                 == victim.loaded.process.spawns)
 
     @pytest.mark.parametrize("arch, level", [("arm", "wx+aslr"), ("x86", "none")])
-    def test_each_export_matches_its_solo_run(self, arch, level, monkeypatch):
-        # Per-step observers turn block dispatch off for the whole run, so
-        # the dispatch-dependent lines (block and cache counters) only
-        # line up when the solo runs single-step too.
-        monkeypatch.setattr(BlockCache, "enabled_by_default", False)
+    def test_each_export_matches_its_solo_run(self, arch, level):
         together = _observed_attack(set(EXPORTS), arch, level).collector
         assert together.trace.entries and together.taint.pc_events
         for name, export in EXPORTS.items():
             alone = _observed_attack({name}, arch, level).collector
             assert export(together) == export(alone), name
-
-    def test_exports_that_ignore_dispatch_match_with_blocks_on(self):
-        together = _observed_attack(set(EXPORTS)).collector
-        for name in ("trace", "taint"):
-            alone = _observed_attack({name}).collector
-            assert EXPORTS[name](together) == EXPORTS[name](alone), name
-        alone = _observed_attack({"profiler"}).collector
-        assert together.profiler.folded() == alone.profiler.folded()
-        assert together.profiler.data.opcodes == alone.profiler.data.opcodes

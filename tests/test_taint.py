@@ -146,8 +146,8 @@ class TestOutcomeParity:
                                      attack_budget=3,
                                      observer=_tainted() if taint else Collector())
             payload = report.to_dict()
-            # The telemetry legitimately differs (taint.* counters exist,
-            # block dispatch is declined under taint); the outcomes do not.
+            # The telemetry legitimately differs (taint.* counters exist);
+            # the outcomes do not.
             payload.pop("metrics", None)
             return json.dumps(payload, sort_keys=True)
 
