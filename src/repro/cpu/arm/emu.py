@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from ..emulator import Emulator
 from ..events import IllegalInstruction
-from ..isa import Instruction
+from ..isa import DataFlow, Instruction, Mem
 from ..registers import MASK32
 from ..syscalls import dispatch_arm
 from .disasm import decode
@@ -104,9 +104,13 @@ class ArmEmulator(Emulator):
             self._set_nz((self._read_operand(rn, address) - self._read_operand(operand2, address)) & MASK32)
         elif mnemonic == "pop":
             (reglist,) = insn.operands
+            # LDMIA: lowest register from the pre-step sp upward; r13 in
+            # the list keeps its loaded value over the writeback.
+            sp = process.sp
+            values = [process.memory.read_u32((sp + 4 * i) & MASK32) for i in range(len(reglist))]
+            process.sp = (sp + 4 * len(reglist)) & MASK32
             branch_target = None
-            for name in reglist:  # LDMIA loads lowest register from lowest address.
-                value = process.pop_u32()
+            for name, value in zip(reglist, values):
                 if name == "r15":
                     branch_target = value
                 else:
@@ -118,8 +122,9 @@ class ArmEmulator(Emulator):
                 return
         elif mnemonic == "push":
             (reglist,) = insn.operands
-            for name in reversed(reglist):  # STMDB stores highest register highest.
-                process.push_u32(self._read_operand(name, address))
+            # STMDB: pre-step values (r13 its original sp), highest highest.
+            for value in reversed([self._read_operand(name, address) for name in reglist]):
+                process.push_u32(value)
         elif mnemonic == "bx":
             target = self._read_operand(insn.operands[0], address)
             if process.cfi is not None:
@@ -176,116 +181,48 @@ class ArmEmulator(Emulator):
         process.pc = next_pc
 
 
-# -- taint propagation (see repro.obs.taint) -------------------------------------
+# -- data flow (read by repro.obs.taint and repro.exploit.gadgets) ---------------
 
-def propagate_taint(engine, process, insn, prev) -> None:
-    """Label transfer function mirroring ``_execute``'s data flow.
+_ALU = ("add", "adds", "sub", "subs", "and", "ands", "eor", "eors", "orr", "orrs")
+_CALL = (("r14", ()), ("r15", (0,)))
 
-    Called by :meth:`TaintEngine.step` *after* the instruction retired;
-    ``prev`` is the pre-step register file (memory operand addresses —
-    r13 for push/pop, the base for ldr/str — come from it).  An r15
-    *operand read* yields the constant pc+8, so it never carries labels;
-    flags are not shadowed (explicit flows only).
 
-    Memory writes already passed through ``AddressSpace.write`` untainted
-    (clearing the covered shadow bytes), so stores only need re-seeding
-    when the source register carries labels.
-    """
+def _reglist_row(insn: Instruction):
+    """push/pop: every slot is addressed from the pre-step sp; STMDB stores
+    the lowest register lowest below it, LDMIA loads upward from it."""
+    (reglist,) = insn.operands
+    if insn.mnemonic == "pop":
+        return tuple((name, (Mem("r13", 4 * index),)) for index, name in enumerate(reglist))
+    below = 4 * len(reglist)
+    return tuple((Mem("r13", 4 * index - below), (name,)) for index, name in enumerate(reglist))
 
-    def value_of(operand):
-        if isinstance(operand, int):
-            return operand & MASK32
-        if operand == "r15":
-            return (insn.address + 8) & MASK32
-        return prev[operand] & MASK32
 
-    def labels_of(operand):
-        if isinstance(operand, int) or operand == "r15":
-            return frozenset()
-        return engine.reg_labels(operand)
-
-    shadow = engine.shadow
-    set_reg = engine.set_reg
-    mnemonic = insn.mnemonic
-    operands = insn.operands
-
-    if mnemonic in ("mov", "movs", "mvn", "mvns"):
-        rd, operand2 = operands
-        labels = labels_of(operand2)
-        if rd == "r15" and mnemonic in ("mov", "movs"):
-            # mvn/mvns to r15 falls through in this interpreter.
-            set_reg("r15", labels)
-            engine.note_pc_write(labels, pc=process.pc,
-                                 via=f"{mnemonic} pc, ...")
-            return
-        set_reg(rd, labels)
-    elif mnemonic in ("add", "adds", "sub", "subs", "and", "ands",
-                      "eor", "eors", "orr", "orrs"):
-        rd, rn, operand2 = operands
-        labels = labels_of(rn) | labels_of(operand2)
-        if rd == "r15":
-            set_reg("r15", labels)
-            engine.note_pc_write(labels, pc=process.pc,
-                                 via=f"{mnemonic} pc, ...")
-            return
-        set_reg(rd, labels)
-    elif mnemonic == "pop":
-        (reglist,) = operands
-        base = prev["r13"] & MASK32
-        branch_labels = None
-        slot = None
-        for index, name in enumerate(reglist):
-            labels = shadow.union((base + 4 * index) & MASK32, 4)
-            if name == "r15":
-                branch_labels = labels
-                slot = (base + 4 * index) & MASK32
-            else:
-                set_reg(name, labels)
-        if branch_labels is not None:
-            set_reg("r15", branch_labels)
-            engine.note_pc_write(branch_labels, pc=process.pc,
-                                 via="pop {..., pc}", address=slot)
-            return
-    elif mnemonic == "push":
-        (reglist,) = operands
-        # STMDB: reglist[i] lands at sp - 4*(len - i); r15 pushes pc+8
-        # (a constant, clean).
-        base = prev["r13"] & MASK32
-        for index, name in enumerate(reglist):
-            labels = labels_of(name)
-            if labels:
-                slot = (base - 4 * (len(reglist) - index)) & MASK32
-                shadow.set_range(slot, (labels,) * 4)
-    elif mnemonic in ("bx", "blx"):
-        labels = labels_of(operands[0])
-        set_reg("r15", labels)
-        if mnemonic == "blx":
-            set_reg("r14", frozenset())
-        engine.note_pc_write(labels, pc=process.pc,
-                             via=f"{mnemonic} {operands[0]}")
-        return
-    elif mnemonic in ("b", "bl"):
-        if mnemonic == "bl":
-            set_reg("r14", frozenset())
-    elif mnemonic == "svc":
-        # Syscall results (r0) are host-generated, not wire data.
-        set_reg("r0", frozenset())
-    elif mnemonic in ("ldr", "ldrb"):
-        rd, rn, offset = operands
-        width = 4 if mnemonic == "ldr" else 1
-        labels = shadow.union((value_of(rn) + offset) & MASK32, width)
-        if rd == "r15" and mnemonic == "ldr":
-            set_reg("r15", labels)
-            engine.note_pc_write(labels, pc=process.pc, via="ldr pc, [...]",
-                                 address=(value_of(rn) + offset) & MASK32)
-            return
-        set_reg(rd, labels)
-    elif mnemonic in ("str", "strb"):
-        rd, rn, offset = operands
-        labels = labels_of(rd)
-        if labels:
-            width = 4 if mnemonic == "str" else 1
-            shadow.set_range((value_of(rn) + offset) & MASK32,
-                             (labels,) * width)
-    # cmp writes only flags; b/svc fall through to the clear below.
-    set_reg("r15", frozenset())
+DATA_FLOW = DataFlow(
+    rows={
+        **dict.fromkeys(("mov", "movs", "mvn", "mvns"), ((0, (1,)),)),
+        **dict.fromkeys(_ALU, ((0, (1, 2)),)),
+        "cmp": (),
+        "pop": _reglist_row,
+        "push": _reglist_row,
+        **dict.fromkeys(("bx", "b"), (("r15", (0,)),)),
+        **dict.fromkeys(("blx", "bl"), _CALL),
+        # The syscall result is host-generated, not guest data.
+        "svc": (("r0", ()),),
+        "ldr": ((0, (Mem(1, offset=2),)),),
+        "ldrb": ((0, (Mem(1, width=1, offset=2),)),),
+        "str": ((Mem(1, offset=2), (0,)),),
+        "strb": ((Mem(1, width=1, offset=2), (0,)),),
+    },
+    # mvn and ldrb into r15 fall through in _execute, so they are not here.
+    pc_via={
+        **dict.fromkeys(("mov", "movs") + _ALU, "{m} pc, ..."),
+        "pop": "pop {{..., pc}}",
+        "bx": "bx {0}",
+        "blx": "blx {0}",
+        "b": "b",
+        "bl": "bl",
+        "ldr": "ldr pc, [...]",
+    },
+    pc="r15",
+    pc_read=8,
+)

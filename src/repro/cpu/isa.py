@@ -9,7 +9,7 @@ discovery — the same property the paper relies on when it points
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import Any, Mapping, NamedTuple, Optional, Tuple
 
 X86 = "x86"
 ARM = "arm"
@@ -52,6 +52,52 @@ class Instruction:
 
     def __str__(self) -> str:
         return f"{self.address:#010x}: {self.text()}"
+
+
+class Mem(NamedTuple):
+    """A memory slot: ``width`` bytes at the pre-step value of ``base`` (a
+    slot) plus ``disp``, plus operand ``offset`` when one is given."""
+
+    base: Any
+    disp: int = 0
+    width: int = 4
+    offset: Optional[int] = None
+
+
+@dataclass(frozen=True)
+class DataFlow:
+    """One ISA's data flow, read by taint propagation and gadget discovery.
+
+    ``rows`` maps each mnemonic to its ``(destination, sources)`` moves, or
+    to a function of the instruction returning them.  A slot is an operand
+    index, a register name or a :class:`Mem`.  Every source is read before
+    any destination is written; immediates and pc reads (the instruction
+    address plus ``pc_read``) are clean.  ``pc_via`` maps the mnemonics
+    whose move into the pc is a branch to their PC-event text, formatted
+    over the operands and ``m``, the mnemonic; other pc writes fall through.
+    """
+
+    rows: Mapping[str, Any]
+    pc_via: Mapping[str, str]
+    pc: str
+    pc_read: int = 0
+
+    def moves(self, insn: Instruction) -> Tuple:
+        row = self.rows[insn.mnemonic]
+        return row(insn) if callable(row) else row
+
+    @staticmethod
+    def name(slot, insn: Instruction):
+        """The register or immediate a non-memory slot names."""
+        return insn.operands[slot] if isinstance(slot, int) else slot
+
+    def branch(self, insn: Instruction) -> Optional[Tuple]:
+        """The sources of ``insn``'s branch into the pc, else ``None``."""
+        if insn.mnemonic in self.pc_via:
+            for dst, sources in self.moves(insn):
+                if not isinstance(dst, Mem) and self.name(dst, insn) == self.pc:
+                    return sources
+        return None
 
 
 def check_arch(arch: str) -> str:

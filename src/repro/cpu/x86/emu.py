@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from ..emulator import Emulator
 from ..events import IllegalInstruction
-from ..isa import Instruction
+from ..isa import DataFlow, Instruction, Mem
 from ..registers import X86_REG8, X86_REGISTERS
 from ..syscalls import dispatch_x86
 from .disasm import decode
@@ -209,98 +209,36 @@ class X86Emulator(Emulator):
         process.pc = next_pc
 
 
-# -- taint propagation (see repro.obs.taint) -------------------------------------
+# -- data flow (read by repro.obs.taint and repro.exploit.gadgets) ---------------
 
-def propagate_taint(engine, process, insn, prev) -> None:
-    """Label transfer function mirroring ``_execute``'s data flow.
+_BINARY = ((0, (0, 1)),)
+_RETURN = (("eip", (Mem("esp"),)),)
+_BRANCH = (("eip", (0,)),)
 
-    Called by :meth:`TaintEngine.step` *after* the instruction retired;
-    ``prev`` is the pre-step register file, which is where every memory
-    operand address (sp for push/pop/ret, the base register for
-    load/store) must come from.  Explicit flows only: flags are not
-    shadowed, so conditional branches never propagate labels — the trust
-    boundary is documented in docs/ARCHITECTURE.md.
-
-    Memory writes already passed through ``AddressSpace.write`` untainted
-    (clearing the covered shadow bytes), so this function only needs to
-    *re-seed* stores whose source register carries labels.
-    """
-    shadow = engine.shadow
-    labels_of = engine.reg_labels
-    set_reg = engine.set_reg
-    mnemonic = insn.mnemonic
-    operands = insn.operands
-
-    if mnemonic == "push":
-        (operand,) = operands
-        if isinstance(operand, str):
-            labels = labels_of(operand)
-            if labels:
-                shadow.set_range((prev["esp"] - 4) & MASK32, (labels,) * 4)
-    elif mnemonic == "pop":
-        set_reg(operands[0], shadow.union(prev["esp"], 4))
-    elif mnemonic == "mov":
-        dst, src = operands
-        set_reg(dst, labels_of(src) if isinstance(src, str) else frozenset())
-    elif mnemonic == "xor":
-        dst, src = operands
-        if dst == src:
-            set_reg(dst, frozenset())  # the canonical zeroing idiom
-        else:
-            set_reg(dst, labels_of(dst) | labels_of(src))
-    elif mnemonic in ("add", "sub", "and", "or"):
-        dst, src = operands
-        if isinstance(src, str):
-            set_reg(dst, labels_of(dst) | labels_of(src))
-    elif mnemonic == "xchg":
-        left, right = operands
-        left_labels, right_labels = labels_of(left), labels_of(right)
-        set_reg(left, right_labels)
-        set_reg(right, left_labels)
-    elif mnemonic == "store":
-        base, src = operands
-        labels = labels_of(src)
-        if labels:
-            shadow.set_range(prev[base] & MASK32, (labels,) * 4)
-    elif mnemonic == "load":
-        dst, base = operands
-        set_reg(dst, shadow.union(prev[base] & MASK32, 4))
-    elif mnemonic == "cdq":
-        set_reg("edx", labels_of("eax"))  # sign extension derives from eax
-    elif mnemonic == "leave":
-        set_reg("esp", labels_of("ebp"))
-        set_reg("ebp", shadow.union(prev["ebp"] & MASK32, 4))
-    elif mnemonic in ("ret", "retn"):
-        labels = shadow.union(prev["esp"], 4)
-        set_reg("eip", labels)
-        engine.note_pc_write(labels, pc=process.pc, via=mnemonic,
-                             address=prev["esp"] & MASK32)
-        return
-    elif mnemonic == "call":
-        (operand,) = operands
-        if isinstance(operand, str):
-            labels = labels_of(operand)
-            set_reg("eip", labels)
-            engine.note_pc_write(labels, pc=process.pc,
-                                 via=f"call {operand}")
-        else:
-            set_reg("eip", frozenset())
-        return
-    elif mnemonic == "jmp":
-        (operand,) = operands
-        if isinstance(operand, str):
-            labels = labels_of(operand)
-            set_reg("eip", labels)
-            engine.note_pc_write(labels, pc=process.pc,
-                                 via=f"jmp {operand}")
-        else:
-            set_reg("eip", frozenset())
-        return
-    elif mnemonic == "int":
-        # The syscall layer consumed registers and wrote a result (or
-        # spawned/stopped); its eax result is host-generated, not wire data.
-        set_reg("eax", frozenset())
-    # Remaining mnemonics (mov8 immediate insert, not/neg, shl/shr by
-    # immediate, inc/dec, cmp/test, nop family, jz/jnz) either keep their
-    # destination's labels or only write flags/pc from immediates.
-    set_reg("eip", frozenset())
+DATA_FLOW = DataFlow(
+    rows={
+        # Flags-only, in-place (the destination keeps its labels) or trapping.
+        **dict.fromkeys(("nop", "daa", "das", "aaa", "aas", "mov8", "cmp", "test", "not",
+                         "neg", "shl", "shr", "inc", "dec", "int3", "hlt"), ()),
+        "push": ((Mem("esp", -4), (0,)),),
+        "pop": ((0, (Mem("esp"),)),),
+        "mov": ((0, (1,)),),
+        # xor r, r is the canonical zeroing idiom.
+        "xor": lambda insn: ((0, ()),) if insn.operands[0] == insn.operands[1] else _BINARY,
+        **dict.fromkeys(("add", "sub", "and", "or"), _BINARY),
+        "xchg": ((0, (1,)), (1, (0,))),
+        "store": ((Mem(0), (1,)),),
+        "load": ((0, (Mem(1),)),),
+        "cdq": (("edx", ("eax",)),),
+        "leave": (("esp", ("ebp",)), ("ebp", (Mem("ebp"),))),
+        "ret": _RETURN,
+        "retn": _RETURN,
+        "call": ((Mem("esp", -4), ()),) + _BRANCH,
+        **dict.fromkeys(("jmp", "jz", "jnz"), _BRANCH),
+        # The syscall result is host-generated, not guest data.
+        "int": (("eax", ()),),
+    },
+    pc_via={"ret": "ret", "retn": "retn", "call": "call {0}", "jmp": "jmp {0}",
+            "jz": "jz", "jnz": "jnz"},
+    pc="eip",
+)

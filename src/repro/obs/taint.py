@@ -14,10 +14,11 @@ engine that has **zero outcome effect**:
   (``dnsproxy._get_name`` expansion writes, ``GuestNameStore`` cache
   inserts) via ``AddressSpace.write(..., taint=...)``.
 * A sparse :class:`ShadowMemory` hangs off the address space; per-register
-  label sets live here.  Propagation through guest execution is done by
-  per-arch ``propagate_taint`` hooks in :mod:`repro.cpu.x86.emu` and
-  :mod:`repro.cpu.arm.emu`; the engine is a per-step run observer (like
-  ``TraceRecorder``), so the run loop single-steps under taint.
+  label sets live here.  Propagation through guest execution applies each
+  ISA's data-flow table (``DATA_FLOW`` next to ``_execute`` in
+  :mod:`repro.cpu.x86.emu` and :mod:`repro.cpu.arm.emu`) in one generic
+  transfer, :meth:`TaintEngine.on_insn`; the engine is a per-step run
+  observer, like ``TraceRecorder``.
 * Any write of tainted labels into the program counter is recorded as a
   **PC event** — the provenance chain's terminal link — and surfaces in
   ``CrashReport``, ``repro observe --emit taint``, the dashboard, and the
@@ -36,6 +37,7 @@ from typing import (Any, Dict, FrozenSet, Iterable, List, Optional,
                     Sequence, Tuple)
 
 from ..cpu.emulator import RunObserver
+from ..cpu.isa import Mem
 
 #: One taint label: ``(source_id, wire_offset)``.
 Label = Tuple[int, int]
@@ -203,24 +205,24 @@ class TaintEngine(RunObserver):
         #: Derived-string labels (name read back from tainted memory).
         self.derived: Dict[str, Tuple[LabelSet, ...]] = {}
         self._source: Optional[int] = None
-        self._propagate = None
+        self._flow = None
         self._prev_regs: Dict[str, int] = {}
 
     # -- wiring ---------------------------------------------------------------
 
     def attach_process(self, process) -> None:
         """Shadow ``process``: hang a fresh map off its address space,
-        reset register shadows, and bind the arch propagation hook."""
+        reset register shadows, and bind the ISA's data-flow table."""
         process.taint = self
         self.process = process
         self.shadow = ShadowMemory()
         process.memory.taint = self.shadow
         self.reg_shadows = {}
         if process.arch == "x86":
-            from ..cpu.x86.emu import propagate_taint
+            from ..cpu.x86.emu import DATA_FLOW
         else:
-            from ..cpu.arm.emu import propagate_taint
-        self._propagate = propagate_taint
+            from ..cpu.arm.emu import DATA_FLOW
+        self._flow = DATA_FLOW
 
     def _inc(self, name: str, amount: int = 1) -> None:
         if self.collector is not None:
@@ -297,9 +299,44 @@ class TaintEngine(RunObserver):
         self._prev_regs = dict(process.registers.values)
 
     def on_insn(self, process, insn) -> None:
-        """Propagate labels across one executed instruction."""
-        if self._propagate is not None:
-            self._propagate(self, process, insn, self._prev_regs)
+        """Apply the instruction's data-flow row.  Flags are not shadowed
+        (explicit flows only), and the instruction's own memory writes
+        already cleared the shadow bytes they covered."""
+        flow, prev = self._flow, self._prev_regs
+
+        def address(cell: Mem) -> int:
+            base = flow.name(cell.base, insn)
+            value = insn.address + flow.pc_read if base == flow.pc else prev[base]
+            if cell.offset is not None:
+                value += insn.operands[cell.offset]
+            return (value + cell.disp) & _MASK32
+
+        def labels(slot) -> LabelSet:
+            if isinstance(slot, Mem):
+                return self.shadow.union(address(slot), slot.width)
+            name = flow.name(slot, insn)
+            if isinstance(name, int) or name == flow.pc:
+                return NO_LABELS
+            return self.reg_labels(name)
+
+        moves = [(dst, sources, NO_LABELS.union(*map(labels, sources)))
+                 for dst, sources in flow.moves(insn)]
+        via = flow.pc_via.get(insn.mnemonic)
+        pc_labels, pc_address = NO_LABELS, None
+        for dst, sources, merged in moves:
+            if isinstance(dst, Mem):
+                self.shadow.set_range(address(dst), (merged,) * dst.width)
+            elif flow.name(dst, insn) != flow.pc:
+                self.set_reg(flow.name(dst, insn), merged)
+            elif via is not None:
+                pc_labels = merged
+                pc_address = next((address(source) for source in sources
+                                   if isinstance(source, Mem)), None)
+        self.set_reg(flow.pc, pc_labels)
+        if pc_labels:
+            self.note_pc_write(pc_labels, pc=process.pc,
+                               via=via.format(*insn.operands, m=insn.mnemonic),
+                               address=pc_address)
 
     def reg_labels(self, name: str) -> LabelSet:
         return self.reg_shadows.get(name, NO_LABELS)

@@ -246,6 +246,11 @@ OBSERVE_DIGESTS = [
      "7dc842318c87de38544d02a7544291f2945ab677da6ad3b33b4727d3ac869712"),
     ("attack --emit trace --arch arm --level wx+aslr",
      "d510821c30ef0d8ea9a82cdea07a5b8ecc68910850437b7860f73751068707e0"),
+    # The ROP chains: PC events via pop {..., pc}, blx r3, ret and native returns.
+    ("attack --arch arm --level wx+aslr --emit taint --json",
+     "fa024fdd276c3dc40e9299624994ee50ecbb32accf1dba6d7433bf7949d7ecbb"),
+    ("attack --arch x86 --level wx+aslr --emit taint --json",
+     "3b00ab0a52ccba44617acbd3291fe7d330c187a27a6f5280cd21590a40cf1bea"),
 ]
 
 

@@ -177,6 +177,31 @@ class TestEmulator:
         assert process.registers["r6"] == 4
         assert process.registers["r7"] == 5
 
+    def test_pop_r13_addresses_every_slot_from_the_old_sp(self, scratch_space):
+        # LDMIA: r14 comes from the slot above r13's, not through the sp
+        # the pop just loaded; r13 keeps its loaded value.
+        scratch_space.write(0x4000, (0xDEADBEEF).to_bytes(4, "little"), check=False)
+
+        def setup(process):
+            process.push_u32(0x1234)
+            process.push_u32(0x4000)
+
+        process, _ = run_code(scratch_space, asm.pop(["sp", "lr"]) + b"\xff\xff\xff\xff",
+                              setup=setup)
+        assert process.registers["r13"] == 0x4000
+        assert process.registers["r14"] == 0x1234
+
+    def test_push_r13_stores_the_original_sp(self, scratch_space):
+        # STMDB with r13 lowest in the list stores the pre-instruction sp.
+        def setup(process):
+            process.registers["r14"] = 0x5555
+
+        process, _ = run_code(scratch_space, asm.push(["sp", "lr"]) + b"\xff\xff\xff\xff",
+                              sp=0x2F000, setup=setup)
+        assert process.sp == 0x2F000 - 8
+        assert process.memory.read_u32(0x2F000 - 8) == 0x2F000
+        assert process.memory.read_u32(0x2F000 - 4) == 0x5555
+
     def test_pop_into_pc_branches(self, scratch_space):
         scratch_space.write(0x1100, b"\xff\xff\xff\xff", check=False)
 
