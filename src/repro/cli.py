@@ -20,9 +20,8 @@
     python -m repro dash --once --json      # campaign dashboard (series + SLOs)
     python -m repro dash --scenario crash --once            # forced-crash board
     python -m repro observe chaos --emit events --json   # observed chaos point
-    python -m repro observe chaos --emit openmetrics     # its metrics registry
+    python -m repro observe chaos --emit metrics --json  # its metrics registry
     python -m repro observe attack --emit spans   # wire-to-verdict span tree
-    python -m repro observe attack --emit chrome  # Perfetto-loadable trace JSON
     python -m repro observe attack --arch arm --emit folded  # flamegraph input
     python -m repro observe attack --emit trace --arch arm --level wx+aslr
     python -m repro observe crash --emit postmortem --taint  # gdb-style report
@@ -74,14 +73,10 @@ from .obs import (
     DeterministicProfiler,
     TaintEngine,
     TimeSeriesStore,
-    export_chrome_trace,
-    export_openmetrics,
     export_pcap_text,
     render_profile,
     render_provenance,
     sniff_capture,
-    validate_chrome_trace,
-    validate_speedscope,
 )
 
 LEVELS: Dict[str, ProtectionProfile] = {
@@ -599,11 +594,6 @@ def _trace_text(_args, collector, run) -> str:
             f"{collector.trace.describe()}\n")
 
 
-def _validated(document, validate, indent: Optional[int] = 2) -> str:
-    validate(document)
-    return json.dumps(document, indent=indent) + "\n"
-
-
 def _capture_text(args, collector, run) -> str:
     engine = collector.taint
     text = export_pcap_text(run if args.scenario == "lan" else run.network,
@@ -628,18 +618,11 @@ EMITTERS: Dict[str, tuple] = {
     "metrics": (lambda _args, c, _run: c.metrics.to_dict(),
                 lambda _args, c, _run:
                     f"{c.summary()}\n{c.metrics.describe()}\n"),
-    "openmetrics": (None, lambda _args, c, _run: export_openmetrics(c)),
     "spans": (lambda _args, c, _run: c.tracer.to_dicts(), _spans_text),
-    "chrome": (None, lambda args, c, _run: _validated(
-        export_chrome_trace(c), validate_chrome_trace,
-        None if args.compact else 2)),
     "profile": (lambda _args, c, _run: c.profiler.to_dict(),
                 lambda args, c, _run:
                     render_profile(c.profiler.data, top=args.top) + "\n"),
     "folded": (None, lambda _args, c, _run: c.profiler.folded()),
-    "speedscope": (None, lambda args, c, _run: _validated(
-        c.profiler.speedscope(name=f"repro {args.scenario} ({args.arch})"),
-        validate_speedscope)),
     "postmortem": (lambda _args, c, _run: c.last_postmortem.to_dict(),
                    lambda _args, c, _run: f"{c.last_postmortem.render()}\n\n"
                                           f"{c.tracer.render_tree()}\n"),
@@ -664,7 +647,7 @@ def cmd_observe(args) -> int:
     if args.queries is None:
         args.queries = 8 if args.scenario == "lan" else 16
     collector = Collector(series=TimeSeriesStore())
-    if args.emit in ("profile", "folded", "speedscope"):
+    if args.emit in ("profile", "folded"):
         collector.attach_profiler(
             DeterministicProfiler(sample_interval=args.sample_interval))
     if args.emit == "taint" or args.taint:
@@ -921,8 +904,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "(0 disables stack sampling)")
     observe.add_argument("--top", type=_non_negative_int, default=10,
                          help="profile: rows per table in the text report")
-    observe.add_argument("--compact", action="store_true",
-                         help="chrome: single-line JSON")
     observe.add_argument("--taint", action="store_true",
                          help="run under the taint engine: postmortem gains "
                               "the PC-provenance section, pcap/sniff mark "

@@ -6,21 +6,13 @@ Pineapple capture in §VI): a deterministic, simulated-clock
 daemon, supervisor, emulators, and brute forcer all report into — flat
 events, counters/histograms, *causal spans* (one exploit attempt = one
 span tree from wire to verdict), structured :class:`CrashReport`
-postmortems, a Chrome trace-event exporter for Perfetto, and a text
-pcap format for the traffic log that round-trips through the sniffer.
-On top of the flat registry sits the campaign layer: ring-buffered
-:class:`TimeSeriesStore` sampling on the simulated clock, declarative
-:class:`SloRule` objectives with ``slo.breach`` alerts, OpenMetrics
-text exposition that round-trips through its strict parser, and the
-``repro dash`` terminal dashboard.
+postmortems, and a text pcap format for the traffic log that
+round-trips through the sniffer.  On top of the flat registry sits the
+campaign layer: ring-buffered :class:`TimeSeriesStore` sampling on the
+simulated clock, declarative :class:`SloRule` objectives with
+``slo.breach`` alerts, and the ``repro dash`` terminal dashboard.
 """
 
-from .chrome import (
-    chrome_counter_events,
-    chrome_trace_events,
-    export_chrome_trace,
-    validate_chrome_trace,
-)
 from .collector import Collector, CollectorSnapshot, CollectorSpec
 from .dashboard import (
     build_dashboard_json,
@@ -31,12 +23,6 @@ from .dashboard import (
 )
 from .events import EventBus, TraceEvent
 from .metrics import Counter, Histogram, MetricsRegistry, estimate_percentile
-from .openmetrics import (
-    OpenMetricsError,
-    export_openmetrics,
-    parse_openmetrics,
-    render_openmetrics,
-)
 from .slo import (
     DEFAULT_SLOS,
     SWEEP_SLOS,
@@ -65,8 +51,6 @@ from .profiler import (
     ProfileData,
     folded_stacks,
     render_profile,
-    speedscope_document,
-    validate_speedscope,
 )
 from .spans import Span, Tracer, snapshot_payload
 from .taint import (
@@ -82,8 +66,6 @@ __all__ = [
     "build_dashboard_json",
     "CACHE_LINES",
     "capture_crash_report",
-    "chrome_counter_events",
-    "chrome_trace_events",
     "Collector",
     "CollectorSnapshot",
     "CollectorSpec",
@@ -96,24 +78,19 @@ __all__ = [
     "estimate_percentile",
     "evaluate_slos",
     "EventBus",
-    "export_chrome_trace",
     "export_datagrams",
-    "export_openmetrics",
     "export_pcap_text",
     "folded_stacks",
     "format_offsets",
     "group_offsets",
     "Histogram",
     "MetricsRegistry",
-    "OpenMetricsError",
-    "parse_openmetrics",
     "parse_pcap_text",
     "parse_rule",
     "parse_rules",
     "PcapFormatError",
     "ProfileData",
     "render_dashboard",
-    "render_openmetrics",
     "render_profile",
     "render_provenance",
     "replay_network",
@@ -126,7 +103,6 @@ __all__ = [
     "snapshot_payload",
     "Span",
     "TaintEngine",
-    "speedscope_document",
     "SWEEP_SLOS",
     "sparkline",
     "TimeSeries",
@@ -134,7 +110,5 @@ __all__ = [
     "top_spans",
     "TraceEvent",
     "Tracer",
-    "validate_chrome_trace",
-    "validate_speedscope",
     "validate_taint_summary",
 ]

@@ -22,7 +22,7 @@ other run observer honors:
   guest call stack, symbolizes it through the loader's symbol tables
   *at sample time* (ASLR re-randomizes per boot, so addresses are
   resolved while the mapping that produced them is live), and folds it
-  into flamegraph.pl-compatible text and speedscope JSON.
+  into flamegraph.pl-compatible text.
 
 Determinism model
 -----------------
@@ -47,8 +47,7 @@ wall-dependent sweep telemetry.
 
 from __future__ import annotations
 
-import json
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..cpu.emulator import CACHE_COUNTERS, RunObserver
 from .postmortem import _return_walk
@@ -296,14 +295,11 @@ class DeterministicProfiler(RunObserver):
     def folded(self) -> str:
         return folded_stacks(self.data)
 
-    def speedscope(self, *, name: str = "repro profile") -> dict:
-        return speedscope_document(self.data, name=name)
-
     def to_dict(self) -> dict:
         return self.data.to_dict()
 
 
-# -- flamegraph exports --------------------------------------------------------
+# -- flamegraph export ---------------------------------------------------------
 
 
 def folded_stacks(data: ProfileData) -> str:
@@ -317,94 +313,6 @@ def folded_stacks(data: ProfileData) -> str:
         for stack, count in sorted(data.samples.items())
     ]
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def speedscope_document(data: ProfileData, *,
-                        name: str = "repro profile") -> dict:
-    """A speedscope.app sampled-profile document (file-format-schema)."""
-    frame_index: Dict[str, int] = {}
-    frames: List[Dict[str, str]] = []
-    samples: List[List[int]] = []
-    weights: List[int] = []
-    for stack, count in sorted(data.samples.items()):
-        indices = []
-        for frame in stack:
-            index = frame_index.get(frame)
-            if index is None:
-                index = frame_index[frame] = len(frames)
-                frames.append({"name": frame})
-            indices.append(index)
-        samples.append(indices)
-        weights.append(count)
-    return {
-        "$schema": "https://www.speedscope.app/file-format-schema.json",
-        "shared": {"frames": frames},
-        "profiles": [
-            {
-                "type": "sampled",
-                "name": name,
-                "unit": "none",
-                "startValue": 0,
-                "endValue": sum(weights),
-                "samples": samples,
-                "weights": weights,
-            }
-        ],
-        "exporter": "repro profile",
-        "activeProfileIndex": 0,
-    }
-
-
-def validate_speedscope(payload: Any) -> int:
-    """Schema check for the speedscope documents we emit.
-
-    Returns the total sample count; raises :class:`ValueError` naming
-    the first violation.  CI runs every exported document through it.
-    """
-    if not isinstance(payload, dict):
-        raise ValueError("speedscope: top level must be an object")
-    if payload.get("$schema") != "https://www.speedscope.app/file-format-schema.json":
-        raise ValueError("speedscope: missing/unknown $schema")
-    shared = payload.get("shared")
-    if not isinstance(shared, dict) or not isinstance(shared.get("frames"), list):
-        raise ValueError("speedscope: 'shared.frames' must be an array")
-    frames = shared["frames"]
-    for index, frame in enumerate(frames):
-        if not isinstance(frame, dict) or not isinstance(frame.get("name"), str):
-            raise ValueError(f"speedscope: frame #{index} must have a string name")
-    profiles = payload.get("profiles")
-    if not isinstance(profiles, list) or not profiles:
-        raise ValueError("speedscope: 'profiles' must be a non-empty array")
-    total = 0
-    for pindex, profile in enumerate(profiles):
-        if not isinstance(profile, dict) or profile.get("type") != "sampled":
-            raise ValueError(f"speedscope: profile #{pindex} must be sampled")
-        samples = profile.get("samples")
-        weights = profile.get("weights")
-        if not isinstance(samples, list) or not isinstance(weights, list):
-            raise ValueError(
-                f"speedscope: profile #{pindex} samples/weights must be arrays")
-        if len(samples) != len(weights):
-            raise ValueError(
-                f"speedscope: profile #{pindex} has {len(samples)} samples "
-                f"but {len(weights)} weights")
-        for sindex, stack in enumerate(samples):
-            if not isinstance(stack, list):
-                raise ValueError(
-                    f"speedscope: profile #{pindex} sample #{sindex} "
-                    f"must be an array of frame indices")
-            for frame in stack:
-                if not isinstance(frame, int) or not 0 <= frame < len(frames):
-                    raise ValueError(
-                        f"speedscope: profile #{pindex} sample #{sindex} "
-                        f"frame index {frame!r} out of range")
-        if profile.get("endValue") != sum(weights):
-            raise ValueError(
-                f"speedscope: profile #{pindex} endValue must equal the "
-                f"weight sum")
-        total += len(samples)
-    json.dumps(payload)  # must be serializable end to end
-    return total
 
 
 # -- text report ---------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Campaign telemetry: time series, SLOs, OpenMetrics, dashboard."""
+"""Campaign telemetry: time series, SLOs, dashboard."""
 
 import json
 
@@ -9,18 +9,15 @@ from repro.core import run_forced_crash
 from repro.obs import (
     Collector,
     DEFAULT_SLOS,
-    OpenMetricsError,
     SloRuleError,
+    TaintEngine,
     TimeSeries,
     TimeSeriesStore,
     build_dashboard_json,
     estimate_percentile,
     evaluate_slos,
-    export_openmetrics,
-    parse_openmetrics,
     parse_rule,
     render_dashboard,
-    render_openmetrics,
     sparkline,
 )
 from repro.obs.metrics import Histogram
@@ -187,6 +184,16 @@ class TestCollectorExportGuards:
         with pytest.raises(ValueError, match="negative"):
             collector.bus.to_dicts(last=-3)
 
+    def test_taint_metrics_reach_the_registry_export(self):
+        collector = Collector()
+        collector.attach_taint(TaintEngine())
+        run_forced_crash(observer=collector)
+        exported = collector.metrics.to_dict()
+        assert {"taint.sources", "taint.seeded_bytes",
+                "taint.pc_writes"} <= set(exported["counters"])
+        assert "taint.live_bytes" in {histogram["name"] for histogram
+                                      in exported["histograms"]}
+
 
 class TestSloRules:
     def test_parse_full_grammar(self):
@@ -233,62 +240,6 @@ class TestSloRules:
         report = evaluate_slos(DEFAULT_SLOS, run.collector)
         assert "crash-free" in [v.rule.name for v in report.breaches]
         assert run.collector.bus.by_kind("slo.breach")
-
-
-class TestOpenMetrics:
-    def test_export_parse_render_round_trip(self):
-        collector = observed_collector()
-        text = export_openmetrics(collector)
-        families = parse_openmetrics(text)
-        assert render_openmetrics(families) == text
-        names = {family.name for family in families}
-        assert "requests" in names and "latency_ms" in names
-        assert "requests_series" in names  # the attached store's samples
-
-    def test_taint_counters_round_trip(self):
-        from repro.obs import TaintEngine
-
-        collector = Collector()
-        collector.attach_taint(TaintEngine())
-        run_forced_crash(observer=collector)
-        text = export_openmetrics(collector)
-        families = parse_openmetrics(text)
-        assert render_openmetrics(families) == text
-        names = {family.name for family in families}
-        assert {"taint_sources", "taint_seeded_bytes", "taint_pc_writes",
-                "taint_live_bytes"} <= names
-
-    def test_histogram_family_is_cumulative_with_inf(self):
-        collector = Collector()
-        collector.observe("lat", 0.5)
-        collector.observe("lat", 99.0)
-        text = export_openmetrics(collector)
-        family = {f.name: f for f in parse_openmetrics(text)}["lat"]
-        buckets = [s for s in family.samples if s.name == "lat_bucket"]
-        assert buckets[-1].labels == (("le", "+Inf"),)
-        counts = [s.value for s in buckets]
-        assert counts == sorted(counts)  # cumulative
-        assert counts[-1] == 2.0
-
-    @pytest.mark.parametrize("mutate, message", [
-        (lambda t: t.replace("# EOF\n", ""), "EOF"),
-        (lambda t: t.rstrip("\n"), "newline"),
-        (lambda t: t.replace("counter", "kounter", 1), "type"),
-        (lambda t: "stray_total 1.0\n" + t, "TYPE"),
-        (lambda t: t.replace("requests_total 20.0\n",
-                             "requests_total banana\n"), "value"),
-    ])
-    def test_strict_parser_rejects(self, mutate, message):
-        text = export_openmetrics(observed_collector())
-        with pytest.raises(OpenMetricsError, match=message):
-            parse_openmetrics(mutate(text))
-
-    def test_metrics_cli_openmetrics_mode(self, capsys):
-        assert main(["observe", "chaos", "--emit", "openmetrics",
-                     "--queries", "4", "--attack-budget", "2"]) == 0
-        out = capsys.readouterr().out
-        assert out.endswith("# EOF\n")
-        parse_openmetrics(out)  # strict: must be a valid exposition
 
 
 class TestDashboard:

@@ -166,12 +166,8 @@ OBSERVE_DIGESTS = [
      "fd3c1e4142589547f248b695b743f4912e2b3acf6bea5d14422ec5995553ac4c"),
     ("chaos --emit metrics --json",
      "7b56008f73342a3986d64c22735a69c9455d1e579990216574a48b3c48a24cb5"),
-    ("chaos --emit openmetrics",
-     "a6186481b981e1ae3d3fa2b84d103de2f3580fc54a795d7f6a292088a8d590ec"),
     ("chaos --emit metrics --json --queries 8 --attack-budget 6",
      "a8933c7670b7b409e7b5e083c3f350e3e62dda61a201a96fcdafb8e56c709145"),
-    ("chaos --emit openmetrics --queries 4 --attack-budget 2",
-     "d638f0aa0771ebfcf14f333ab8f50dc473410e070a8e1a68ecd470e974dd27c1"),
     ("chaos --emit events",
      "dc99823df9186ad0cae058c21580efc8278dfb82942555922cc328c0a0f2b14a"),
     ("chaos --emit events --json",
@@ -186,18 +182,12 @@ OBSERVE_DIGESTS = [
      "0c3873c30864e7cd5e48624dd72f2cdaddcc538973b6b650356bb2cd96a4b44e"),
     ("attack --emit spans --arch arm --level wx",
      "8df94d0787d8ce8910b63b1d92d8b88affc1d6bdeb0d36d9d6079636dffaba49"),
-    ("attack --emit chrome",
-     "e82fe35bc09eb120ade6feb38a30f1df5eee4ad590c8967d2cf95763204b4bac"),
-    ("attack --emit chrome --compact",
-     "0258ff282abdc4aacb016c42a80ec14bfa4cf3715de684a389f0d982c37bd95c"),
     ("attack --emit profile",
      "aca1d74cf53f347ae3fda5399e703b2c5bba965b25288aa394ab442759885564"),
     ("attack --arch x86 --emit folded",
      "5c191c1590efc11e11a7424262f8d4371596ee47c168f3dcdf30d7d411a1efd0"),
     ("attack --arch arm --emit folded",
      "f766fd080b54fbc614064ad57a3aaba3989e823ac2d89bee28cd9f1e94868734"),
-    ("attack --emit speedscope",
-     "d129646e7c0d52c3fd34c2796fdb7aceee3f1734b818e920cd6ea7c84da718a5"),
     ("attack --arch x86 --emit profile --top 5",
      "690bc96e3093cc41835de4ea5767db121b5413e3c324e06555249da82494cbc4"),
     ("attack --emit profile --json",
@@ -277,8 +267,9 @@ class TestObserve:
             main(["observe", "--help"])
         out = capsys.readouterr().out
         assert "{attack,crash,chaos,lan}" in out
-        assert ("{events,metrics,openmetrics,spans,chrome,profile,folded,"
-                "speedscope,postmortem,taint,trace,pcap,sniff}") in out
+        assert ("{events,metrics,spans,profile,folded,postmortem,taint,trace,"
+                "pcap,sniff}") in out
+        assert "--compact" not in out
 
     @pytest.mark.parametrize("argv", ["chaos --emit pcap", "chaos --emit sniff",
                                       "lan --emit spans", "lan --emit metrics"])

@@ -71,6 +71,66 @@ def test_property_dnsproxy_total_on_garbage(reply):
     assert event.kind in EventKind
 
 
+#: One wire edit: flip bits of a byte, or splice bytes in.  Positions
+#: wrap modulo the current packet length.
+EDIT = st.one_of(
+    st.tuples(st.just("flip"), st.integers(min_value=0, max_value=2**16),
+              st.integers(min_value=1, max_value=255)),
+    st.tuples(st.just("insert"), st.integers(min_value=0, max_value=2**16),
+              st.binary(min_size=1, max_size=8)),
+)
+LABEL = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789-",
+                min_size=1, max_size=20)
+
+
+def mutate(packet, edits, cut=None):
+    """Apply ``edits`` in order, then truncate at ``cut`` (if given)."""
+    data = bytearray(packet)
+    for op, at, arg in edits:
+        if op == "flip":
+            data[at % len(data)] ^= arg
+        else:
+            at %= len(data) + 1
+            data[at:at] = arg
+    if cut is not None:
+        del data[cut % (len(data) + 1):]
+    return bytes(data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    arch=st.sampled_from(["x86", "arm"]),
+    message_id=st.integers(min_value=0, max_value=0xFFFF),
+    name=st.lists(LABEL, min_size=1, max_size=4).map(".".join),
+    labels=st.lists(st.binary(min_size=1, max_size=63), min_size=1, max_size=8),
+    repeat=st.integers(min_value=1, max_value=32),
+    edits=st.lists(EDIT, max_size=6),
+    cut=st.none() | st.integers(min_value=0, max_value=2**16),
+)
+# An overflowing name with one flipped byte: the guest crash path, every run.
+@example(arch="x86", message_id=7, name="x.example", labels=[b"A" * 63],
+         repeat=20, edits=[("flip", 700, 0x41)], cut=None)
+@example(arch="arm", message_id=7, name="x.example", labels=[b"A" * 63],
+         repeat=20, edits=[("flip", 700, 0x41)], cut=None)
+def test_property_dnsproxy_total_on_mutated_replies(arch, message_id, name,
+                                                    labels, repeat, edits, cut):
+    """A well-formed reply that matches its query, then bit-flipped,
+    spliced or truncated on the wire, ends in a modeled outcome on both
+    arches: answered, dropped, or the guest crashed or hung.  Repeating
+    the label run lets the answer name outgrow the 1024-byte stack
+    buffer, so the edits also land in overflowing replies."""
+    from repro.dns import build_raw_response, make_query
+
+    blob = b"".join(bytes([len(label)]) + label
+                    for label in labels * repeat) + b"\x00"
+    reply = build_raw_response(make_query(message_id, name), blob)
+    daemon = fresh_daemon(arch, profile=WX_ASLR, seed=3)
+    event = daemon.handle_upstream_reply(mutate(reply, edits, cut),
+                                         expected_id=message_id)
+    assert event.kind in (EventKind.RESPONDED, EventKind.DROPPED,
+                          EventKind.CRASHED, EventKind.HUNG)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**31),

@@ -18,7 +18,6 @@ from repro.obs import (
     Collector,
     DeterministicProfiler,
     ProfileData,
-    validate_speedscope,
 )
 
 TIGHT_LOOP = b"\x40" * 8 + b"\xeb\xf6"  # 8x inc eax; jmp -10
@@ -193,27 +192,6 @@ class TestFlamegraphFormats:
             assert stack  # symbolized frames, ';'-joined
             total += int(count)
         assert total == profiler.data.sample_count > 0
-
-    @pytest.mark.parametrize("arch", ["x86", "arm"])
-    def test_speedscope_document_validates(self, arch):
-        from repro.core import run_observed_attack
-
-        collector = Collector()
-        profiler = collector.attach_profiler(DeterministicProfiler())
-        run_observed_attack(arch=arch, observer=collector)
-        document = profiler.speedscope(name=f"{arch} attack")
-        assert validate_speedscope(document) == len(profiler.data.samples)
-        weights = document["profiles"][0]["weights"]
-        assert sum(weights) == profiler.data.sample_count
-
-    def test_validate_speedscope_rejects_bad_documents(self):
-        _result, profiler = profiled_run(300, sample_interval=23)
-        document = profiler.speedscope()
-        document["profiles"][0]["endValue"] += 1
-        with pytest.raises(ValueError, match="endValue"):
-            validate_speedscope(document)
-        with pytest.raises(ValueError, match="schema"):
-            validate_speedscope({"profiles": []})
 
     def test_sampling_disabled_yields_no_samples(self):
         _result, profiler = profiled_run(300, sample_interval=0)
