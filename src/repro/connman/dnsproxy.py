@@ -34,7 +34,7 @@ from typing import List, Optional, Tuple
 from ..binfmt import LoadedProcess
 from ..cpu import ExecutionResult, make_emulator
 from ..cpu.events import CanaryClobbered, ControlFlowViolation, EmulationBudgetExceeded
-from ..defenses import ShadowStackCfi, StackCanary
+from ..defenses import StackCanary
 from ..mem import MemoryFault
 from .frames import NAME_BUFFER_SIZE, FrameModel
 from .outcomes import DaemonEvent, EventKind
@@ -198,8 +198,8 @@ class DnsProxyCore:
             memory.write_u32(place.ret_slot + offset, value)
         # Shadow-stack bookkeeping for the simulated call of parse_response.
         cfi = self.loaded.process.cfi
-        if isinstance(cfi, ShadowStackCfi):
-            cfi.note_call(self.loaded.process, self.resume_address)
+        if cfi is not None:
+            cfi.note_call(self.resume_address)
 
     # -- DNS walking ----------------------------------------------------------------
 
@@ -409,9 +409,9 @@ class DnsProxyCore:
         process.sp = place.ret_slot + 4
 
         cfi = process.cfi
-        if isinstance(cfi, ShadowStackCfi):
+        if cfi is not None:
             try:
-                cfi.check_return(process, place.ret_slot, target)
+                cfi.check_return(place.ret_slot, target)
             except ControlFlowViolation as violation:
                 process.record_exit(code=134, signal="SIGABRT")
                 return DaemonEvent(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from ..emulator import Emulator
 from ..events import IllegalInstruction
-from ..isa import DataFlow, Instruction, Mem
+from ..isa import Branch, DataFlow, Instruction, Mem
 from ..registers import MASK32
 from ..syscalls import dispatch_arm
 from .disasm import decode
@@ -17,171 +17,7 @@ from .disasm import decode
 N_BIT = 1 << 31
 Z_BIT = 1 << 30
 
-
-class ArmEmulator(Emulator):
-    arch = "arm"
-
-    def _read_operand(self, operand, insn_address: int) -> int:
-        if isinstance(operand, int):
-            return operand
-        if operand == "r15":
-            return (insn_address + 8) & MASK32
-        return self.process.registers[operand]
-
-    def _set_nz(self, result: int) -> None:
-        cpsr = self.process.registers["cpsr"]
-        cpsr &= ~(N_BIT | Z_BIT)
-        if result & MASK32 == 0:
-            cpsr |= Z_BIT
-        if result & 0x80000000:
-            cpsr |= N_BIT
-        self.process.registers["cpsr"] = cpsr
-
-    def _branch_to(self, target: int) -> None:
-        self.process.pc = target & MASK32
-
-    def step(self) -> Instruction:
-        process = self.process
-        address = process.pc
-        if address % 4:
-            raise IllegalInstruction(address, b"", "misaligned ARM pc")
-        cache = process.decode_cache
-        insn = cache.lookup(address)
-        if insn is None:
-            # fetch() spans contiguous segments (mirroring the x86 window
-            # rule): a word straddling two adjacent executable mappings
-            # decodes; only a genuine gap or a non-X segment faults.
-            raw = process.memory.fetch(address, 4)
-            insn = decode(raw, address, strict=True)
-            cache.record_decode(insn)
-        self._execute(insn)
-        return insn
-
-    def _execute(self, insn: Instruction) -> None:
-        process = self.process
-        regs = process.registers
-        mnemonic = insn.mnemonic
-        address = insn.address
-        next_pc = insn.end
-
-        if mnemonic in ("mov", "movs"):
-            rd, operand2 = insn.operands
-            value = self._read_operand(operand2, address)
-            if mnemonic == "movs":
-                self._set_nz(value)
-            if rd == "r15":
-                self._branch_to(value)
-                return
-            regs[rd] = value
-        elif mnemonic in ("mvn", "mvns"):
-            rd, operand2 = insn.operands
-            value = (~self._read_operand(operand2, address)) & MASK32
-            regs[rd] = value
-        elif mnemonic in ("add", "adds", "sub", "subs", "and", "ands", "eor", "eors", "orr", "orrs"):
-            rd, rn, operand2 = insn.operands
-            left = self._read_operand(rn, address)
-            right = self._read_operand(operand2, address)
-            base = mnemonic.rstrip("s")
-            if base == "add":
-                result = left + right
-            elif base == "sub":
-                result = left - right
-            elif base == "and":
-                result = left & right
-            elif base == "eor":
-                result = left ^ right
-            else:
-                result = left | right
-            result &= MASK32
-            if mnemonic.endswith("s") and mnemonic != base:
-                self._set_nz(result)
-            if rd == "r15":
-                self._branch_to(result)
-                return
-            regs[rd] = result
-        elif mnemonic == "cmp":
-            rn, operand2 = insn.operands
-            self._set_nz((self._read_operand(rn, address) - self._read_operand(operand2, address)) & MASK32)
-        elif mnemonic == "pop":
-            (reglist,) = insn.operands
-            # LDMIA: lowest register from the pre-step sp upward; r13 in
-            # the list keeps its loaded value over the writeback.
-            sp = process.sp
-            values = [process.memory.read_u32((sp + 4 * i) & MASK32) for i in range(len(reglist))]
-            process.sp = (sp + 4 * len(reglist)) & MASK32
-            branch_target = None
-            for name, value in zip(reglist, values):
-                if name == "r15":
-                    branch_target = value
-                else:
-                    regs[name] = value
-            if branch_target is not None:
-                if process.cfi is not None:
-                    process.cfi.check_return(process, address, branch_target)
-                self._branch_to(branch_target)
-                return
-        elif mnemonic == "push":
-            (reglist,) = insn.operands
-            # STMDB: pre-step values (r13 its original sp), highest highest.
-            for value in reversed([self._read_operand(name, address) for name in reglist]):
-                process.push_u32(value)
-        elif mnemonic == "bx":
-            target = self._read_operand(insn.operands[0], address)
-            if process.cfi is not None:
-                process.cfi.check_return(process, address, target)
-            self._branch_to(target & ~1)  # Thumb interworking bit ignored: ARM-only core.
-            return
-        elif mnemonic == "blx":
-            target = self._read_operand(insn.operands[0], address)
-            regs["r14"] = next_pc
-            if process.cfi is not None:
-                process.cfi.note_call(process, next_pc)
-                process.cfi.check_indirect(process, address, target & ~1)
-            self._branch_to(target & ~1)
-            return
-        elif mnemonic == "b":
-            self._branch_to(insn.operands[0])
-            return
-        elif mnemonic == "bl":
-            regs["r14"] = next_pc
-            if process.cfi is not None:
-                process.cfi.note_call(process, next_pc)
-            self._branch_to(insn.operands[0])
-            return
-        elif mnemonic == "svc":
-            process.pc = next_pc
-            dispatch_arm(process)
-            return
-        elif mnemonic == "ldr":
-            rd, rn, offset = insn.operands
-            value = process.memory.read_u32((self._read_operand(rn, address) + offset) & MASK32)
-            if rd == "r15":
-                self._branch_to(value)
-                return
-            regs[rd] = value
-        elif mnemonic == "str":
-            rd, rn, offset = insn.operands
-            process.memory.write_u32(
-                (self._read_operand(rn, address) + offset) & MASK32,
-                self._read_operand(rd, address),
-            )
-        elif mnemonic == "ldrb":
-            rd, rn, offset = insn.operands
-            value = process.memory.read_u8((self._read_operand(rn, address) + offset) & MASK32)
-            regs[rd] = value
-        elif mnemonic == "strb":
-            rd, rn, offset = insn.operands
-            process.memory.write_u8(
-                (self._read_operand(rn, address) + offset) & MASK32,
-                self._read_operand(rd, address) & 0xFF,
-            )
-        else:  # pragma: no cover - decoder and executor kept in sync
-            raise IllegalInstruction(address, insn.raw, f"unimplemented mnemonic {mnemonic}")
-
-        process.pc = next_pc
-
-
-# -- data flow (read by repro.obs.taint and repro.exploit.gadgets) ---------------
+# -- data flow (read by _branch, repro.obs.taint and repro.exploit.gadgets) ----
 
 _ALU = ("add", "adds", "sub", "subs", "and", "ands", "eor", "eors", "orr", "orrs")
 _CALL = (("r14", ()), ("r15", (0,)))
@@ -215,14 +51,154 @@ DATA_FLOW = DataFlow(
     },
     # mvn and ldrb into r15 fall through in _execute, so they are not here.
     pc_via={
-        **dict.fromkeys(("mov", "movs") + _ALU, "{m} pc, ..."),
-        "pop": "pop {{..., pc}}",
-        "bx": "bx {0}",
-        "blx": "blx {0}",
-        "b": "b",
-        "bl": "bl",
-        "ldr": "ldr pc, [...]",
+        **dict.fromkeys(("mov", "movs") + _ALU, Branch("{m} pc, ...", "jump")),
+        "pop": Branch("pop {{..., pc}}", "return"),
+        "bx": Branch("bx {0}", "return"),
+        "blx": Branch("blx {0}", "call"),
+        "b": Branch("b", "jump"),
+        "bl": Branch("bl", "call"),
+        "ldr": Branch("ldr pc, [...]", "jump"),
     },
     pc="r15",
     pc_read=8,
 )
+
+
+class ArmEmulator(Emulator):
+    arch = "arm"
+    flow = DATA_FLOW
+
+    def _read_operand(self, operand, insn_address: int) -> int:
+        if isinstance(operand, int):
+            return operand
+        if operand == "r15":
+            return (insn_address + 8) & MASK32
+        return self.process.registers[operand]
+
+    def _set_nz(self, result: int) -> None:
+        cpsr = self.process.registers["cpsr"]
+        cpsr &= ~(N_BIT | Z_BIT)
+        if result & MASK32 == 0:
+            cpsr |= Z_BIT
+        if result & 0x80000000:
+            cpsr |= N_BIT
+        self.process.registers["cpsr"] = cpsr
+
+    def step(self) -> Instruction:
+        process = self.process
+        address = process.pc
+        if address % 4:
+            raise IllegalInstruction(address, b"", "misaligned ARM pc")
+        cache = process.decode_cache
+        insn = cache.lookup(address)
+        if insn is None:
+            # fetch() spans contiguous segments (mirroring the x86 window
+            # rule): a word straddling two adjacent executable mappings
+            # decodes; only a genuine gap or a non-X segment faults.
+            raw = process.memory.fetch(address, 4)
+            insn = decode(raw, address, strict=True)
+            cache.record_decode(insn)
+        self._execute(insn)
+        return insn
+
+    def _execute(self, insn: Instruction) -> None:
+        process = self.process
+        regs = process.registers
+        mnemonic = insn.mnemonic
+        address = insn.address
+        next_pc = insn.end
+
+        if mnemonic in ("mov", "movs"):
+            rd, operand2 = insn.operands
+            value = self._read_operand(operand2, address)
+            if mnemonic == "movs":
+                self._set_nz(value)
+            if rd == "r15":
+                self._branch(insn, value)
+                return
+            regs[rd] = value
+        elif mnemonic in ("mvn", "mvns"):
+            rd, operand2 = insn.operands
+            value = (~self._read_operand(operand2, address)) & MASK32
+            regs[rd] = value
+        elif mnemonic in ("add", "adds", "sub", "subs", "and", "ands", "eor", "eors", "orr", "orrs"):
+            rd, rn, operand2 = insn.operands
+            left = self._read_operand(rn, address)
+            right = self._read_operand(operand2, address)
+            base = mnemonic.rstrip("s")
+            if base == "add":
+                result = left + right
+            elif base == "sub":
+                result = left - right
+            elif base == "and":
+                result = left & right
+            elif base == "eor":
+                result = left ^ right
+            else:
+                result = left | right
+            result &= MASK32
+            if mnemonic.endswith("s") and mnemonic != base:
+                self._set_nz(result)
+            if rd == "r15":
+                self._branch(insn, result)
+                return
+            regs[rd] = result
+        elif mnemonic == "cmp":
+            rn, operand2 = insn.operands
+            self._set_nz((self._read_operand(rn, address) - self._read_operand(operand2, address)) & MASK32)
+        elif mnemonic == "pop":
+            (reglist,) = insn.operands
+            # LDMIA: lowest register from the pre-step sp upward, so r15
+            # (listed last) loads last; r13 in the list keeps its loaded
+            # value over the writeback.
+            sp = process.sp
+            values = [process.memory.read_u32((sp + 4 * i) & MASK32) for i in range(len(reglist))]
+            process.sp = (sp + 4 * len(reglist)) & MASK32
+            for name, value in zip(reglist, values):
+                if name != "r15":
+                    regs[name] = value
+            if reglist and reglist[-1] == "r15":
+                self._branch(insn, values[-1])
+                return
+        elif mnemonic == "push":
+            (reglist,) = insn.operands
+            # STMDB: pre-step values (r13 its original sp), highest highest.
+            for value in reversed([self._read_operand(name, address) for name in reglist]):
+                process.push_u32(value)
+        elif mnemonic in ("b", "bl", "bx", "blx"):
+            target = self._read_operand(insn.operands[0], address)
+            if mnemonic in ("bl", "blx"):
+                regs["r14"] = next_pc
+            self._branch(insn, target & ~1)  # Thumb interworking bit ignored: ARM-only core.
+            return
+        elif mnemonic == "svc":
+            process.pc = next_pc
+            dispatch_arm(process)
+            return
+        elif mnemonic == "ldr":
+            rd, rn, offset = insn.operands
+            value = process.memory.read_u32((self._read_operand(rn, address) + offset) & MASK32)
+            if rd == "r15":
+                self._branch(insn, value)
+                return
+            regs[rd] = value
+        elif mnemonic == "str":
+            rd, rn, offset = insn.operands
+            process.memory.write_u32(
+                (self._read_operand(rn, address) + offset) & MASK32,
+                self._read_operand(rd, address),
+            )
+        elif mnemonic == "ldrb":
+            rd, rn, offset = insn.operands
+            value = process.memory.read_u8((self._read_operand(rn, address) + offset) & MASK32)
+            regs[rd] = value
+        elif mnemonic == "strb":
+            rd, rn, offset = insn.operands
+            process.memory.write_u8(
+                (self._read_operand(rn, address) + offset) & MASK32,
+                self._read_operand(rd, address) & 0xFF,
+            )
+        else:  # pragma: no cover - decoder and executor kept in sync
+            raise IllegalInstruction(address, insn.raw, f"unimplemented mnemonic {mnemonic}")
+
+        process.pc = next_pc

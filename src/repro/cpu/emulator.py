@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Dict, Optional
 
 from ..mem import MemoryFault
 from .events import CpuError, EmulationBudgetExceeded, _EmulationStop
+from .isa import DataFlow, Instruction
 from .process import Process
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -95,12 +96,32 @@ class RunObserver:
 class Emulator:
     """Architecture-neutral run loop; subclasses implement :meth:`step`."""
 
+    #: The ISA's data-flow table; its ``pc_via`` kinds drive the CFI hooks.
+    flow: DataFlow
+
     def __init__(self, process: Process):
         self.process = process
 
     def step(self):  # pragma: no cover - abstract
         """Execute one instruction; returns the executed Instruction."""
         raise NotImplementedError
+
+    def _branch(self, insn: Instruction, target: int) -> None:
+        """Commit ``insn``'s taken branch to ``target``, after its other
+        side effects.  Under a CFI policy a call first notes its return
+        address, and an indirect branch has its target checked."""
+        process = self.process
+        cfi = process.cfi
+        if cfi is not None:
+            kind = self.flow.pc_via[insn.mnemonic].cfi
+            if kind == "call":
+                cfi.note_call(insn.end)
+            if self.flow.indirect(insn):
+                if kind == "return":
+                    cfi.check_return(insn.address, target)
+                else:
+                    cfi.check_indirect(insn.address, target, kind)
+        process.pc = target
 
     def run(self, max_steps: int = DEFAULT_STEP_BUDGET) -> ExecutionResult:
         """Execute until stop/fault/budget; observed runs get a ``cpu.run`` span.

@@ -64,6 +64,14 @@ class Mem(NamedTuple):
     offset: Optional[int] = None
 
 
+class Branch(NamedTuple):
+    """A ``pc_via`` entry: the PC-event text and the CFI kind, one of
+    ``call``, ``return`` or ``jump``."""
+
+    text: str
+    cfi: str
+
+
 @dataclass(frozen=True)
 class DataFlow:
     """One ISA's data flow, read by taint propagation and gadget discovery.
@@ -73,12 +81,13 @@ class DataFlow:
     index, a register name or a :class:`Mem`.  Every source is read before
     any destination is written; immediates and pc reads (the instruction
     address plus ``pc_read``) are clean.  ``pc_via`` maps the mnemonics
-    whose move into the pc is a branch to their PC-event text, formatted
-    over the operands and ``m``, the mnemonic; other pc writes fall through.
+    whose move into the pc is a branch to their :class:`Branch`: the
+    PC-event text, formatted over the operands and ``m``, the mnemonic, and
+    the kind the CFI policy checks; other pc writes fall through.
     """
 
     rows: Mapping[str, Any]
-    pc_via: Mapping[str, str]
+    pc_via: Mapping[str, Branch]
     pc: str
     pc_read: int = 0
 
@@ -98,6 +107,14 @@ class DataFlow:
                 if not isinstance(dst, Mem) and self.name(dst, insn) == self.pc:
                     return sources
         return None
+
+    def indirect(self, insn: Instruction) -> bool:
+        """True when ``insn``'s branch reads its target from memory or a
+        register (the pc included), not only from immediates."""
+        sources = self.branch(insn)
+        return sources is not None and any(
+            isinstance(source, Mem) or isinstance(self.name(source, insn), str)
+            for source in sources)
 
 
 def check_arch(arch: str) -> str:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from ..emulator import Emulator
 from ..events import IllegalInstruction
-from ..isa import DataFlow, Instruction, Mem
+from ..isa import Branch, DataFlow, Instruction, Mem
 from ..registers import X86_REG8, X86_REGISTERS
 from ..syscalls import dispatch_x86
 from .disasm import decode
@@ -15,11 +15,47 @@ MASK32 = 0xFFFFFFFF
 #: Longest encodable instruction in our subset.
 MAX_INSN_LEN = 5
 
+# -- data flow (read by _branch, repro.obs.taint and repro.exploit.gadgets) ----
+
+_BINARY = ((0, (0, 1)),)
+_RETURN = (("eip", (Mem("esp"),)),)
+_BRANCH = (("eip", (0,)),)
+
+DATA_FLOW = DataFlow(
+    rows={
+        # Flags-only, in-place (the destination keeps its labels) or trapping.
+        **dict.fromkeys(("nop", "daa", "das", "aaa", "aas", "mov8", "cmp", "test", "not",
+                         "neg", "shl", "shr", "inc", "dec", "int3", "hlt"), ()),
+        "push": ((Mem("esp", -4), (0,)),),
+        "pop": ((0, (Mem("esp"),)),),
+        "mov": ((0, (1,)),),
+        # xor r, r is the canonical zeroing idiom.
+        "xor": lambda insn: ((0, ()),) if insn.operands[0] == insn.operands[1] else _BINARY,
+        **dict.fromkeys(("add", "sub", "and", "or"), _BINARY),
+        "xchg": ((0, (1,)), (1, (0,))),
+        "store": ((Mem(0), (1,)),),
+        "load": ((0, (Mem(1),)),),
+        "cdq": (("edx", ("eax",)),),
+        "leave": (("esp", ("ebp",)), ("ebp", (Mem("ebp"),))),
+        "ret": _RETURN,
+        "retn": _RETURN,
+        "call": ((Mem("esp", -4), ()),) + _BRANCH,
+        **dict.fromkeys(("jmp", "jz", "jnz"), _BRANCH),
+        # The syscall result is host-generated, not guest data.
+        "int": (("eax", ()),),
+    },
+    pc_via={"ret": Branch("ret", "return"), "retn": Branch("retn", "return"),
+            "call": Branch("call {0}", "call"), "jmp": Branch("jmp {0}", "jump"),
+            "jz": Branch("jz", "jump"), "jnz": Branch("jnz", "jump")},
+    pc="eip",
+)
+
 
 class X86Emulator(Emulator):
     """Fetch/decode/execute loop over the shared address space."""
 
     arch = "x86"
+    flow = DATA_FLOW
 
     def _fetch_window(self, address: int) -> bytes:
         """Fetch up to MAX_INSN_LEN bytes, spanning contiguous mapped segments.
@@ -152,46 +188,23 @@ class X86Emulator(Emulator):
         elif mnemonic == "leave":
             process.sp = regs["ebp"]
             regs["ebp"] = process.pop_u32()
-        elif mnemonic == "ret":
+        elif mnemonic in ("ret", "retn"):
             target = process.pop_u32()
-            if process.cfi is not None:
-                process.cfi.check_return(process, insn.address, target)
-            process.pc = target
+            if mnemonic == "retn":
+                process.sp = (process.sp + insn.operands[0]) & MASK32
+            self._branch(insn, target)
             return
-        elif mnemonic == "retn":
-            target = process.pop_u32()
-            process.sp = (process.sp + insn.operands[0]) & MASK32
-            if process.cfi is not None:
-                process.cfi.check_return(process, insn.address, target)
-            process.pc = target
-            return
-        elif mnemonic == "call":
+        elif mnemonic in ("call", "jmp"):
             (operand,) = insn.operands
-            indirect = isinstance(operand, str)
-            target = regs[operand] if indirect else operand
-            process.push_u32(next_pc)
-            if process.cfi is not None:
-                process.cfi.note_call(process, next_pc)
-                if indirect:
-                    process.cfi.check_indirect(process, insn.address, target)
-            process.pc = target
+            target = regs[operand] if isinstance(operand, str) else operand
+            if mnemonic == "call":
+                process.push_u32(next_pc)
+            self._branch(insn, target)
             return
-        elif mnemonic == "jmp":
-            (operand,) = insn.operands
-            if isinstance(operand, str):
-                target = regs[operand]
-                if process.cfi is not None:
-                    process.cfi.check_indirect(process, insn.address, target)
-                process.pc = target
-            else:
-                process.pc = operand
-            return
-        elif mnemonic == "jz":
-            process.pc = insn.operands[0] if self._zf() else next_pc
-            return
-        elif mnemonic == "jnz":
-            process.pc = next_pc if self._zf() else insn.operands[0]
-            return
+        elif mnemonic in ("jz", "jnz"):
+            if self._zf() == (mnemonic == "jz"):
+                self._branch(insn, insn.operands[0])
+                return
         elif mnemonic == "int":
             # Commit the post-instruction pc before the syscall may stop us.
             process.pc = next_pc
@@ -207,38 +220,3 @@ class X86Emulator(Emulator):
             raise IllegalInstruction(insn.address, insn.raw, f"unimplemented mnemonic {mnemonic}")
 
         process.pc = next_pc
-
-
-# -- data flow (read by repro.obs.taint and repro.exploit.gadgets) ---------------
-
-_BINARY = ((0, (0, 1)),)
-_RETURN = (("eip", (Mem("esp"),)),)
-_BRANCH = (("eip", (0,)),)
-
-DATA_FLOW = DataFlow(
-    rows={
-        # Flags-only, in-place (the destination keeps its labels) or trapping.
-        **dict.fromkeys(("nop", "daa", "das", "aaa", "aas", "mov8", "cmp", "test", "not",
-                         "neg", "shl", "shr", "inc", "dec", "int3", "hlt"), ()),
-        "push": ((Mem("esp", -4), (0,)),),
-        "pop": ((0, (Mem("esp"),)),),
-        "mov": ((0, (1,)),),
-        # xor r, r is the canonical zeroing idiom.
-        "xor": lambda insn: ((0, ()),) if insn.operands[0] == insn.operands[1] else _BINARY,
-        **dict.fromkeys(("add", "sub", "and", "or"), _BINARY),
-        "xchg": ((0, (1,)), (1, (0,))),
-        "store": ((Mem(0), (1,)),),
-        "load": ((0, (Mem(1),)),),
-        "cdq": (("edx", ("eax",)),),
-        "leave": (("esp", ("ebp",)), ("ebp", (Mem("ebp"),))),
-        "ret": _RETURN,
-        "retn": _RETURN,
-        "call": ((Mem("esp", -4), ()),) + _BRANCH,
-        **dict.fromkeys(("jmp", "jz", "jnz"), _BRANCH),
-        # The syscall result is host-generated, not guest data.
-        "int": (("eax", ()),),
-    },
-    pc_via={"ret": "ret", "retn": "retn", "call": "call {0}", "jmp": "jmp {0}",
-            "jz": "jz", "jnz": "jnz"},
-    pc="eip",
-)

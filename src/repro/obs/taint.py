@@ -335,7 +335,7 @@ class TaintEngine(RunObserver):
         self.set_reg(flow.pc, pc_labels)
         if pc_labels:
             self.note_pc_write(pc_labels, pc=process.pc,
-                               via=via.format(*insn.operands, m=insn.mnemonic),
+                               via=via.text.format(*insn.operands, m=insn.mnemonic),
                                address=pc_address)
 
     def reg_labels(self, name: str) -> LabelSet:

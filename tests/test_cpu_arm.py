@@ -212,6 +212,14 @@ class TestEmulator:
         assert process.pc == 0x1100
         assert result.crashed
 
+    def test_pop_with_an_empty_reglist_steps_on(self, scratch_space):
+        # The decoder accepts LDMIA sp! with no registers; it moves nothing.
+        process, result = run_code(scratch_space,
+                                   (0xE8BD0000).to_bytes(4, "little") + b"\xff\xff\xff\xff")
+        assert process.pc == 0x1004
+        assert process.sp == 0x2F000
+        assert result.crashed  # at the bad word, not a host exception
+
     def test_bx_lr_returns(self, scratch_space):
         def setup(process):
             process.registers["r14"] = 0x1100

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from repro.binfmt import build_connman
-from repro.cpu import ControlFlowViolation, Process
+from repro.cpu import ControlFlowViolation, Process, make_emulator
+from repro.cpu.arm import asm as arm_asm
 from repro.cpu.events import CanaryClobbered
 from repro.defenses import (
     FULL,
@@ -83,41 +84,58 @@ class TestShadowStackCfi:
         assert loaded.plt_address("memcpy") in cfi.valid_entries
 
     def test_matched_call_return_pair(self):
-        loaded, cfi = self.make()
-        process = loaded.process
-        cfi.note_call(process, 0x08048123)
-        cfi.check_return(process, 0, 0x08048123)
+        _loaded, cfi = self.make()
+        cfi.note_call(0x08048123)
+        cfi.check_return(0, 0x08048123)
         assert cfi.depth == 0
 
     def test_mismatched_return_violates(self):
-        loaded, cfi = self.make()
-        cfi.note_call(loaded.process, 0x08048123)
+        _loaded, cfi = self.make()
+        cfi.note_call(0x08048123)
         with pytest.raises(ControlFlowViolation):
-            cfi.check_return(loaded.process, 0, 0xDEADBEEF)
+            cfi.check_return(0, 0xDEADBEEF)
         assert cfi.violations == 1
 
     def test_return_with_empty_shadow_violates(self):
-        loaded, cfi = self.make()
+        _loaded, cfi = self.make()
         with pytest.raises(ControlFlowViolation):
-            cfi.check_return(loaded.process, 0, 0x08048123)
+            cfi.check_return(0, 0x08048123)
 
     def test_nested_calls_lifo(self):
-        loaded, cfi = self.make()
-        process = loaded.process
-        cfi.note_call(process, 0x1000)
-        cfi.note_call(process, 0x2000)
-        cfi.check_return(process, 0, 0x2000)
-        cfi.check_return(process, 0, 0x1000)
+        _loaded, cfi = self.make()
+        cfi.note_call(0x1000)
+        cfi.note_call(0x2000)
+        cfi.check_return(0, 0x2000)
+        cfi.check_return(0, 0x1000)
 
     def test_indirect_to_function_entry_allowed(self):
         loaded, cfi = self.make()
-        cfi.check_indirect(loaded.process, 0, loaded.plt_address("execlp"))
+        cfi.check_indirect(0, loaded.plt_address("execlp"), "call")
 
     def test_indirect_to_gadget_mid_function_violates(self):
         loaded, cfi = self.make()
         target = loaded.address_of("parse_response") + 2
         with pytest.raises(ControlFlowViolation):
-            cfi.check_indirect(loaded.process, 0, target)
+            cfi.check_indirect(0, target, "call")
+
+    @pytest.mark.parametrize("code, registers", [
+        (arm_asm.mov_reg("pc", "r3"), {"r3": 0x1800}),
+        (arm_asm.add_reg("pc", "r2", "r3"), {"r2": 0x1000, "r3": 0x800}),
+        (arm_asm.ldr("pc", "r0"), {"r0": 0x4000}),
+    ], ids=["mov pc, r3", "add pc, r2, r3", "ldr pc, [r0]"])
+    def test_arm_pc_write_to_a_non_entry_aborts(self, scratch_space, code, registers):
+        # Every pc_via jump is an indirect branch to CFI, not only bx/blx.
+        scratch_space.write(0x1000, code, check=False)
+        scratch_space.write_u32(0x4000, 0x1800)
+        process = Process("arm", scratch_space)
+        process.pc = 0x1000
+        for name, value in registers.items():
+            process.registers[name] = value
+        process.cfi = cfi = ShadowStackCfi({0x1000})
+        result = make_emulator(process).run(100)
+        assert result.signal == "SIGABRT"
+        assert cfi.violations == 1
+        assert (result.fault.kind, result.fault.target) == ("indirect-jump", 0x1800)
 
     def test_benign_daemon_traffic_unaffected(self):
         from repro.dns import SimpleDnsServer, StubResolver

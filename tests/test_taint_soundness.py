@@ -281,12 +281,13 @@ def _instructions(arch, code):
 # -- one run ---------------------------------------------------------------------
 
 
-def _run(arch, code, data, registers, *, taint):
+def _run(arch, code, data, registers, *, taint, cfi=None):
     space = LoggedSpace()
     space.map_new("code", DATA[arch] - 0x1000, 0x1000, Perm.RWX)
     space.map_new("data", DATA[arch], DATA_SIZE, Perm.RW)
     space.map_new("stack", STACK, STACK_SIZE, Perm.RW)
     process = Process(arch, space)
+    process.cfi = cfi
     engine = None
     if taint:
         engine = TaintEngine()
@@ -307,14 +308,20 @@ def _run(arch, code, data, registers, *, taint):
     return process, engine, memory, path
 
 
-def _violations(arch, seed, flips=FLIPS_PER_PROGRAM):
-    """Run program ``seed`` and its flipped twins; return under-taint
-    findings and the number of samples that kept the same path."""
+def _program(arch, seed):
+    """Program ``seed``: its rng (for the flips), code, data and registers."""
     rng = random.Random(seed)
     code = GENERATORS[arch](rng)
     data = bytes(rng.getrandbits(8) for _ in range(DATA_SIZE))
     names = X86_GP + ("ebp",) if arch == "x86" else ARM_GP + ("r14",)
     registers = {name: rng.getrandbits(32) for name in names}
+    return rng, code, data, registers
+
+
+def _violations(arch, seed, flips=FLIPS_PER_PROGRAM):
+    """Run program ``seed`` and its flipped twins; return under-taint
+    findings and the number of samples that kept the same path."""
+    rng, code, data, registers = _program(arch, seed)
     base, engine, base_memory, base_path = _run(arch, code, data, registers, taint=True)
     read = sorted({address - DATA[arch] + index
                    for kind, address, length in base_path[3] if kind == "r"
@@ -341,6 +348,40 @@ def _violations(arch, seed, flips=FLIPS_PER_PROGRAM):
                     findings.append(f"seed {seed} data[{index}]: "
                                     f"mem {seg.base + offset:#x} changed, unlabelled")
     return findings, kept
+
+
+class CountingCfi:
+    """A CFI policy that records every hook call and allows every branch."""
+
+    def __init__(self):
+        self.calls = []
+
+    def note_call(self, return_address):
+        self.calls.append(("note_call", return_address))
+
+    def check_return(self, at, target):
+        self.calls.append(("check_return", at, target))
+
+    def check_indirect(self, at, target, kind):
+        self.calls.append(("check_indirect", at, target, kind))
+
+
+def _table_cfi_calls(flow, insns, trail, steps):
+    """The hook calls the table implies for the ``steps`` completed steps of
+    ``trail``: ``note_call`` once per call-kind branch, then one check per
+    indirect branch, on the pc the next step starts from."""
+    calls = []
+    for (pc, _sp), (target, _) in zip(trail[:steps], trail[1:steps + 1]):
+        insn = insns[pc]
+        if flow.branch(insn) is None:
+            continue
+        kind = flow.pc_via[insn.mnemonic].cfi
+        if kind == "call":
+            calls.append(("note_call", insn.end))
+        if flow.indirect(insn):
+            calls.append(("check_return", pc, target) if kind == "return"
+                         else ("check_indirect", pc, target, kind))
+    return calls
 
 
 @pytest.mark.parametrize("arch", ["x86", "arm"])
@@ -370,6 +411,24 @@ class TestTaintSoundness:
                 if flow.branch(insn) is not None:
                     branches.add(insn.mnemonic)
         assert branches == set(flow.pc_via)
+
+    def test_cfi_hooks_fire_once_per_table_branch(self, arch):
+        flow = X86_FLOW if arch == "x86" else ARM_FLOW
+        executed, hooks, kinds = set(), set(), set()
+        for seed in range(PROGRAMS):
+            _rng, code, data, registers = _program(arch, seed)
+            insns = {insn.address: insn for insn in _instructions(arch, code)}
+            cfi = CountingCfi()
+            _, _, _, (_reason, steps, trail, _log) = _run(arch, code, data, registers,
+                                                          taint=False, cfi=cfi)
+            assert cfi.calls == _table_cfi_calls(flow, insns, trail, steps), f"seed {seed}"
+            executed.update(insns[pc].mnemonic for pc, _sp in trail[:steps])
+            hooks.update(call[0] for call in cfi.calls)
+            kinds.update(call[3] for call in cfi.calls if call[0] == "check_indirect")
+        # Every branch row ran, and every hook and indirect kind fired.
+        assert set(flow.pc_via) <= executed
+        assert hooks == {"note_call", "check_return", "check_indirect"}
+        assert kinds == {"call", "jump"}
 
 
 class TestArmRegisterListsAndPcReads:
