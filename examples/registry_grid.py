@@ -5,7 +5,7 @@ Every paper experiment (E1-E16) is declared once with the
 `@register_experiment` decorator; this example drives the registry the
 way the CLI does:
 
-  * list the specs (`repro experiments --list` renders the same table),
+  * list the specs (`repro report --list` renders the same table),
   * run one spec at its default grid point — identical output to calling
     the legacy function directly,
   * widen a parameter axis into a real grid, shard it over workers

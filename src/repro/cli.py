@@ -1,21 +1,23 @@
 """Command-line interface: drive the reproduction from a shell.
 
+Every paper experiment (E1–E16) runs through the registry: ``run`` runs
+one, ``report`` runs many.  The other verbs are tools and observed
+scenarios.
+
 ::
 
-    python -m repro matrix                 # the six-attack table
-    python -m repro experiments --only E1,E5
-    python -m repro experiments --list     # the experiment registry
+    python -m repro report                 # every experiment table
+    python -m repro report --only E2,E3,E4 # the six-attack §III matrix
+    python -m repro report --list          # the experiment registry
+    python -m repro run E1                 # DoS on both arches
+    python -m repro run E10 --set max_attempts=512
+    python -m repro run E11 --set burst=4096 --set max_queries=256
     python -m repro run E15 --checkpoint /tmp/e15.ckpt --results e15.jsonl
     python -m repro run E14 --grid trials=4,8 --workers 2 --results e14.jsonl
     python -m repro report --results e15.jsonl   # render from the artifact
-    python -m repro dos --arch arm
-    python -m repro pineapple
-    python -m repro audit
     python -m repro gadgets --arch arm --contains "blx"
     python -m repro recon --arch x86 --aslr
     python -m repro autogen --arch arm --level wx
-    python -m repro bruteforce
-    python -m repro offpath --burst 2048
     python -m repro chaos --rates 0,0.2,0.5 --workers 2
     python -m repro dash --once --json      # campaign dashboard (series + SLOs)
     python -m repro dash --scenario crash --once            # forced-crash board
@@ -34,9 +36,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import random
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from .connman import ConnmanDaemon
 from .cpu import TraceRecorder
@@ -48,24 +49,14 @@ from .core import (
     ObservedAttack,
     RunPolicy,
     attacker_knowledge,
-    e5_pineapple,
-    e6_firmware_survey,
     render_table,
     run_chaos_point,
     run_chaos_sweep,
     run_forced_crash,
     run_observed_attack,
-    run_paper_matrix,
 )
 from .core.registry import all_experiments
-from .exploit import (
-    AslrBruteForcer,
-    AutoExploiter,
-    GadgetFinder,
-    OffPathSpoofer,
-    builder_for,
-)
-from .exploit.offpath import ID_SPACE
+from .exploit import AutoExploiter, GadgetFinder, builder_for
 from .net import DNS_PORT, FaultPolicy, Host, Network
 from .obs import (
     DEFAULT_SAMPLE_INTERVAL,
@@ -83,13 +74,6 @@ LEVELS: Dict[str, ProtectionProfile] = {
     "none": NONE,
     "wx": WX,
     "wx+aslr": WX_ASLR,
-}
-
-#: Compatibility view of the experiment registry (id -> runner).  The
-#: registry in :mod:`repro.core.registry` is the source of truth; this
-#: dict exists because examples and tests address experiments by id.
-EXPERIMENTS: Dict[str, Callable] = {
-    spec.id: spec.runner for spec in all_experiments()
 }
 
 
@@ -110,21 +94,26 @@ def _render_artifact_tables(document) -> None:
 
 
 def cmd_report(args) -> int:
-    """Print every measured experiment table (EXPERIMENTS.md body).
+    """Print the measured experiment tables (EXPERIMENTS.md body).
 
     Every experiment runs through the registry and renders from its
     ``repro-results/v1`` document — the same artifact ``repro run
     --results`` writes, ``--results PATH`` re-reads, and ``--emit-results
-    DIR`` persists for the dash consumer.  Exits non-zero when any trial
-    failed or ended unexpectedly.
+    DIR`` persists for the dash consumer.  ``--only`` picks experiments by
+    id and ``--list`` prints the registry without running it.  Exits
+    non-zero when any trial failed or ended unexpectedly.
     """
     import os
 
-    from .core.registry import results_ok, run_experiment
+    from .core.registry import (get_experiment, render_registry_table,
+                                results_ok, run_experiment)
     from .core.resume import load_results, write_results
 
+    if args.list:
+        print(render_registry_table())
+        return 0
     documents = []
-    if getattr(args, "results", None):
+    if args.results:
         for path in args.results:
             try:
                 header, rows = load_results(path)
@@ -134,9 +123,16 @@ def cmd_report(args) -> int:
                 return 2
             documents.append({"header": header, "rows": rows})
     else:
-        for spec in all_experiments():
+        try:
+            specs = ([get_experiment(name.strip().upper())
+                      for name in args.only.split(",")]
+                     if args.only else all_experiments())
+        except KeyError as error:
+            print(f"repro report: {error.args[0]}", file=sys.stderr)
+            return 2
+        for spec in specs:
             documents.append(run_experiment(spec).to_artifact())
-        if getattr(args, "emit_results", None):
+        if args.emit_results:
             os.makedirs(args.emit_results, exist_ok=True)
             for document in documents:
                 path = os.path.join(
@@ -145,7 +141,7 @@ def cmd_report(args) -> int:
                 write_results(path, document["header"], document["rows"])
             print(f"wrote {len(documents)} repro-results/v1 artifacts to "
                   f"{args.emit_results}", file=sys.stderr)
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(documents, indent=2, sort_keys=True))
     else:
         for document in documents:
@@ -167,21 +163,6 @@ def _non_negative_int(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _burst(text: str) -> int:
-    value = int(text)
-    if not 1 <= value <= ID_SPACE:
-        raise argparse.ArgumentTypeError(
-            f"must be in 1..{ID_SPACE} (the DNS ID space), got {value}")
     return value
 
 
@@ -256,37 +237,6 @@ def _sweep_settings(args, verb: str):
             retries=SUPERVISED_POLICY.retries if retries is None else retries,
             on_failure="quarantine")
     return checkpoint, resume, policy
-
-
-def cmd_matrix(_args) -> int:
-    results = run_paper_matrix()
-    print(render_table(
-        ("arch", "protections", "strategy", "outcome"),
-        [result.row() for result in results],
-        title="§III experiment matrix",
-    ))
-    return 0 if all(result.succeeded for result in results) else 1
-
-
-def cmd_experiments(args) -> int:
-    from .core.registry import REGISTRY, render_registry_table, run_experiment
-
-    if getattr(args, "list", False):
-        print(render_registry_table())
-        return 0
-    wanted = [name.strip().upper() for name in args.only.split(",")] if args.only else list(REGISTRY)
-    status = 0
-    for name in wanted:
-        if name not in REGISTRY:
-            print(f"unknown experiment {name!r}; known: {', '.join(REGISTRY)}",
-                  file=sys.stderr)
-            return 2
-        run = run_experiment(name)
-        print(run.describe())
-        print()
-        if not run.ok:
-            status = 1
-    return status
 
 
 def _parse_value(text: str):
@@ -371,38 +321,6 @@ def cmd_run(args) -> int:
     return 0 if run.ok and run.slo_report.ok else 1
 
 
-def cmd_dos(args) -> int:
-    from .core import naive_overflow_blob
-    from .dns import build_raw_response
-
-    for version in ("1.34", "1.35"):
-        daemon = ConnmanDaemon(arch=args.arch, version=version, profile=WX_ASLR)
-        query = make_query(0xD05, "crash.example")
-        reply = build_raw_response(query, naive_overflow_blob())
-        event = daemon.handle_upstream_reply(reply, expected_id=0xD05)
-        state = "alive" if daemon.alive else "DOWN"
-        print(f"connman {version} / {args.arch}: {event.describe()[:64]} [{state}]")
-    return 0
-
-
-def cmd_pineapple(_args) -> int:
-    result = e5_pineapple()
-    print(result.describe())
-    return 0 if result.all_pass else 1
-
-
-def cmd_audit(_args) -> int:
-    from .firmware import ALL_CVES
-
-    print(e6_firmware_survey().describe())
-    print()
-    print("CVE database:")
-    for cve in ALL_CVES:
-        print(f"  {cve.cve_id:<15} {cve.component:<17} {cve.protocol:<5} "
-              f"[{cve.adaptation_effort}]")
-    return 0
-
-
 def cmd_gadgets(args) -> int:
     from .binfmt import build_connman
 
@@ -455,15 +373,6 @@ def cmd_listing(args) -> int:
 def cmd_autogen(args) -> int:
     victim = ConnmanDaemon(arch=args.arch, profile=LEVELS[args.level])
     result = AutoExploiter(victim).run()
-    print(result.describe())
-    return 0 if result.succeeded else 1
-
-
-def cmd_bruteforce(args) -> int:
-    victim = ConnmanDaemon(arch="x86", profile=WX_ASLR, rng=random.Random(args.seed))
-    forcer = AslrBruteForcer(victim, max_attempts=args.max_attempts,
-                             rng=random.Random(args.seed + 1))
-    result = forcer.run()
     print(result.describe())
     return 0 if result.succeeded else 1
 
@@ -730,18 +639,6 @@ def cmd_dash(args) -> int:
     return 0 if report.ok and artifacts_ok else 1
 
 
-def cmd_offpath(args) -> int:
-    profile = WX_ASLR
-    knowledge = attacker_knowledge(AttackScenario("arm", "cli", profile))
-    exploit = builder_for("arm", profile).build(knowledge)
-    victim = ConnmanDaemon(arch="arm", profile=profile, rng=random.Random(args.seed))
-    spoofer = OffPathSpoofer(exploit, burst=args.burst, rng=random.Random(args.seed + 1))
-    legit = SimpleDnsServer(default_address="1.1.1.1")
-    result = spoofer.attack(victim, legit.handle_query, max_queries=args.max_queries)
-    print(result.describe())
-    return 0 if result.succeeded else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -749,23 +646,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    subparsers.add_parser("matrix", help="run the six-attack §III matrix").set_defaults(run=cmd_matrix)
-    report = subparsers.add_parser("report", help="print every measured experiment table")
+    report = subparsers.add_parser(
+        "report", help="run registered experiments and print their tables")
     report.add_argument("--json", action="store_true", help="machine-readable output")
-    report.add_argument("--results", action="append", metavar="PATH",
+    source = report.add_mutually_exclusive_group()
+    source.add_argument("--only", help="comma-separated ids, e.g. E1,E5")
+    source.add_argument("--list", action="store_true",
+                        help="print the experiment registry (ids, grids, "
+                             "passthrough capabilities) without running")
+    source.add_argument("--results", action="append", metavar="PATH",
                         help="render from existing repro-results/v1 "
                              "artifact(s) instead of re-running (repeatable)")
     report.add_argument("--emit-results", metavar="DIR",
                         help="also write one repro-results/v1 artifact per "
                              "experiment into DIR")
     report.set_defaults(run=cmd_report)
-
-    experiments = subparsers.add_parser("experiments", help="run paper experiments")
-    experiments.add_argument("--only", help="comma-separated ids, e.g. E1,E5")
-    experiments.add_argument("--list", action="store_true",
-                             help="print the experiment registry (ids, grids, "
-                                  "passthrough capabilities) without running")
-    experiments.set_defaults(run=cmd_experiments)
 
     run = subparsers.add_parser(
         "run", help="run one registered experiment (grids, checkpoints, "
@@ -782,13 +677,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--json", action="store_true",
                      help="print the artifact document instead of tables")
     run.set_defaults(run=cmd_run)
-
-    dos = subparsers.add_parser("dos", help="E1 crash PoC")
-    _add_arch(dos)
-    dos.set_defaults(run=cmd_dos)
-
-    subparsers.add_parser("pineapple", help="E5 remote MITM").set_defaults(run=cmd_pineapple)
-    subparsers.add_parser("audit", help="E6 firmware survey + CVE db").set_defaults(run=cmd_audit)
 
     gadgets = subparsers.add_parser("gadgets", help="scan the Connman image for gadgets")
     _add_arch(gadgets)
@@ -813,11 +701,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_arch(autogen)
     _add_level(autogen)
     autogen.set_defaults(run=cmd_autogen)
-
-    bruteforce = subparsers.add_parser("bruteforce", help="E10 ASLR brute force")
-    bruteforce.add_argument("--max-attempts", type=_positive_int, default=4096)
-    bruteforce.add_argument("--seed", type=int, default=99)
-    bruteforce.set_defaults(run=cmd_bruteforce)
 
     chaos = subparsers.add_parser("chaos", help="fault-rate sweep (E16 chaos table)")
     chaos.add_argument("--rates", type=_parse_rates, default="0,0.2,0.5",
@@ -913,12 +796,6 @@ def build_parser() -> argparse.ArgumentParser:
     observe.add_argument("--duplicate", type=_fraction, default=0.25,
                          help="lan: duplicate rate on the capture link")
     observe.set_defaults(run=cmd_observe)
-
-    offpath = subparsers.add_parser("offpath", help="E11 off-path spoofing")
-    offpath.add_argument("--burst", type=_burst, default=2048)
-    offpath.add_argument("--max-queries", type=_positive_int, default=512)
-    offpath.add_argument("--seed", type=int, default=3)
-    offpath.set_defaults(run=cmd_offpath)
 
     return parser
 

@@ -1,6 +1,5 @@
 """Simulated Connman: versions, vulnerable dnsproxy, daemon lifecycle."""
 
-from .cache import CacheEntry, DnsCache
 from .config import DEFAULT_MAIN_CONF, MainConf, MainConfError, parse_main_conf
 from .gueststore import GuestBackedDnsCache
 from .daemon import ConnmanDaemon, Transport
@@ -26,13 +25,11 @@ from .version import (
 
 __all__ = [
     "ARM_FRAME",
-    "CacheEntry",
     "ConnmanDaemon",
     "ConnmanVersion",
     "CVE_ID",
     "DaemonEvent",
     "DaemonSupervisor",
-    "DnsCache",
     "DEFAULT_MAIN_CONF",
     "GuestBackedDnsCache",
     "MainConf",

@@ -21,7 +21,6 @@ from ..cpu.events import _EmulationStop
 from ..defenses import NONE, ProtectionProfile, ReturnAddressGuard, ShadowStackCfi, StackCanary
 from ..dns import Message, ResilientResolver, ResourceRecord, make_response
 from ..mem import AslrPolicy
-from .cache import DnsCache
 from .dnsproxy import DnsProxyCore
 from .frames import frame_model
 from .gueststore import GuestBackedDnsCache
@@ -59,9 +58,6 @@ class ConnmanDaemon:
         self.binary = build_connman(arch, str(self.version), seed=profile.diversity_seed)
         self.libc_image = build_libc(arch)
         self.frame = frame_model(arch)
-        #: Replaced with a guest-memory-backed store at every boot; the
-        #: host-dict fallback only exists until the first boot() runs.
-        self.cache = DnsCache()
         self.events: List[DaemonEvent] = []
         self.boots = 0
         self.crashed = False

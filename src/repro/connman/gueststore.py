@@ -5,6 +5,8 @@ store puts ours into the emulated ``.bss`` (the ``dns_cache_storage``
 reservation in the binary), so cached entries are inspectable with the
 debugger, vanish with the process on crash/restart, and are — like
 everything else in the image — potential raw material for exploitation.
+CVE-2017-12865 lives in the code that expands a compressed name *in order
+to cache* an A/AAAA reply, so the cache is part of the faithful model.
 
 Entry wire format, packed sequentially from the region start::
 
@@ -28,8 +30,8 @@ MAX_NAME = 255
 
 
 class GuestBackedDnsCache:
-    """Cache with the same interface shape as :class:`DnsCache`, stored in
-    a region of the emulated address space."""
+    """Name -> IPv4 cache with simulated-clock TTL expiry, stored in a
+    region of the emulated address space."""
 
     def __init__(self, process: Process, base: int, size: int,
                  observer: Optional["Collector"] = None):

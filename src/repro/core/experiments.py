@@ -483,16 +483,14 @@ def e11_offpath(burst: int = 2048, max_queries: int = 512) -> ExperimentResult:
     exploit = builder_for("arm", WX_ASLR).build(knowledge)
     legit = SimpleDnsServer(default_address="1.1.1.1")
     victim = ConnmanDaemon(arch="arm", profile=WX_ASLR, rng=random.Random(3))
-    from ..exploit import OffPathSpoofer as _Spoofer
-
-    spoofer = _Spoofer(exploit, burst=burst, rng=random.Random(11))
+    spoofer = OffPathSpoofer(exploit, burst=burst, rng=random.Random(11))
     report = spoofer.attack(victim, legit.handle_query, max_queries=max_queries)
     result.rows.append((burst, report.queries_observed, report.describe()[:52],
                         _check(report.succeeded)))
 
     # Tiny bursts: overwhelmingly the legitimate reply wins the race.
     small_victim = ConnmanDaemon(arch="arm", profile=WX_ASLR, rng=random.Random(4))
-    small = _Spoofer(exploit, burst=4, rng=random.Random(12))
+    small = OffPathSpoofer(exploit, burst=4, rng=random.Random(12))
     small_report = small.attack(small_victim, legit.handle_query, max_queries=64)
     result.rows.append((4, small_report.queries_observed, small_report.describe()[:52],
                         _check(not small_report.succeeded)))
@@ -759,13 +757,3 @@ def e16_chaos(rates: Sequence[float] = (0.0, 0.2, 0.5),
                 and capped.attempts < free.attempts)))
     return result
 
-
-def run_all() -> List[ExperimentResult]:
-    """Every experiment, in DESIGN.md order — resolved from the registry.
-
-    This used to be a second hand-written call list that had to be kept
-    in sync with the CLI's dispatch table; now both walk the registry.
-    """
-    from .registry import all_experiments, run_experiment
-
-    return [run_experiment(spec).result for spec in all_experiments()]

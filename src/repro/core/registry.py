@@ -471,7 +471,7 @@ def run_experiment(spec_or_id, *,
 
 
 def render_registry_table() -> str:
-    """`repro experiments --list`: the registry as a verdictless table."""
+    """`repro report --list`: the registry as a verdictless table."""
     return render_table(
         ("id", "title", "grid axes", "trials", "passthrough"),
         [spec.describe_row() for spec in all_experiments()],

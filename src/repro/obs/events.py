@@ -18,8 +18,7 @@ category    kinds
 ``fault``   ``fault.drop`` ``fault.corrupt`` ``fault.truncate``
             ``fault.duplicate`` ``fault.delay`` ``fault.partition``
 ``cache``   ``cache.hit`` ``cache.miss`` ``cache.put``
-            ``cache.evict`` ``cache.expire`` ``cache.stale``
-            ``cache.flush``
+            ``cache.evict`` ``cache.stale`` ``cache.flush``
 ``daemon``  ``daemon.boot`` ``daemon.restart`` ``daemon.crash``
             ``daemon.compromise`` ``supervisor.restart``
             ``supervisor.start_limit``

@@ -4,7 +4,8 @@ import hashlib
 
 import pytest
 
-from repro.cli import EXPERIMENTS, LEVELS, build_parser, main
+from repro.cli import LEVELS, build_parser, main
+from repro.core.registry import experiment_ids
 from repro.cpu import Process
 
 
@@ -14,19 +15,23 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_unknown_command_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["frobnicate"])
+        # The experiment verbs are gone: `run` and `report` replace them.
+        for verb in ("frobnicate", "matrix", "experiments", "dos",
+                     "pineapple", "audit", "bruteforce", "offpath"):
+            with pytest.raises(SystemExit) as exit_info:
+                build_parser().parse_args([verb])
+            assert exit_info.value.code == 2, verb
 
     def test_levels_cover_paper_ladder(self):
         assert set(LEVELS) == {"none", "wx", "wx+aslr"}
 
     def test_experiment_registry(self):
-        assert {"E1", "E5", "E8", "E10", "E11"} <= set(EXPERIMENTS)
+        assert {"E1", "E5", "E8", "E10", "E11"} <= set(experiment_ids())
 
 
 class TestCommands:
     def test_matrix(self, capsys):
-        assert main(["matrix"]) == 0
+        assert main(["report", "--only", "E2,E3,E4"]) == 0
         out = capsys.readouterr().out
         assert out.count("root shell") == 6
 
@@ -73,16 +78,7 @@ class TestCommands:
                      id="run-trial-timeout"),
         pytest.param(["run", "E16", "--retries", "-1"], id="run-retries"),
         pytest.param(["run", "E16", "--workers", "-1"], id="run-workers"),
-        pytest.param(["bruteforce", "--max-attempts", "-3"],
-                     id="bruteforce-max-attempts"),
-        pytest.param(["bruteforce", "--max-attempts", "0"],
-                     id="bruteforce-max-attempts-zero"),
         pytest.param(["gadgets", "--limit", "-1"], id="gadgets-limit"),
-        pytest.param(["offpath", "--burst", "-1"], id="offpath-burst"),
-        pytest.param(["offpath", "--burst", "0"], id="offpath-burst-zero"),
-        pytest.param(["offpath", "--burst", "70000"], id="offpath-burst-range"),
-        pytest.param(["offpath", "--max-queries", "-2"],
-                     id="offpath-max-queries"),
     ])
     def test_rejects_bad_numeric_input(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -90,22 +86,60 @@ class TestCommands:
         assert exit_info.value.code == 2
         assert argv[-2] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting, parameter", [
+        pytest.param("E11 burst=-1", "burst", id="offpath-burst"),
+        pytest.param("E11 burst=0", "burst", id="offpath-burst-zero"),
+        pytest.param("E11 burst=70000", "burst", id="offpath-burst-range"),
+        pytest.param("E11 max_queries=-2", "max_queries",
+                     id="offpath-max-queries"),
+        pytest.param("E10 max_attempts=-3", "max_attempts",
+                     id="bruteforce-max-attempts"),
+    ])
+    def test_run_rejects_bad_library_input(self, setting, parameter, capsys):
+        experiment, pinned = setting.split()
+        assert main(["run", experiment, "--set", pinned]) != 0
+        assert parameter in capsys.readouterr().err
+
     def test_experiments_selected(self, capsys):
-        assert main(["experiments", "--only", "E1,E6"]) == 0
+        assert main(["report", "--only", "E1,E6"]) == 0
         out = capsys.readouterr().out
         assert "E1:" in out and "E6:" in out and "E2:" not in out
 
     def test_experiments_unknown_id(self, capsys):
-        assert main(["experiments", "--only", "E99"]) == 2
-        assert "unknown experiment" in capsys.readouterr().err
+        assert main(["report", "--only", "E1,E99"]) == 2
+        captured = capsys.readouterr()
+        assert "unknown experiment 'E99'" in captured.err
+        assert "known: E1, E2" in captured.err
+        assert captured.out == ""  # rejected before anything runs
+
+    def test_report_list(self, capsys):
+        assert main(["report", "--list"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(
+            f"experiment registry ({len(experiment_ids())} experiments)")
+        for experiment in experiment_ids():
+            assert f"\n{experiment} " in out
+        assert "E1:" not in out  # listed, not run
+
+    @pytest.mark.parametrize("argv", [
+        ["--only", "E1", "--list"],
+        ["--only", "E1", "--results", "r.jsonl"],
+        ["--list", "--results", "r.jsonl"],
+    ])
+    def test_report_sources_are_exclusive(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["report", *argv])
+        assert exit_info.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
     def test_dos(self, capsys):
-        assert main(["dos", "--arch", "arm"]) == 0
-        out = capsys.readouterr().out
-        assert "[DOWN]" in out and "[alive]" in out
+        assert main(["run", "E1"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        alive = {row[-2] for row in rows if row[:1] in (["x86"], ["arm"])}
+        assert alive == {"True", "False"}  # 1.35 drops, 1.34 goes down
 
     def test_audit(self, capsys):
-        assert main(["audit"]) == 0
+        assert main(["run", "E6"]) == 0
         out = capsys.readouterr().out
         assert "CVE-2017-12865" in out and "openelec-8" in out
 
@@ -146,11 +180,11 @@ class TestCommands:
         assert "verdict: root shell via ret2libc" in out
 
     def test_offpath_small(self, capsys):
-        assert main(["offpath", "--burst", "2048", "--max-queries", "256"]) == 0
+        assert main(["run", "E11", "--set", "max_queries=256"]) == 0
         assert "code execution" in capsys.readouterr().out
 
     def test_bruteforce(self, capsys):
-        assert main(["bruteforce", "--max-attempts", "2048"]) == 0
+        assert main(["run", "E10"]) == 0
         assert "root shell" in capsys.readouterr().out
 
 

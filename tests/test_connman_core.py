@@ -1,11 +1,10 @@
-"""Connman version model, frame geometry, cache, and header validation."""
+"""Connman version model, frame geometry, and header validation."""
 
 import pytest
 
 from repro.connman import (
     ARM_FRAME,
     ConnmanVersion,
-    DnsCache,
     EventKind,
     FIRST_FIXED,
     LAST_VULNERABLE,
@@ -82,70 +81,6 @@ class TestFrameModels:
 
     def test_describe(self):
         assert "name[1024]" in X86_FRAME.describe()
-
-
-class TestCache:
-    def test_put_get(self):
-        cache = DnsCache()
-        cache.put("a.example", "1.1.1.1")
-        assert cache.get("A.EXAMPLE") == "1.1.1.1"
-
-    def test_miss(self):
-        assert DnsCache().get("nope") is None
-
-    def test_ttl_expiry(self):
-        cache = DnsCache()
-        cache.put("a.example", "1.1.1.1", ttl=10)
-        cache.advance(11)
-        assert cache.get("a.example") is None
-
-    def test_not_expired_within_ttl(self):
-        cache = DnsCache()
-        cache.put("a.example", "1.1.1.1", ttl=10)
-        cache.advance(9)
-        assert cache.get("a.example") == "1.1.1.1"
-
-    def test_eviction_at_capacity(self):
-        cache = DnsCache(max_entries=2)
-        cache.put("a", "1.1.1.1")
-        cache.advance(1)
-        cache.put("b", "2.2.2.2")
-        cache.advance(1)
-        cache.put("c", "3.3.3.3")
-        assert len(cache) == 2
-        assert cache.get("a") is None  # oldest evicted
-
-    def test_eviction_prefers_expired_entry(self):
-        cache = DnsCache(max_entries=2)
-        cache.put("old-live", "1.1.1.1", ttl=1000)
-        cache.advance(1)
-        cache.put("young-dead", "2.2.2.2", ttl=5)
-        cache.advance(10)  # young-dead expires; old-live still valid
-        cache.put("new", "3.3.3.3")
-        assert cache.get("old-live") == "1.1.1.1"  # survived despite being oldest
-        assert cache.get("young-dead") is None
-        assert cache.get("new") == "3.3.3.3"
-
-    def test_eviction_falls_back_to_oldest_live(self):
-        cache = DnsCache(max_entries=2)
-        cache.put("a", "1.1.1.1", ttl=1000)
-        cache.advance(1)
-        cache.put("b", "2.2.2.2", ttl=1000)
-        cache.put("c", "3.3.3.3")
-        assert cache.get("a") is None  # all live: oldest goes
-        assert cache.get("b") == "2.2.2.2"
-
-    def test_overwrite_same_name_no_evict(self):
-        cache = DnsCache(max_entries=1)
-        cache.put("a", "1.1.1.1")
-        cache.put("a", "9.9.9.9")
-        assert cache.get("a") == "9.9.9.9"
-
-    def test_clear(self):
-        cache = DnsCache()
-        cache.put("a", "1.1.1.1")
-        cache.clear()
-        assert len(cache) == 0
 
 
 class TestHeaderValidation:

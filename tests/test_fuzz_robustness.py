@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.connman import ConnmanDaemon, DaemonEvent, EventKind
 from repro.cpu import Process, make_emulator
-from repro.defenses import NONE, WX_ASLR
+from repro.defenses import NONE, WX_ASLR, ShadowStackCfi
 from repro.dns import Message, MessageDecodeError, PointerLoopError, SimpleDnsServer
 from repro.mem import AddressSpace, Perm
 from tests.conftest import fresh_daemon
@@ -22,9 +22,14 @@ VALID_END_REASONS = {"fault", "exit", "execve", "abort", "daemon-continue"}
 
 
 @settings(max_examples=120, deadline=None)
-@given(code=st.binary(min_size=1, max_size=256), arch=st.sampled_from(["x86", "arm"]))
-def test_property_random_code_never_breaks_the_host(code, arch):
-    """Random bytes executed as guest code end in a clean typed result."""
+@given(code=st.binary(min_size=1, max_size=256), arch=st.sampled_from(["x86", "arm"]),
+       cfi=st.booleans())
+# ARM `pop {}` (empty register list): once an IndexError out of the run loop.
+@example(code=(0xE8BD0000).to_bytes(4, "little"), arch="arm", cfi=False)
+@example(code=(0xE8BD0000).to_bytes(4, "little"), arch="arm", cfi=True)
+def test_property_random_code_never_breaks_the_host(code, arch, cfi):
+    """Random bytes executed as guest code end in a clean typed result,
+    with or without a CFI policy watching every branch."""
     space = AddressSpace()
     space.map_new("code", 0x1000, 0x1000, Perm.RWX)
     space.map_new("stack", 0x20000, 0x4000, Perm.RW | Perm.X)
@@ -32,6 +37,8 @@ def test_property_random_code_never_breaks_the_host(code, arch):
     process = Process(arch, space)
     process.pc = 0x1000
     process.sp = 0x23000
+    if cfi:
+        process.cfi = ShadowStackCfi({0x1000})
     result = make_emulator(process).run(max_steps=2000)
     assert result.reason in VALID_END_REASONS
 
@@ -60,12 +67,12 @@ def test_property_dns_server_total(packet):
 
 
 @settings(max_examples=100, deadline=None)
-@given(reply=st.binary(max_size=512))
-def test_property_dnsproxy_total_on_garbage(reply):
+@given(reply=st.binary(max_size=512), arch=st.sampled_from(["x86", "arm"]))
+def test_property_dnsproxy_total_on_garbage(reply, arch):
     """Arbitrary upstream bytes produce a typed DaemonEvent, never a host
     exception — and garbage that fails header validation leaves the daemon
     alive."""
-    daemon = fresh_daemon("x86", profile=WX_ASLR, seed=1)
+    daemon = fresh_daemon(arch, profile=WX_ASLR, seed=1)
     event = daemon.handle_upstream_reply(reply)
     assert isinstance(event, DaemonEvent)
     assert event.kind in EventKind

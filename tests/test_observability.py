@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.connman import ConnmanDaemon, DaemonSupervisor
-from repro.connman.cache import DnsCache
 from repro.core import run_chaos_point, run_chaos_sweep
 from repro.defenses import WX_ASLR
 from repro.dns import make_query
@@ -169,15 +168,16 @@ class TestCollectorWiring:
 
     def test_cache_counters(self):
         collector = Collector()
-        cache = DnsCache(max_entries=2, observer=collector)
+        cache = ConnmanDaemon(arch="x86", observer=collector).cache
         cache.put("a", "1.1.1.1", ttl=5)
         cache.get("a")
         cache.get("b")
         cache.advance(10)
-        cache.get("a")  # expired on touch
+        cache.get("a")  # expired: the guest table answers a miss
+        assert collector.metrics.value("cache.put") == 1
         assert collector.metrics.value("cache.hit") == 1
-        assert collector.metrics.value("cache.miss") == 1
-        assert collector.metrics.value("cache.expire") == 1
+        assert collector.metrics.value("cache.miss") == 2
+        assert collector.bus.kinds()["cache.miss"] == 2
 
     def test_bruteforce_emits_stages(self):
         collector = Collector()

@@ -96,6 +96,7 @@ class TestExperimentSerialization:
 
 
 class TestReportCli:
-    def test_report_selected_via_experiments(self, capsys):
-        assert main(["experiments", "--only", "E6"]) == 0
-        assert "E6:" in capsys.readouterr().out
+    def test_report_selected_via_only(self, capsys):
+        assert main(["report", "--only", "e6"]) == 0
+        out = capsys.readouterr().out
+        assert "E6:" in out and "E1:" not in out
