@@ -340,7 +340,7 @@ class DnsProxyCore:
         if shadowed:
             # The daemon will copy this *string* (not memory) into the
             # guest cache; remember its per-character provenance so the
-            # copy can be seeded (see GuestNameStore.put).
+            # copy can be seeded (see GuestBackedDnsCache.put).
             taint.register_derived(name, char_labels)
         return name
 

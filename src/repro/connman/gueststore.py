@@ -14,6 +14,15 @@ Entry wire format, packed sequentially from the region start::
     u8  name[name_length]
     u8  address[4]         (IPv4)
     u32 expiry             (simulated-clock seconds)
+
+Every lookup walks the table as it stands in guest memory, because the
+exploit and the debugger may rewrite it between any two calls; nothing
+about it is kept on the host.  A walk is one guest read of the whole
+region, parsed eagerly on the host: every record is collected before a
+lookup answers, and names are matched as raw bytes, so only a hit's
+address and expiry are decoded.  A record whose (possibly corrupted)
+length byte runs past the region end reads its body from the guest, so
+the walk faults exactly where a field-by-field walk would.
 """
 
 from __future__ import annotations
@@ -27,6 +36,22 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 ENTRY_OVERHEAD = 1 + 4 + 4
 MAX_NAME = 255
+
+
+def _encoded(name: str) -> Optional[bytes]:
+    """``name`` as table bytes; None (matches nothing) outside latin-1."""
+    try:
+        return name.encode("latin-1")
+    except UnicodeEncodeError:
+        return None
+
+
+def _address(tail: bytes) -> str:
+    return ".".join(str(byte) for byte in tail[:4])
+
+
+def _expiry(tail: bytes) -> int:
+    return int.from_bytes(tail[4:], "little")
 
 
 class GuestBackedDnsCache:
@@ -54,30 +79,32 @@ class GuestBackedDnsCache:
 
     # -- raw table walking ----------------------------------------------------
 
-    def _entries(self) -> List[Tuple[int, str, str, int]]:
-        """(offset, name, address, expiry) for every live slot."""
+    def _records(self) -> List[Tuple[int, bytes, bytes]]:
+        """(offset, name, address + expiry bytes) for every table slot."""
         memory = self.process.memory
-        entries = []
-        cursor = self.base
-        end = self.base + self.size
-        while cursor < end:
-            name_length = memory.read_u8(cursor)
+        table = memory.read(self.base, self.size)
+        records = []
+        offset = 0
+        while offset < self.size:
+            name_length = table[offset]
             if name_length == 0:
                 break
-            name = memory.read(cursor + 1, name_length).decode("latin-1")
-            address = ".".join(
-                str(byte) for byte in memory.read(cursor + 1 + name_length, 4)
-            )
-            expiry = memory.read_u32(cursor + 1 + name_length + 4)
-            entries.append((cursor, name, address, expiry))
-            cursor += ENTRY_OVERHEAD + name_length
-        return entries
+            end = offset + ENTRY_OVERHEAD + name_length
+            if end <= self.size:
+                body = table[offset + 1:end]
+            else:
+                # The length byte runs past the region: read the record's
+                # body from the guest, so it faults where the guest would.
+                body = memory.read(self.base + offset + 1, end - offset - 1)
+            records.append((self.base + offset, body[:name_length], body[name_length:]))
+            offset = end
+        return records
 
     def _append_offset(self) -> int:
-        entries = self._entries()
-        if not entries:
+        records = self._records()
+        if not records:
             return self.base
-        offset, name, _address, _expiry = entries[-1]
+        offset, name, _tail = records[-1]
         return offset + ENTRY_OVERHEAD + len(name)
 
     # -- cache interface ------------------------------------------------------------
@@ -125,20 +152,15 @@ class GuestBackedDnsCache:
     def _compact_expired(self) -> int:
         """Rewrite the table keeping only live entries; returns the new
         append offset."""
-        live = [(name, address, expiry)
-                for _offset, name, address, expiry in self._entries()
-                if expiry > self._clock]
-        evicted = len(self._entries()) - len(live)
+        records = self._records()
+        live = [(name, tail) for _offset, name, tail in records
+                if _expiry(tail) > self._clock]
+        evicted = len(records) - len(live)
         memory = self.process.memory
         cursor = self.base
-        for name, address, expiry in live:
-            encoded = name.encode("latin-1")
-            memory.write_u8(cursor, len(encoded))
-            memory.write(cursor + 1, encoded)
-            memory.write(cursor + 1 + len(encoded),
-                         bytes(int(part) for part in address.split(".")))
-            memory.write_u32(cursor + 1 + len(encoded) + 4, expiry)
-            cursor += ENTRY_OVERHEAD + len(encoded)
+        for name, tail in live:
+            memory.write(cursor, bytes([len(name)]) + name + tail)
+            cursor += ENTRY_OVERHEAD + len(name)
         memory.write_u8(cursor, 0)
         if evicted and self.observer is not None:
             self.observer.emit("cache", "cache.evict", expired=evicted)
@@ -147,10 +169,11 @@ class GuestBackedDnsCache:
 
     def get(self, name: str) -> Optional[str]:
         wanted = name.lower()
-        for _offset, entry_name, address, expiry in self._entries():
-            if entry_name == wanted and expiry > self._clock:
+        key = _encoded(wanted)
+        for _offset, entry_name, tail in self._records():
+            if entry_name == key and _expiry(tail) > self._clock:
                 self._note("hit", wanted)
-                return address
+                return _address(tail)
         self._note("miss", wanted)
         return None
 
@@ -158,22 +181,25 @@ class GuestBackedDnsCache:
         """Serve-stale lookup: ignore expiry (the entry still lives in .bss
         until the table is flushed or the process restarts)."""
         wanted = name.lower()
-        for _offset, entry_name, address, _expiry in self._entries():
-            if entry_name == wanted:
+        key = _encoded(wanted)
+        for _offset, entry_name, tail in self._records():
+            if entry_name == key:
                 self._note("stale", wanted)
-                return address
+                return _address(tail)
         return None
 
     def clear(self) -> None:
         self.process.memory.write_u8(self.base, 0)
 
     def __len__(self) -> int:
-        return sum(1 for entry in self._entries() if entry[3] > self._clock)
+        return sum(1 for _offset, _name, tail in self._records()
+                   if _expiry(tail) > self._clock)
 
     def dump(self) -> str:
         """Debugger view of the guest-resident table."""
         lines = [f"dns cache @ {self.base:#010x} ({self.size:#x} bytes):"]
-        for offset, name, address, expiry in self._entries():
-            state = "live" if expiry > self._clock else "expired"
-            lines.append(f"  +{offset - self.base:#06x} {name} -> {address} [{state}]")
+        for offset, name, tail in self._records():
+            state = "live" if _expiry(tail) > self._clock else "expired"
+            lines.append(f"  +{offset - self.base:#06x} {name.decode('latin-1')} "
+                         f"-> {_address(tail)} [{state}]")
         return "\n".join(lines)

@@ -11,7 +11,7 @@ engine that has **zero outcome effect**:
   ``N``-th reply datagram the daemon parsed under this engine, and the
   offset indexes into that datagram's payload.
 * Labels are seeded where the daemon copies wire bytes into guest memory
-  (``dnsproxy._get_name`` expansion writes, ``GuestNameStore`` cache
+  (``dnsproxy._get_name`` expansion writes, ``GuestBackedDnsCache`` cache
   inserts) via ``AddressSpace.write(..., taint=...)``.
 * A sparse :class:`ShadowMemory` hangs off the address space; per-register
   label sets live here.  Propagation through guest execution applies each
