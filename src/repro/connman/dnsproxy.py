@@ -122,7 +122,7 @@ class DnsProxyCore:
 
         # A reply that survived validation becomes a taint source: every
         # byte _get_name copies out of it is labeled with its wire offset.
-        taint = getattr(self.loaded.process, "taint", None)
+        taint = self.loaded.process.taint
         if taint is not None:
             taint.begin_source(reply)
         try:
@@ -261,7 +261,7 @@ class DnsProxyCore:
         process stack.
         """
         memory = self.loaded.process.memory
-        taint = getattr(self.loaded.process, "taint", None)
+        taint = self.loaded.process.taint
 
         def wire(cursor_offset: int, count: int, note: str):
             """Per-byte labels for copying wire bytes at ``cursor_offset``."""
@@ -318,7 +318,7 @@ class DnsProxyCore:
         """Benign read of the expanded name for the cache (bounded)."""
         process = self.loaded.process
         memory = process.memory
-        taint = getattr(process, "taint", None)
+        taint = process.taint
         shadowed = taint is not None and taint.shadow is not None
         labels: List[str] = []
         char_labels: List = []
@@ -392,7 +392,7 @@ class DnsProxyCore:
         process = self.loaded.process
         memory = process.memory
         frame = self.frame
-        taint = getattr(process, "taint", None)
+        taint = process.taint
         saved_base = place.ret_slot - frame.saved_area_size
         for index, register in enumerate(frame.saved_registers):
             process.registers[register] = memory.read_u32(saved_base + 4 * index)

@@ -133,7 +133,7 @@ class GuestBackedDnsCache:
                 self._note("flush")
                 cursor = self.base
         memory = self.process.memory
-        taint = getattr(self.process, "taint", None)
+        taint = self.process.taint
         labels = taint.derived_labels(name) if taint is not None else None
         memory.write_u8(cursor, len(encoded))
         if labels is not None and len(labels) == len(encoded):

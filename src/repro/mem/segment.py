@@ -25,13 +25,15 @@ class Segment:
         self.name = name
         self.base = base
         self.size = size
+        #: One past the last mapped address.
+        self.end = base + size
         self.perm = perm
+        # A mapping's geometry and permissions never change, so the per-access
+        # checks read plain booleans rather than testing ``perm`` flags.
+        self.readable = Perm.R in perm
+        self.writable = Perm.W in perm
+        self.executable = Perm.X in perm
         self.data = bytearray(size)
-
-    @property
-    def end(self) -> int:
-        """One past the last mapped address."""
-        return self.base + self.size
 
     def contains(self, address: int) -> bool:
         return self.base <= address < self.end
@@ -40,25 +42,27 @@ class Segment:
         return self.base < other.end and other.base < self.end
 
     # -- raw access (permission-checked) ------------------------------------
+    # ``start``/``stop`` are offsets into ``data``; the owning address space
+    # has already bounds-checked them.
 
-    def read(self, address: int, length: int, *, check: bool = True) -> bytes:
-        if check and Perm.R not in self.perm:
-            raise AccessViolation(address, "R", f"read from non-readable segment {self.name!r}")
-        offset = address - self.base
-        return bytes(self.data[offset : offset + length])
+    def read(self, start: int, stop: int, *, check: bool = True) -> bytes:
+        if check and not self.readable:
+            raise AccessViolation(self.base + start, "R",
+                                  f"read from non-readable segment {self.name!r}")
+        return bytes(self.data[start:stop])
 
-    def write(self, address: int, payload: bytes, *, check: bool = True) -> None:
-        if check and Perm.W not in self.perm:
-            raise AccessViolation(address, "W", f"write to non-writable segment {self.name!r}")
-        offset = address - self.base
-        self.data[offset : offset + len(payload)] = payload
+    def write(self, start: int, payload: bytes, *, check: bool = True) -> None:
+        if check and not self.writable:
+            raise AccessViolation(self.base + start, "W",
+                                  f"write to non-writable segment {self.name!r}")
+        self.data[start : start + len(payload)] = payload
 
-    def fetch(self, address: int, length: int) -> bytes:
+    def fetch(self, start: int, stop: int) -> bytes:
         """Instruction fetch — requires X, raising :class:`WxViolation` otherwise."""
-        if Perm.X not in self.perm:
-            raise WxViolation(address, f"fetch from non-executable segment {self.name!r}")
-        offset = address - self.base
-        return bytes(self.data[offset : offset + length])
+        if not self.executable:
+            raise WxViolation(self.base + start,
+                              f"fetch from non-executable segment {self.name!r}")
+        return bytes(self.data[start:stop])
 
     def describe(self) -> str:
         return f"{self.base:08x}-{self.end:08x} {self.perm.describe()} {self.name}"

@@ -16,10 +16,6 @@ ADDRESS_MASK = 0xFFFFFFFF
 #: the decoded-instruction cache (:mod:`repro.cpu.cache`).
 PAGE_SHIFT = 12
 
-#: Safety valve: the address->segment memo resets past this many entries so
-#: a pathological scan over the whole 32-bit space cannot hold memory.
-_MEMO_LIMIT = 1 << 16
-
 
 class AddressSpace:
     """A flat 32-bit address space built from non-overlapping segments.
@@ -32,15 +28,13 @@ class AddressSpace:
     """
 
     def __init__(self) -> None:
+        #: Segments sorted by base.
         self._segments: List[Segment] = []
         #: Sorted segment bases, kept in lockstep with ``_segments`` for
         #: bisect-based resolution.
         self._bases: List[int] = []
-        #: address -> segment memo for :meth:`segment_at`; cleared whenever
-        #: the mapping table changes.
-        self._lookup_memo: Dict[int, Segment] = {}
         #: Bumped on every map/unmap.  Consumers holding derived state (the
-        #: decode cache, the lookup memo) treat an epoch change as a flush.
+        #: decode cache) treat an epoch change as a flush.
         self.mapping_epoch = 0
         #: page index -> write generation; bumped by :meth:`write` so cached
         #: decodes of self-modified code are detected and dropped.
@@ -53,7 +47,6 @@ class AddressSpace:
 
     def _mappings_changed(self) -> None:
         self._bases = [seg.base for seg in self._segments]
-        self._lookup_memo.clear()
         self.mapping_epoch += 1
 
     # -- mapping -------------------------------------------------------------
@@ -107,23 +100,11 @@ class AddressSpace:
         return any(seg.name == name for seg in self._segments)
 
     def segment_at(self, address: int) -> Segment:
-        """Return the segment covering ``address`` or fault.
-
-        Resolution is a bisect over the sorted base list plus a memo of
-        previously resolved addresses (the emulator's fetch stream revisits
-        the same handful of addresses millions of times); both are
-        invalidated whenever the mapping table changes.
-        """
-        seg = self._lookup_memo.get(address)
-        if seg is not None:
-            return seg
+        """Return the segment covering ``address`` or fault (a bisect over the bases)."""
         index = bisect_right(self._bases, address) - 1
         if index >= 0:
             seg = self._segments[index]
-            if seg.contains(address):
-                if len(self._lookup_memo) >= _MEMO_LIMIT:
-                    self._lookup_memo.clear()
-                self._lookup_memo[address] = seg
+            if address < seg.end:
                 return seg
         raise UnmappedAddressError(address & ADDRESS_MASK)
 
@@ -136,15 +117,13 @@ class AddressSpace:
         Faults when ``address`` itself is unmapped.
         """
         address &= ADDRESS_MASK
-        seg = self.segment_at(address)
-        span = seg.end - address
-        while span < limit:
-            try:
-                seg = self.segment_at(seg.end)
-            except UnmappedAddressError:
-                break
-            span += seg.size
-        return min(span, limit)
+        try:
+            self._spans(address, max(limit, 1))
+        except UnmappedAddressError as gap:
+            if gap.address == address:
+                raise
+            return (gap.address - address) & ADDRESS_MASK
+        return limit
 
     def page_generation(self, page: int) -> int:
         """Write generation of one page (``address >> PAGE_SHIFT``)."""
@@ -175,39 +154,35 @@ class AddressSpace:
     def is_mapped(self, address: int, length: int = 1) -> bool:
         """True if the whole ``[address, address+length)`` range is mapped."""
         try:
-            self._resolve(address, length)
+            self._spans(address & ADDRESS_MASK, length)
         except UnmappedAddressError:
             return False
         return True
 
-    def _resolve(self, address: int, length: int) -> List[Segment]:
-        """Return the segments covering a range, faulting on any gap."""
-        if length <= 0:
-            return []
-        address &= ADDRESS_MASK
-        covering: List[Segment] = []
-        cursor = address
+    def _spans(self, address: int, length: int) -> List[Tuple[Segment, int, int]]:
+        """``(segment, start, stop)`` data offsets covering a masked range.
+
+        The one range walk behind every access: it faults on the first gap
+        (a range running past 2**32 faults at address 0) before the caller
+        touches any byte.
+        """
+        spans = []
         end = address + length
-        while cursor < end:
-            seg = self.segment_at(cursor)
-            covering.append(seg)
-            cursor = seg.end
-        return covering
+        while address < end:
+            seg = self.segment_at(address)
+            if end <= seg.end:
+                spans.append((seg, address - seg.base, end - seg.base))
+                break
+            spans.append((seg, address - seg.base, seg.size))
+            address = seg.end
+        return spans
 
     # -- byte access ----------------------------------------------------------
 
     def read(self, address: int, length: int, *, check: bool = True) -> bytes:
         """Read bytes, spanning segment boundaries if mappings are contiguous."""
-        address &= ADDRESS_MASK
-        chunks = []
-        cursor = address
-        remaining = length
-        for seg in self._resolve(address, length):
-            take = min(remaining, seg.end - cursor)
-            chunks.append(seg.read(cursor, take, check=check))
-            cursor += take
-            remaining -= take
-        return b"".join(chunks)
+        return b"".join([seg.read(start, stop, check=check) for seg, start, stop
+                         in self._spans(address & ADDRESS_MASK, length)])
 
     def write(self, address: int, payload: bytes, *, check: bool = True,
               taint=None) -> None:
@@ -218,9 +193,7 @@ class AddressSpace:
         write clears any shadow labels it covers.
         """
         address &= ADDRESS_MASK
-        cursor = address
-        offset = 0
-        covering = self._resolve(address, len(payload))
+        spans = self._spans(address, len(payload))
         # Bump generations before writing: a permission fault mid-span may
         # leave earlier segments modified, and a spurious invalidation is
         # harmless while a missed one would execute stale decodes.
@@ -237,24 +210,15 @@ class AddressSpace:
                         f"taint labels cover {len(taint)} bytes but the "
                         f"write covers {len(payload)}")
                 self.taint.set_range(address, taint)
-        for seg in covering:
-            take = min(len(payload) - offset, seg.end - cursor)
-            seg.write(cursor, payload[offset : offset + take], check=check)
-            cursor += take
-            offset += take
+        offset = 0
+        for seg, start, stop in spans:
+            seg.write(start, payload[offset : offset + stop - start], check=check)
+            offset += stop - start
 
     def fetch(self, address: int, length: int) -> bytes:
         """Instruction fetch (X-checked) — the W^X enforcement point."""
-        address &= ADDRESS_MASK
-        chunks = []
-        cursor = address
-        remaining = length
-        for seg in self._resolve(address, length):
-            take = min(remaining, seg.end - cursor)
-            chunks.append(seg.fetch(cursor, take))
-            cursor += take
-            remaining -= take
-        return b"".join(chunks)
+        return b"".join([seg.fetch(start, stop) for seg, start, stop
+                         in self._spans(address & ADDRESS_MASK, length)])
 
     # -- typed helpers ---------------------------------------------------------
 

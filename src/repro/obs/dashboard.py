@@ -145,7 +145,7 @@ def render_dashboard(collector: "Collector",
         for name, count in data.opcode_table(5):
             lines.append(f"  {name:<28} {count:>8}  "
                          f"{100.0 * count / total:5.1f}%")
-    taint = getattr(collector, "taint", None)
+    taint = collector.taint
     if taint is not None:
         lines.append("")
         lines.append(_paint("taint provenance (wire bytes -> PC)", BOLD, color))
@@ -189,7 +189,7 @@ def build_dashboard_json(collector: "Collector",
     profiler = getattr(collector, "profiler", None)
     if profiler is not None:
         payload["profile"] = profiler.to_dict()
-    taint = getattr(collector, "taint", None)
+    taint = collector.taint
     if taint is not None:
         payload["taint"] = taint.to_dict()
     return payload

@@ -222,7 +222,7 @@ def capture_crash_report(
             for seg in process.memory.segments()
         ],
     )
-    engine = getattr(process, "taint", None)
+    engine = process.taint
     if engine is not None:
         report.taint = engine.crash_summary(
             process, stack_start=stack_base, stack_length=len(stack_bytes))

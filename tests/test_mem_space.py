@@ -1,7 +1,7 @@
 """AddressSpace, Segment and Perm behaviour."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.mem import (
@@ -13,6 +13,7 @@ from repro.mem import (
     UnmappedAddressError,
     WxViolation,
 )
+from repro.mem.space import PAGE_SHIFT
 
 
 def make_space():
@@ -80,6 +81,20 @@ class TestMapping:
         space = make_space()
         with pytest.raises(ValueError, match="overlaps"):
             space.map_new("bad", 0x1800, 0x1000, Perm.RW)
+
+    def test_overlap_error_names_the_lowest_overlapping_segment(self):
+        space = make_space()
+        with pytest.raises(ValueError, match="overlaps 'low'"):
+            space.map_new("bad", 0x0, 0x30000, Perm.RW)  # covers every segment
+        with pytest.raises(ValueError, match="overlaps 'high'"):
+            space.map_new("bad", 0x2800, 0xE000, Perm.RW)  # high's tail and code
+
+    def test_map_below_existing_keeps_order(self):
+        space = make_space()
+        space.map_new("zero", 0x0, 0x100, Perm.RW)
+        assert space.maps().splitlines()[0].endswith(" zero")
+        assert space.segment_at(0xFF).name == "zero"
+        assert space.segment_at(0x1000).name == "low"
 
     def test_unmap_removes(self):
         space = make_space()
@@ -200,3 +215,167 @@ def test_property_write_read_roundtrip(offset, data):
     address = 0x1000 + min(offset, 0x2000 - len(data))
     space.write(address, data)
     assert space.read(address, len(data)) == data
+
+
+# -- differential check of the range walk against a per-byte model -----------
+
+ADDRESS_SPAN = 1 << 32
+_PERMS = {"---": Perm.NONE, "r--": Perm.R, "-w-": Perm.W, "--x": Perm.X,
+          "rw-": Perm.RW, "r-x": Perm.RX, "rwx": Perm.RWX}
+
+
+class _ClearLog:
+    """Shadow stand-in: records the ranges an untainted write clears."""
+
+    def __init__(self):
+        self.cleared = []
+
+    def clear_range(self, address, length):
+        self.cleared.append((address, length))
+
+
+class _ByteModel:
+    """Reference space: address -> [byte, perm], walked one byte at a time."""
+
+    def __init__(self, segments):
+        self.cells = {seg.base + i: [0, seg.perm]
+                      for seg in segments for i in range(seg.size)}
+        self.page_gens = {}
+        self.cleared = []
+
+    def _walk(self, address, length):
+        addresses = range(address & 0xFFFFFFFF, (address & 0xFFFFFFFF) + max(length, 0))
+        for cursor in addresses:
+            if cursor not in self.cells:
+                raise UnmappedAddressError(cursor & 0xFFFFFFFF)
+        return addresses
+
+    def _deny(self, addresses, flag, fault):
+        for cursor in addresses:
+            if flag not in self.cells[cursor][1]:
+                raise fault(cursor)
+
+    def read(self, address, length, check):
+        addresses = self._walk(address, length)
+        if check:
+            self._deny(addresses, Perm.R, lambda at: AccessViolation(at, "R"))
+        return bytes(self.cells[cursor][0] for cursor in addresses)
+
+    def fetch(self, address, length):
+        addresses = self._walk(address, length)
+        self._deny(addresses, Perm.X, WxViolation)
+        return bytes(self.cells[cursor][0] for cursor in addresses)
+
+    def write(self, address, payload, check):
+        addresses = self._walk(address, len(payload))
+        for cursor in addresses:
+            page = cursor >> PAGE_SHIFT
+            if cursor == addresses[0] or cursor & ((1 << PAGE_SHIFT) - 1) == 0:
+                self.page_gens[page] = self.page_gens.get(page, 0) + 1
+        self.cleared.append((address & 0xFFFFFFFF, len(payload)))
+        for cursor, byte in zip(addresses, payload):
+            if check and Perm.W not in self.cells[cursor][1]:
+                raise AccessViolation(cursor, "W")
+            self.cells[cursor][0] = byte
+
+    def is_mapped(self, address, length):
+        try:
+            self._walk(address, length)
+        except UnmappedAddressError:
+            return False
+        return True
+
+    def contiguous_span(self, address, limit):
+        self._walk(address, 1)
+        address &= 0xFFFFFFFF
+        span = 0
+        while span < limit and address + span in self.cells:
+            span += 1
+        return span
+
+
+def _outcome(call):
+    try:
+        return "ok", call()
+    except SegmentationFault as fault:
+        return type(fault), fault.address
+
+
+@st.composite
+def _layouts(draw):
+    """(start, pieces): segments of mixed perms, adjacent or gapped, placed
+    across a page boundary low in memory or ending exactly at 2**32."""
+    pieces = draw(st.lists(
+        st.tuples(st.sampled_from([0, 0, 1, 3]), st.integers(1, 24),
+                  st.sampled_from(sorted(_PERMS))),
+        min_size=1, max_size=5))
+    total = sum(gap + size for gap, size, _ in pieces)
+    if draw(st.booleans()):
+        return ADDRESS_SPAN - total, pieces
+    return 0x2000 - draw(st.integers(0, total)), pieces
+
+
+_OPS = st.lists(st.tuples(
+    st.sampled_from(["read", "write", "fetch", "is_mapped", "contiguous_span"]),
+    st.integers(-4, 130),  # offset from the layout start
+    st.binary(max_size=40),  # write payload; its length sizes the other calls
+    st.booleans()),  # check=
+    min_size=1, max_size=12)
+
+
+def _build(start, pieces):
+    space = AddressSpace()
+    segments = []
+    base = start
+    for index, (gap, size, perm) in enumerate(pieces):
+        base += gap
+        segments.append(space.map_new(f"s{index}", base, size, _PERMS[perm]))
+        base += size
+    if start + 0x40 > ADDRESS_SPAN:
+        # Map page zero too: a range that wraps past 2**32 must still fault.
+        segments.append(space.map_new("zero", 0, 0x40, Perm.RWX))
+    return space, segments
+
+
+@settings(max_examples=200, deadline=None)
+@given(layout=_layouts(), ops=_OPS)
+@example(layout=(0x1000, [(0, 8, "rw-"), (0, 8, "r--")]),
+         ops=[("write", 4, b"ABCDEFGH", True)])
+def test_property_range_walk_matches_byte_model(layout, ops):
+    """Every access agrees with a per-byte walk: results, bytes, page
+    generations and cleared shadow ranges — or the fault type and address.
+
+    Pins the write ordering: a gap faults before anything changes, while a
+    permission fault partway through leaves the earlier segments written
+    and the generations bumped.
+    """
+    space, segments = _build(*layout)
+    space.taint = log = _ClearLog()
+    model = _ByteModel(segments)
+    for kind, offset, payload, check in ops:
+        address = (layout[0] + offset) % ADDRESS_SPAN
+        length = len(payload)
+        if kind == "read":
+            calls = (lambda: space.read(address, length, check=check),
+                     lambda: model.read(address, length, check))
+        elif kind == "write":
+            calls = (lambda: space.write(address, payload, check=check),
+                     lambda: model.write(address, payload, check))
+        elif kind == "fetch":
+            calls = (lambda: space.fetch(address, length),
+                     lambda: model.fetch(address, length))
+        elif kind == "is_mapped":
+            calls = (lambda: space.is_mapped(address, length),
+                     lambda: model.is_mapped(address, length))
+        else:
+            calls = (lambda: space.contiguous_span(address, length + 1),
+                     lambda: model.contiguous_span(address, length + 1))
+        got, want = (_outcome(call) for call in calls)
+        assert got == want, (kind, hex(address), length, check)
+        for seg in segments:
+            assert bytes(seg.data) == bytes(
+                model.cells[seg.base + i][0] for i in range(seg.size)), seg.name
+        first = address >> PAGE_SHIFT
+        for page in range(first, ((address + length) >> PAGE_SHIFT) + 1):
+            assert space.page_generation(page) == model.page_gens.get(page, 0), page
+        assert log.cleared == model.cleared
