@@ -23,6 +23,10 @@ class Binary:
     symbols: SymbolTable = field(default_factory=SymbolTable)
     plt: Dict[str, int] = field(default_factory=dict)
     metadata: Dict[str, str] = field(default_factory=dict)
+    #: ``(libc image, {PLT address: native})``: the loader binds this
+    #: image's PLT once per libc image and every later boot shares it.
+    plt_natives: Optional[Tuple[object, Dict[int, object]]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def section(self, name: str) -> SectionImage:
         try:
@@ -86,8 +90,8 @@ class Binary:
 def relocate(binary: Binary, delta: int, new_name: Optional[str] = None) -> Binary:
     """Return a copy of ``binary`` with every address shifted by ``delta``.
 
-    Used by the loader to slide the libc image to its (possibly ASLR
-    randomized) base for one process instantiation.
+    ``LoadedProcess.libc`` uses it to slide the libc image to one boot's
+    (possibly ASLR randomized) base, on first read.
     """
     moved = Binary(
         name=new_name or binary.name,

@@ -19,12 +19,12 @@ The exploit-relevant facts modeled here, straight from the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Dict, Mapping
+from typing import Dict, Mapping, Tuple
 
 from ..cpu.events import _EmulationStop
-from ..cpu.native import NativeCallContext, NativeHandler
+from ..cpu.native import NativeCallContext, NativeFunction, NativeHandler
 from ..mem import MemoryFault
 from .binary import Binary
 from .builder import BinaryBuilder
@@ -137,6 +137,16 @@ class LibcImage:
 
     binary: Binary
     natives: Mapping[str, NativeHandler]
+
+    @cached_property
+    def export_natives(self) -> Tuple[Tuple[int, NativeFunction], ...]:
+        """``(link-time address, native)`` per export, in ``natives`` order.
+
+        A :class:`NativeFunction` holds only a name and a handler, so every
+        boot of this image binds the same ones at its own libc base.
+        """
+        return tuple((self.binary.symbols.address_of(name), NativeFunction(name, handler))
+                     for name, handler in self.natives.items())
 
 
 def _stub_body(arch: str, index: int) -> bytes:

@@ -12,7 +12,8 @@ This is where the two OS defenses the paper bypasses are applied:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import Dict, List, Optional
 
 from ..cpu import NativeFunction, Process
 from ..mem import AddressSpace, MemoryLayout, Perm, Segment
@@ -30,9 +31,19 @@ class LoadedProcess:
 
     process: Process
     binary: Binary
-    libc: Binary  # relocated copy for this instantiation
+    libc_image: LibcImage
     layout: MemoryLayout
     wx_enabled: bool
+
+    @cached_property
+    def libc(self) -> Binary:
+        """libc relocated to this boot's base, built on first read.
+
+        Booting and serving queries never read it: the segments and natives
+        come straight from the shared image.  Recon, CFI, the profiler and
+        :meth:`symbol` do.
+        """
+        return relocate(self.libc_image.binary, self.layout.libc_base, new_name="libc")
 
     def symbol(self, name: str) -> Symbol:
         """Look up a symbol in the main binary, then in the mapped libc."""
@@ -53,17 +64,26 @@ class LoadedProcess:
             raise KeyError(f"{self.binary.name} has no PLT entry for {name!r}") from None
 
 
-def _map_image(space: AddressSpace, image: Binary, prefix: str) -> None:
-    for section in image.sections.values():
-        segment = Segment(
-            name=f"{prefix}{section.name}",
-            base=section.address,
-            size=max(section.size, 1),
-            perm=section.perm,
-        )
-        if section.data:
-            segment.data[: len(section.data)] = section.data
-        space.map(segment)
+def _image_segments(image: Binary, prefix: str, delta: int = 0) -> List[Segment]:
+    """One segment per section, slid by ``delta``, over the frozen section bytes."""
+    return [
+        Segment(f"{prefix}{section.name}", (section.address + delta) & 0xFFFFFFFF,
+                max(section.size, 1), section.perm, section.data)
+        for section in image.sections.values()
+    ]
+
+
+def _plt_natives(binary: Binary, libc_image: LibcImage) -> Dict[int, NativeFunction]:
+    """The binary's PLT entries bound straight to libc's handlers (eager
+    binding model of PLT -> GOT -> libc), built once per (binary, libc)."""
+    cached = binary.plt_natives
+    if cached is None or cached[0] is not libc_image:
+        natives = libc_image.natives
+        cached = binary.plt_natives = (libc_image, {
+            plt_address: NativeFunction(f"{external}@plt", natives[external])
+            for external, plt_address in binary.plt.items() if external in natives
+        })
+    return cached[1]
 
 
 def load_process(
@@ -78,35 +98,29 @@ def load_process(
     """Instantiate one run of ``binary`` under the given protection set."""
     if binary.arch != layout.arch:
         raise ValueError(f"binary arch {binary.arch!r} != layout arch {layout.arch!r}")
-    space = AddressSpace()
-    _map_image(space, binary, prefix=f"{binary.name}:")
-
-    libc = relocate(libc_image.binary, layout.libc_base, new_name="libc")
-    _map_image(space, libc, prefix="libc:")
-
+    libc_base = layout.libc_base
     dynamic_perm = Perm.RW if wx_enabled else Perm.RWX
-    space.map_new("stack", layout.stack_base, layout.stack_size, dynamic_perm)
-    # Inaccessible guard page below the stack: runaway descending writes
-    # (deep recursion, wild push loops) fault instead of silently landing
-    # in whatever happens to be mapped beneath.
-    space.map_new("stack-guard", layout.stack_base - 0x1000, 0x1000, Perm.NONE)
-    space.map_new("heap", layout.heap_base, layout.heap_size, dynamic_perm)
+    space = AddressSpace()
+    space.map(
+        *_image_segments(binary, f"{binary.name}:"),
+        *_image_segments(libc_image.binary, "libc:", libc_base),
+        Segment("stack", layout.stack_base, layout.stack_size, dynamic_perm),
+        # Inaccessible guard page below the stack: runaway descending writes
+        # (deep recursion, wild push loops) fault instead of silently landing
+        # in whatever happens to be mapped beneath.
+        Segment("stack-guard", layout.stack_base - 0x1000, 0x1000, Perm.NONE),
+        Segment("heap", layout.heap_base, layout.heap_size, dynamic_perm),
+    )
 
     process = Process(binary.arch, space, uid=uid, name=name or binary.name)
     process.sp = layout.stack_top - STACK_ENVIRONMENT_RESERVE
     process.pc = binary.symbols.address_of("_start")
-
-    # Bind libc exports at their mapped libc addresses...
-    for export, handler in libc_image.natives.items():
-        address = libc.symbols.address_of(export)
-        process.register_native(address, NativeFunction(export, handler))
-    # ...and bind the binary's PLT entries straight to the same handlers
-    # (eager-binding model of PLT -> GOT -> libc indirection).
-    for external, plt_address in binary.plt.items():
-        handler = libc_image.natives.get(external)
-        if handler is not None:
-            process.register_native(plt_address, NativeFunction(f"{external}@plt", handler))
+    # libc exports at this boot's libc addresses, then the binary's PLT.
+    process.native.update({(address + libc_base) & 0xFFFFFFFF: native
+                           for address, native in libc_image.export_natives})
+    process.native.update(_plt_natives(binary, libc_image))
 
     return LoadedProcess(
-        process=process, binary=binary, libc=libc, layout=layout, wx_enabled=wx_enabled
+        process=process, binary=binary, libc_image=libc_image, layout=layout,
+        wx_enabled=wx_enabled,
     )

@@ -5,6 +5,10 @@ from __future__ import annotations
 from .errors import AccessViolation, WxViolation
 from .perms import Perm
 
+#: ``Perm`` -> ``(readable, writable, executable)``, one entry per flag set.
+_ACCESS = {perm: (Perm.R in perm, Perm.W in perm, Perm.X in perm)
+           for perm in map(Perm, range(8))}
+
 
 class Segment:
     """A named, permissioned, contiguous byte range.
@@ -13,15 +17,25 @@ class Segment:
     permissions and backing bytes.  All accesses are bounds-checked by the
     owning :class:`~repro.mem.space.AddressSpace`; the segment enforces only
     permissions.
+
+    ``data`` gives the initial contents, zero-padded to ``size``.  A
+    non-writable segment whose frozen ``bytes`` fill it exactly borrows
+    them: every boot of one image shares its text.  The first
+    ``check=False`` write (a debugger, a test) copies them into the
+    segment's own ``bytearray``; a checked write faults before touching
+    them.  Writable segments always own a fresh ``bytearray``.
     """
 
-    def __init__(self, name: str, base: int, size: int, perm: Perm):
+    def __init__(self, name: str, base: int, size: int, perm: Perm, data: bytes = b""):
         if size <= 0:
             raise ValueError(f"segment {name!r} must have positive size, got {size}")
         if base < 0 or base + size > 2**32:
             raise ValueError(
                 f"segment {name!r} [{base:#x}, {base + size:#x}) outside 32-bit space"
             )
+        if len(data) > size:
+            raise ValueError(
+                f"segment {name!r} holds {size:#x} bytes, not {len(data):#x}")
         self.name = name
         self.base = base
         self.size = size
@@ -30,10 +44,12 @@ class Segment:
         self.perm = perm
         # A mapping's geometry and permissions never change, so the per-access
         # checks read plain booleans rather than testing ``perm`` flags.
-        self.readable = Perm.R in perm
-        self.writable = Perm.W in perm
-        self.executable = Perm.X in perm
-        self.data = bytearray(size)
+        self.readable, self.writable, self.executable = _ACCESS[perm]
+        if not self.writable and len(data) == size and type(data) is bytes:
+            self.data = data
+        else:
+            self.data = bytearray(size)
+            self.data[: len(data)] = data
 
     def contains(self, address: int) -> bool:
         return self.base <= address < self.end
@@ -52,9 +68,12 @@ class Segment:
         return bytes(self.data[start:stop])
 
     def write(self, start: int, payload: bytes, *, check: bool = True) -> None:
-        if check and not self.writable:
-            raise AccessViolation(self.base + start, "W",
-                                  f"write to non-writable segment {self.name!r}")
+        if not self.writable:
+            if check:
+                raise AccessViolation(self.base + start, "W",
+                                      f"write to non-writable segment {self.name!r}")
+            if type(self.data) is bytes:
+                self.data = bytearray(self.data)  # stop sharing the image's bytes
         self.data[start : start + len(payload)] = payload
 
     def fetch(self, start: int, stop: int) -> bytes:

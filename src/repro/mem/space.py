@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_right
+from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import UnmappedAddressError
@@ -15,6 +16,8 @@ ADDRESS_MASK = 0xFFFFFFFF
 #: log2(PAGE_SIZE); page indices key the write-generation table consumed by
 #: the decoded-instruction cache (:mod:`repro.cpu.cache`).
 PAGE_SHIFT = 12
+
+_BASE = attrgetter("base")
 
 
 class AddressSpace:
@@ -51,22 +54,36 @@ class AddressSpace:
 
     # -- mapping -------------------------------------------------------------
 
-    def map(self, segment: Segment) -> Segment:
-        """Map a segment, refusing overlaps."""
-        for existing in self._segments:
-            if existing.overlaps(segment):
-                raise ValueError(
-                    f"segment {segment.name!r} overlaps {existing.name!r} "
-                    f"({existing.describe()})"
-                )
-        self._segments.append(segment)
-        self._segments.sort(key=lambda seg: seg.base)
+    def map(self, *segments: Segment) -> None:
+        """Map segments in one step, refusing overlaps.
+
+        One sort and one ``mapping_epoch`` bump however many segments come.
+        On an overlap nothing is mapped, and the error names the pair that
+        mapping the segments one at a time, in order, would have hit first.
+        """
+        placed = sorted((*self._segments, *segments), key=_BASE)
+        for low, high in zip(placed, placed[1:]):
+            if high.base < low.end:
+                self._refuse_overlap(segments)
+        self._segments = placed
         self._mappings_changed()
-        return segment
+
+    def _refuse_overlap(self, segments: Tuple[Segment, ...]) -> None:
+        placed = list(self._segments)
+        for segment in segments:
+            for existing in sorted(placed, key=_BASE):
+                if existing.overlaps(segment):
+                    raise ValueError(
+                        f"segment {segment.name!r} overlaps {existing.name!r} "
+                        f"({existing.describe()})"
+                    )
+            placed.append(segment)
 
     def map_new(self, name: str, base: int, size: int, perm: Perm) -> Segment:
         """Create and map a segment in one call."""
-        return self.map(Segment(name, base, size, perm))
+        segment = Segment(name, base, size, perm)
+        self.map(segment)
+        return segment
 
     def unmap(self, name: str) -> None:
         """Unmap the segment named ``name``.

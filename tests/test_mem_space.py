@@ -76,6 +76,34 @@ class TestSegment:
         assert seg.describe() == "00001000-00002000 rw- stack"
 
 
+    def test_access_booleans_for_every_flag_set(self):
+        for value in range(8):
+            perm = Perm(value)
+            seg = Segment("s", 0x1000, 0x10, perm)
+            assert (seg.readable, seg.writable, seg.executable) == (
+                Perm.R in perm, Perm.W in perm, Perm.X in perm), perm
+
+    def test_read_only_segment_borrows_bytes_until_an_unchecked_write(self):
+        image = bytes(range(16))
+        seg = Segment("text", 0x1000, 16, Perm.RX, image)
+        assert seg.data is image
+        with pytest.raises(AccessViolation):
+            seg.write(0, b"\xcc")
+        assert seg.data is image
+        seg.write(0, b"\xcc", check=False)
+        assert seg.data == b"\xcc" + image[1:] and type(seg.data) is bytearray
+        assert image == bytes(range(16))
+
+    def test_writable_or_short_contents_get_their_own_zero_padded_copy(self):
+        image = b"\x01\x02"
+        for perm, size in ((Perm.RW, 2), (Perm.RX, 4)):
+            seg = Segment("s", 0x1000, size, perm, image)
+            assert type(seg.data) is bytearray
+            assert seg.data == image + bytes(size - 2)
+        with pytest.raises(ValueError, match="holds"):
+            Segment("s", 0x1000, 1, Perm.RX, image)
+
+
 class TestMapping:
     def test_overlapping_map_rejected(self):
         space = make_space()
@@ -88,6 +116,39 @@ class TestMapping:
             space.map_new("bad", 0x0, 0x30000, Perm.RW)  # covers every segment
         with pytest.raises(ValueError, match="overlaps 'high'"):
             space.map_new("bad", 0x2800, 0xE000, Perm.RW)  # high's tail and code
+
+    def test_batch_overlap_names_the_pair_met_in_order(self):
+        space = AddressSpace()
+        with pytest.raises(ValueError) as error:
+            space.map(Segment("a", 0x1000, 0x1000, Perm.RX),
+                      Segment("b", 0x1800, 0x1000, Perm.RW))
+        assert str(error.value) == "segment 'b' overlaps 'a' (00001000-00002000 r-x a)"
+        assert list(space.segments()) == [] and space.mapping_epoch == 0
+
+    def test_batch_overlap_with_an_existing_mapping(self):
+        space = make_space()
+        epoch = space.mapping_epoch
+        # "late" maps first and overlaps nothing; "bad" then covers every
+        # segment, "late" included, and the lowest one is named.
+        with pytest.raises(ValueError) as error:
+            space.map(Segment("late", 0x30000, 0x1000, Perm.RW),
+                      Segment("bad", 0x0, 0x40000, Perm.RW))
+        assert str(error.value) == "segment 'bad' overlaps 'low' (00001000-00002000 rw- low)"
+        with pytest.raises(ValueError, match="segment 'bad' overlaps 'late'"):
+            space.map(Segment("late", 0x30000, 0x1000, Perm.RW),
+                      Segment("bad", 0x30800, 0x1000, Perm.RW))
+        assert not space.has_segment("late") and space.mapping_epoch == epoch
+
+    def test_batch_map_bumps_the_epoch_once(self):
+        space = make_space()
+        epoch = space.mapping_epoch
+        space.map(Segment("z", 0x40000, 0x100, Perm.RW),
+                  Segment("y", 0x0, 0x100, Perm.RX),
+                  Segment("x", 0x30000, 0x100, Perm.NONE))
+        assert space.mapping_epoch == epoch + 1
+        assert [seg.name for seg in space.segments()] == [
+            "y", "low", "high", "code", "guarded", "x", "z"]
+        assert space.segment_at(0x400FF).name == "z"
 
     def test_map_below_existing_keeps_order(self):
         space = make_space()

@@ -2,23 +2,30 @@
 
 ``build_connman``/``build_libc`` hand every caller the same frozen image per
 input key, and ``GadgetFinder.all_gadgets`` the same scan per set of
-executable bytes.  These tests pin that guests, exploits and derived images
-never change what a later caller gets.
+executable bytes.  Every boot maps the non-writable sections over those
+frozen bytes and binds the same natives.  These tests pin that guests,
+exploits, debuggers and derived images never change what a later caller
+gets.
 """
 
 import random
 
 import pytest
 
-from repro.binfmt import BinaryBuilder, build_connman, build_libc, relocate
+from repro.binfmt import BinaryBuilder, build_connman, build_libc, loader, relocate
 from repro.binfmt.connman_bin import _build_connman
 from repro.binfmt.libc import _build_libc
 from repro.core import PAPER_MATRIX, run_scenario
+from repro.cpu import make_emulator
 from repro.cpu.arm import asm as arm
 from repro.cpu.x86 import asm as x86
+from repro.defenses import WX_ASLR
+from repro.dns import SimpleDnsServer, StubResolver
 from repro.exploit import GadgetFinder
 from repro.othercves import ALL_SPECS, AdaptedService
-from tests.conftest import image_facts
+from tests.conftest import fresh_daemon, image_facts, loaded_pair
+
+ARCHES = ("x86", "arm")
 
 
 class TestFrozenSections:
@@ -93,3 +100,90 @@ class TestSharedScan:
         assert GadgetFinder(images["x86"]).all_gadgets() == ()
         arm_gadgets = GadgetFinder(images["arm"]).all_gadgets()
         assert [(gadget.arch, gadget.address) for gadget in arm_gadgets] == [("arm", 0x00010000)]
+
+
+def _reference_natives(binary, libc_image, libc_base):
+    """``address -> (name, handler)`` bound one export and one PLT entry at a
+    time against an eagerly relocated libc."""
+    libc = relocate(libc_image.binary, libc_base, new_name="libc")
+    bound = {}
+    for export, handler in libc_image.natives.items():
+        bound[libc.symbols.address_of(export)] = (export, handler)
+    for external, plt_address in binary.plt.items():
+        handler = libc_image.natives.get(external)
+        if handler is not None:
+            bound[plt_address] = (f"{external}@plt", handler)
+    return bound
+
+
+@pytest.mark.parametrize("arch", ARCHES)
+class TestBootsShareTheImages:
+    def test_boots_share_read_only_bytes_and_natives(self, arch):
+        first, second = (loaded_pair(arch, wx=True, aslr=True, seed=seed) for seed in (1, 2))
+        assert first.layout.libc_base != second.layout.libc_base
+        borrowed = 0
+        for image, prefix in ((first.binary, f"{first.binary.name}:"),
+                              (build_libc(arch).binary, "libc:")):
+            for section in image.sections.values():
+                a = first.process.memory.segment(prefix + section.name)
+                b = second.process.memory.segment(prefix + section.name)
+                if a.writable:
+                    assert type(a.data) is bytearray and a.data is not b.data
+                elif section.data:
+                    assert a.data is section.data and b.data is section.data
+                    borrowed += 1
+        assert borrowed >= 4  # .text, .plt and .rodata of connman; libc's .text
+        for name in ("stack", "heap"):
+            assert (first.process.memory.segment(name).data
+                    is not second.process.memory.segment(name).data)
+        natives = list(first.process.native.values())
+        assert len(natives) == len(second.process.native)
+        assert all(a is b for a, b in zip(natives, second.process.native.values()))
+
+    def test_unchecked_text_write_copies_on_write(self, arch):
+        first, second = (loaded_pair(arch, wx=True, aslr=True, seed=seed) for seed in (3, 4))
+        name = f"{first.binary.name}:.text"
+        section = first.binary.section(".text")
+        frozen = bytes(section.data)
+        pc = first.process.pc
+        make_emulator(first.process).step()
+        assert first.process.decode_cache.lookup(pc) is not None
+        patch = b"\x90" * 4 if arch == "x86" else arm.mov_imm("r0", 7)
+
+        first.process.memory.write(pc, patch, check=False)
+
+        assert first.process.memory.fetch(pc, 4) == patch
+        assert first.process.decode_cache.lookup(pc) is None
+        assert first.process.memory.segment(name).data is not section.data
+        assert second.process.memory.fetch(pc, 4) == frozen[pc - section.address:][:4]
+        assert second.process.memory.segment(name).data is section.data
+        assert section.data == frozen
+        assert bytes(build_connman(arch).section(".text").data) == frozen
+
+    def test_lazy_libc_and_natives_match_the_eager_binding(self, arch):
+        rng = random.Random(26)
+        for _ in range(8):
+            loaded = loaded_pair(arch, wx=True, aslr=True, seed=rng.randrange(1 << 30))
+            base = loaded.layout.libc_base
+            eager = relocate(loaded.libc_image.binary, base, new_name="libc")
+            assert "libc" not in vars(loaded)  # nothing relocated at boot
+            assert image_facts(loaded.libc) == image_facts(eager)
+            assert loaded.libc is loaded.libc
+            reference = _reference_natives(loaded.binary, loaded.libc_image, base)
+            assert [(address, (native.name, native.handler))
+                    for address, native in loaded.process.native.items()
+                    ] == list(reference.items())
+
+    def test_boot_and_benign_query_never_relocate(self, arch, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("libc relocated on the boot -> deliver path")
+
+        monkeypatch.setattr(loader, "relocate", refuse)
+        daemon = fresh_daemon(arch, profile=WX_ASLR)
+        upstream = SimpleDnsServer(zone={"www.example.com": "93.184.216.34"})
+        result = StubResolver().resolve(
+            lambda packet: daemon.handle_client_query(packet, upstream.handle_query),
+            "www.example.com",
+        )
+        assert result.address == "93.184.216.34"
+        assert daemon.alive and "libc" not in vars(daemon.loaded)
