@@ -45,6 +45,11 @@ class LoadedProcess:
         """
         return relocate(self.libc_image.binary, self.layout.libc_base, new_name="libc")
 
+    def libc_address(self, name: str) -> int:
+        """A libc symbol's address at this boot's base, without relocating libc."""
+        return (self.layout.libc_base
+                + self.libc_image.binary.symbols.address_of(name)) & 0xFFFFFFFF
+
     def symbol(self, name: str) -> Symbol:
         """Look up a symbol in the main binary, then in the mapped libc."""
         found = self.binary.symbols.get(name)

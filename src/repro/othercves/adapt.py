@@ -49,7 +49,7 @@ def knowledge_for_service(service: AdaptedService, *, aslr_blind: Optional[bool]
         return TargetKnowledge(**common, libc=libc, libc_is_assumed=True)
     place = service.core.placement()
     libc = {
-        name: service.loaded.libc.symbols.address_of(name)
+        name: service.loaded.libc_address(name)
         for name in ("system", "exit", "execlp", "str_bin_sh")
     }
     return TargetKnowledge(

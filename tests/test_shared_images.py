@@ -21,8 +21,9 @@ from repro.cpu.arm import asm as arm
 from repro.cpu.x86 import asm as x86
 from repro.defenses import WX_ASLR
 from repro.dns import SimpleDnsServer, StubResolver
-from repro.exploit import GadgetFinder
-from repro.othercves import ALL_SPECS, AdaptedService
+from repro.exploit import GadgetFinder, recon
+from repro.exploit.recon import LIBC_RECON_SYMBOLS
+from repro.othercves import ALL_SPECS, AdaptedService, knowledge_for_service
 from tests.conftest import fresh_daemon, image_facts, loaded_pair
 
 ARCHES = ("x86", "arm")
@@ -187,3 +188,34 @@ class TestBootsShareTheImages:
         )
         assert result.address == "93.184.216.34"
         assert daemon.alive and "libc" not in vars(daemon.loaded)
+
+    def test_libc_address_matches_the_relocated_libc(self, arch):
+        rng = random.Random(27)
+        for _ in range(8):
+            loaded = loaded_pair(arch, wx=True, aslr=True, seed=rng.randrange(1 << 30))
+            names = [name for name, _symbol in loaded.libc_image.binary.symbols.items()]
+            slid = {name: loaded.libc_address(name) for name in names}
+            assert "libc" not in vars(loaded)  # read without relocating
+            assert slid == {name: loaded.libc.symbols.address_of(name) for name in names}
+
+    def test_sighted_recon_never_relocates(self, arch, monkeypatch):
+        daemon = fresh_daemon(arch, profile=WX_ASLR)
+        services = [AdaptedService(spec, profile=WX_ASLR)
+                    for spec in ALL_SPECS if spec.arch == arch]
+        assert services
+
+        def slid(loaded):
+            libc = relocate(loaded.libc_image.binary, loaded.layout.libc_base)
+            return {name: libc.symbols.address_of(name) for name in LIBC_RECON_SYMBOLS}
+
+        expected = [slid(daemon.loaded)] + [slid(service.loaded) for service in services]
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("libc relocated by recon")
+
+        monkeypatch.setattr(loader, "relocate", refuse)
+        found = [recon(daemon, aslr_blind=False).libc] + [
+            knowledge_for_service(service, aslr_blind=False).libc for service in services]
+        assert found == expected
+        assert all("libc" not in vars(loaded) for loaded in
+                   [daemon.loaded] + [service.loaded for service in services])
