@@ -15,21 +15,27 @@ Entry wire format, packed sequentially from the region start::
     u8  address[4]         (IPv4)
     u32 expiry             (simulated-clock seconds)
 
-Every lookup walks the table as it stands in guest memory, because the
-exploit and the debugger may rewrite it between any two calls; nothing
-about it is kept on the host.  A walk is one guest read of the whole
-region, parsed eagerly on the host: every record is collected before a
-lookup answers, and names are matched as raw bytes, so only a hit's
-address and expiry are decoded.  A record whose (possibly corrupted)
-length byte runs past the region end reads its body from the guest, so
-the walk faults exactly where a field-by-field walk would.
+Every lookup reads the table as it stands in guest memory, because the
+exploit and the debugger may rewrite it between any two calls; nothing is
+kept that a write can make stale.  A walk is one guest read of the whole
+region, parsed eagerly on the host: every record is collected and indexed
+by its raw name bytes before a lookup answers, so only a hit's address
+and expiry are decoded.  The parsed table is memoized under the address
+space's ``mapping_epoch`` and the write generations of the region's pages,
+which every guest or host write bumps, so any write into the region makes
+the next lookup walk again; ``put`` extends the memo with the record it
+appended when nothing else wrote in between.  A record whose (possibly
+corrupted) length byte runs past the region end reads its body from the
+guest, so the walk faults exactly where a field-by-field walk would; such
+a walk depends on bytes outside the region and is never memoized.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..cpu import Process
+from ..obs.taint import NO_LABELS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..obs import Collector
@@ -54,6 +60,28 @@ def _expiry(tail: bytes) -> int:
     return int.from_bytes(tail[4:], "little")
 
 
+#: (guest address, name bytes, address + expiry bytes) of one table slot.
+Record = Tuple[int, bytes, bytes]
+
+
+class _Table:
+    """A parsed table and the write stamp of the bytes it was parsed from."""
+
+    __slots__ = ("stamp", "records", "by_name")
+
+    def __init__(self, stamp: tuple, records: List[Record]):
+        self.stamp = stamp
+        self.records = records
+        #: name -> its records, in table order.
+        self.by_name: Dict[bytes, List[Record]] = {}
+        for record in records:
+            self.by_name.setdefault(record[1], []).append(record)
+
+    def append(self, record: Record) -> None:
+        self.records.append(record)
+        self.by_name.setdefault(record[1], []).append(record)
+
+
 class GuestBackedDnsCache:
     """Name -> IPv4 cache with simulated-clock TTL expiry, stored in a
     region of the emulated address space."""
@@ -65,6 +93,7 @@ class GuestBackedDnsCache:
         self.size = size
         self.observer = observer
         self._clock = 0
+        self._table: Optional[_Table] = None
         self.clear()
 
     def _note(self, kind: str, name: str = "") -> None:
@@ -79,26 +108,45 @@ class GuestBackedDnsCache:
 
     # -- raw table walking ----------------------------------------------------
 
-    def _records(self) -> List[Tuple[int, bytes, bytes]]:
-        """(offset, name, address + expiry bytes) for every table slot."""
+    def _stamp(self) -> tuple:
+        """What a write into the region (or a remap) changes."""
         memory = self.process.memory
-        table = memory.read(self.base, self.size)
+        return (memory.mapping_epoch, memory.page_generation_span(self.base, self.size))
+
+    def _parsed(self) -> _Table:
+        """The table as it stands in guest memory, walked only when a write
+        may have changed it since the last walk."""
+        stamp = self._stamp()
+        table = self._table
+        if table is not None and table.stamp == stamp:
+            return table
+        memory = self.process.memory
+        raw = memory.read(self.base, self.size)
         records = []
+        inside = True
         offset = 0
         while offset < self.size:
-            name_length = table[offset]
+            name_length = raw[offset]
             if name_length == 0:
                 break
             end = offset + ENTRY_OVERHEAD + name_length
             if end <= self.size:
-                body = table[offset + 1:end]
+                body = raw[offset + 1:end]
             else:
                 # The length byte runs past the region: read the record's
                 # body from the guest, so it faults where the guest would.
                 body = memory.read(self.base + offset + 1, end - offset - 1)
+                inside = False
             records.append((self.base + offset, body[:name_length], body[name_length:]))
             offset = end
-        return records
+        table = _Table(stamp, records)
+        # Bytes past the region carry no stamp of ours: never keep such a walk.
+        self._table = table if inside else None
+        return table
+
+    def _records(self) -> List[Record]:
+        """(offset, name, address + expiry bytes) for every table slot."""
+        return self._parsed().records
 
     def _append_offset(self) -> int:
         records = self._records()
@@ -132,20 +180,28 @@ class GuestBackedDnsCache:
                 self.clear()
                 self._note("flush")
                 cursor = self.base
-        memory = self.process.memory
         taint = self.process.taint
         labels = taint.derived_labels(name) if taint is not None else None
-        memory.write_u8(cursor, len(encoded))
         if labels is not None and len(labels) == len(encoded):
             # The cached name came back out of (possibly tainted) stack
             # memory; its per-character provenance follows it into .bss.
-            memory.write(cursor + 1, encoded, taint=labels)
+            # The length, address, expiry and terminator bytes carry none.
+            labels = (NO_LABELS,) + labels + (NO_LABELS,) * 9
         else:
-            memory.write(cursor + 1, encoded)
-        memory.write(cursor + 1 + len(encoded),
-                     bytes(int(part) for part in address.split(".")))
-        memory.write_u32(cursor + 1 + len(encoded) + 4, self._clock + ttl)
-        memory.write_u8(cursor + record_size, 0)  # table terminator
+            labels = None
+        tail = (bytes(int(part) for part in parts)
+                + ((self._clock + ttl) & 0xFFFFFFFF).to_bytes(4, "little"))
+        memory = self.process.memory
+        stamp = self._stamp()
+        # The record and the table terminator after it, in one write.
+        memory.write(cursor, bytes([len(encoded)]) + encoded + tail + b"\x00", taint=labels)
+        table = self._table
+        if table is not None and table.stamp == stamp:
+            # The memo ended at ``cursor`` and nothing else has written the
+            # region since; a 0-length name is itself a terminator.
+            if encoded:
+                table.append((cursor, encoded, tail))
+            table.stamp = self._stamp()
         self._note("put", name.lower())
         return True
 
@@ -162,6 +218,7 @@ class GuestBackedDnsCache:
             memory.write(cursor, bytes([len(name)]) + name + tail)
             cursor += ENTRY_OVERHEAD + len(name)
         memory.write_u8(cursor, 0)
+        self._table = None
         if evicted and self.observer is not None:
             self.observer.emit("cache", "cache.evict", expired=evicted)
             self.observer.inc("cache.evict", evicted)
@@ -169,9 +226,8 @@ class GuestBackedDnsCache:
 
     def get(self, name: str) -> Optional[str]:
         wanted = name.lower()
-        key = _encoded(wanted)
-        for _offset, entry_name, tail in self._records():
-            if entry_name == key and _expiry(tail) > self._clock:
+        for _offset, _name, tail in self._parsed().by_name.get(_encoded(wanted), ()):
+            if _expiry(tail) > self._clock:
                 self._note("hit", wanted)
                 return _address(tail)
         self._note("miss", wanted)
@@ -181,15 +237,14 @@ class GuestBackedDnsCache:
         """Serve-stale lookup: ignore expiry (the entry still lives in .bss
         until the table is flushed or the process restarts)."""
         wanted = name.lower()
-        key = _encoded(wanted)
-        for _offset, entry_name, tail in self._records():
-            if entry_name == key:
-                self._note("stale", wanted)
-                return _address(tail)
+        for _offset, _name, tail in self._parsed().by_name.get(_encoded(wanted), ()):
+            self._note("stale", wanted)
+            return _address(tail)
         return None
 
     def clear(self) -> None:
         self.process.memory.write_u8(self.base, 0)
+        self._table = _Table(self._stamp(), [])
 
     def __len__(self) -> int:
         return sum(1 for _offset, _name, tail in self._records()

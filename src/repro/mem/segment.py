@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import AccessViolation, WxViolation
 from .perms import Perm
 
 #: ``Perm`` -> ``(readable, writable, executable)``, one entry per flag set.
 _ACCESS = {perm: (Perm.R in perm, Perm.W in perm, Perm.X in perm)
            for perm in map(Perm, range(8))}
+
+
+@lru_cache(maxsize=32)
+def _zero_block(size: int) -> bytes:
+    """``size`` zero bytes, shared by every segment of that size that
+    nothing has written yet (a boot maps the same few sizes every time)."""
+    return bytes(size)
 
 
 class Segment:
@@ -18,12 +27,15 @@ class Segment:
     owning :class:`~repro.mem.space.AddressSpace`; the segment enforces only
     permissions.
 
-    ``data`` gives the initial contents, zero-padded to ``size``.  A
-    non-writable segment whose frozen ``bytes`` fill it exactly borrows
-    them: every boot of one image shares its text.  The first
-    ``check=False`` write (a debugger, a test) copies them into the
-    segment's own ``bytearray``; a checked write faults before touching
-    them.  Writable segments always own a fresh ``bytearray``.
+    ``data`` gives the initial contents, zero-padded to ``size``.  Until
+    its first write a segment holds immutable ``bytes``: frozen ``bytes``
+    that fill it exactly are borrowed (every boot of one image shares its
+    text), and a segment given no contents (``.bss``, stack, heap, guard
+    page) borrows the shared zero block of its size.  The first write
+    copies them into the segment's own ``bytearray``, after the permission
+    check, so a faulting write (a checked write to text or a guard page)
+    copies nothing.  The owning address space bumps page generations and
+    taint before the segment is asked to write.
     """
 
     def __init__(self, name: str, base: int, size: int, perm: Perm, data: bytes = b""):
@@ -45,11 +57,7 @@ class Segment:
         # A mapping's geometry and permissions never change, so the per-access
         # checks read plain booleans rather than testing ``perm`` flags.
         self.readable, self.writable, self.executable = _ACCESS[perm]
-        if not self.writable and len(data) == size and type(data) is bytes:
-            self.data = data
-        else:
-            self.data = bytearray(size)
-            self.data[: len(data)] = data
+        self.data = bytes(data).ljust(size, b"\x00") if data else _zero_block(size)
 
     def contains(self, address: int) -> bool:
         return self.base <= address < self.end
@@ -68,13 +76,13 @@ class Segment:
         return bytes(self.data[start:stop])
 
     def write(self, start: int, payload: bytes, *, check: bool = True) -> None:
-        if not self.writable:
-            if check:
-                raise AccessViolation(self.base + start, "W",
-                                      f"write to non-writable segment {self.name!r}")
-            if type(self.data) is bytes:
-                self.data = bytearray(self.data)  # stop sharing the image's bytes
-        self.data[start : start + len(payload)] = payload
+        if check and not self.writable:
+            raise AccessViolation(self.base + start, "W",
+                                  f"write to non-writable segment {self.name!r}")
+        data = self.data
+        if type(data) is bytes:
+            data = self.data = bytearray(data)  # stop sharing the borrowed bytes
+        data[start : start + len(payload)] = payload
 
     def fetch(self, start: int, stop: int) -> bytes:
         """Instruction fetch — requires X, raising :class:`WxViolation` otherwise."""

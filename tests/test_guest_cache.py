@@ -1,11 +1,12 @@
 """The guest-memory-backed DNS cache."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.connman import ConnmanDaemon
 from repro.connman.gueststore import ENTRY_OVERHEAD, GuestBackedDnsCache
+from repro.cpu import make_emulator
 from repro.dns import SimpleDnsServer, StubResolver
 from repro.mem import UnmappedAddressError
 from repro.obs import Collector, TaintEngine
@@ -83,6 +84,15 @@ class TestGuestStore:
         # only the newest entry remains.
         assert len(cache) == 1
         assert cache.get("live-entry-03.example") == "9.9.9.9"
+
+    def test_expiry_wraps_to_32_bits(self):
+        cache, loaded = make_cache()
+        cache.advance(5)
+        assert cache.put("a.example", "1.2.3.4", ttl=-6)
+        assert cache.put("b.example", "1.2.3.4", ttl=2**32)
+        raw = loaded.process.memory.read(cache.base, 2 * (ENTRY_OVERHEAD + 9))
+        assert raw[14:18] == b"\xff" * 4 and raw[32:36] == (5).to_bytes(4, "little")
+        assert cache.get("a.example") == "1.2.3.4" and cache.get("b.example") is None
 
     def test_ipv6_not_stored(self):
         cache, _loaded = make_cache()
@@ -192,6 +202,56 @@ class TestCorruptedTable:
         assert lines[1] == f"  +0x0000 {swallowed} -> 4.44.1.0 [live]"
         assert lines[2].startswith("  +0x0015 xample\x05\x06\x07\x08,\x01\x00\x00\x00")
         assert lines[2].endswith(" -> 0.0.0.0 [expired]")
+
+
+def _record_reads(memory):
+    """Every ``memory.read`` from now on, as its arguments."""
+    reads = []
+    read = memory.read
+    memory.read = lambda *args, **kwargs: reads.append(args) or read(*args, **kwargs)
+    return reads
+
+
+@pytest.mark.parametrize("arch", ["x86", "arm"])
+class TestMemoizedTable:
+    """The parsed table is kept only until a write into the region."""
+
+    def test_guest_memcpy_into_the_table_changes_the_next_answer(self, arch):
+        cache, loaded = storage_cache(arch)
+        process = loaded.process
+        memory = process.memory
+        assert cache.put("a.example", "1.2.3.4")
+        assert cache.get("a.example") == "1.2.3.4"
+        reads = _record_reads(memory)
+        assert cache.get("a.example") == "1.2.3.4"
+        assert reads == []  # answered from the memo
+        # The guest copies a staged address over the cached one through
+        # connman's memcpy@plt -- the kind of .bss write the §III-C chain
+        # makes -- and returns into exit@plt.
+        source = process.sp - 0x100
+        memory.write(source, bytes([6, 6, 6, 6]))
+        destination = cache.base + 1 + len("a.example")
+        process.pc = loaded.plt_address("memcpy")
+        if arch == "x86":
+            for word in (4, source, destination, loaded.plt_address("exit")):
+                process.push_u32(word)
+        else:
+            process.registers["r0"], process.registers["r1"] = destination, source
+            process.registers["r2"] = 4
+            process.registers["r14"] = loaded.plt_address("exit")
+        assert make_emulator(process).run().reason == "exit"
+        assert cache.get("a.example") == "6.6.6.6"
+        assert reads and reads[-1] == (cache.base, cache.size)
+
+    def test_fresh_table_is_answered_without_a_walk(self, arch):
+        cache, loaded = storage_cache(arch)
+        reads = _record_reads(loaded.process.memory)
+        assert cache.get("a.example") is None
+        assert cache.put("a.example", "1.2.3.4")
+        assert cache.get("a.example") == "1.2.3.4"
+        assert cache.dump().splitlines()[1:] == [
+            "  +0x0000 a.example -> 1.2.3.4 [live]"]
+        assert reads == []
 
 
 class ReferenceCache(GuestBackedDnsCache):
@@ -309,6 +369,28 @@ def _agree(cache, reference, storage):
     assert _observe(cache, names, storage) == _observe(reference, names, storage)
 
 
+def _poke_offset(reference, size, target):
+    """A region offset: a record's length byte (or the append offset), or
+    any byte."""
+    kind, index = target
+    if kind == "byte":
+        return index % size
+    entries = []
+    _attempt(lambda: reference._entries(entries))
+    starts = [offset - reference.base for offset, *_rest in entries] or [0]
+    if entries:
+        starts.append(starts[-1] + ENTRY_OVERHEAD + len(entries[-1][1]))
+    return starts[index % len(starts)] % size
+
+
+def _poke_bytes(offset, size, data):
+    if data == "zero":  # a 0 length byte: the table ends here
+        return b"\x00"
+    if data == "past":  # a length byte whose record runs past the region end
+        return bytes([min(size - offset, 255)])
+    return data[:size - offset]
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     arch=st.sampled_from(["x86", "arm"]),
@@ -318,13 +400,23 @@ def _agree(cache, reference, storage):
         st.tuples(st.just("put"), st.sampled_from(NAMES),
                   st.sampled_from(ADDRESSES), st.integers(0, 600)),
         st.tuples(st.just("advance"), st.integers(0, 400)),
+        st.tuples(st.just("poke"),
+                  st.tuples(st.sampled_from(["slot", "byte"]), st.integers(0, 0x7FF)),
+                  st.one_of(st.sampled_from(["zero", "past"]),
+                            st.binary(min_size=1, max_size=12))),
     ), max_size=8),
 )
+@example(arch="x86", whole_region=False, fill=b"", ops=[("put", "", "1.2.3.4", 300)])
+@example(arch="arm", whole_region=True, fill=b"",
+         ops=[("put", "a.example", "1.2.3.4", 300), ("put", "", "5.6.7.8", 300),
+              ("put", "B.Example", "10.0.0.255", 300)])
 def test_property_table_walk_matches_the_per_field_walk(arch, whole_region,
                                                         fill, ops):
-    """Random storage bytes (the fill, repeated) or a random put/advance
-    history: the cache and the per-field reference agree on every answer
-    and on the bytes every put leaves, or fault identically."""
+    """Random storage bytes (the fill, repeated) or a random history of
+    puts, clock advances and raw writes into the region: the cache and the
+    per-field reference agree on every answer and on the bytes every put
+    leaves, or fault identically.  The cache memoizes its walk between
+    calls, so every raw write must be seen by its next answer."""
     if arch not in _PROCESSES:
         _PROCESSES[arch] = (loaded_pair(arch), loaded_pair(arch))
     caches = []
@@ -342,6 +434,11 @@ def test_property_table_walk_matches_the_per_field_walk(arch, whole_region,
             _kind, name, address, ttl = op
             assert (_attempt(lambda: cache.put(name, address, ttl))
                     == _attempt(lambda: reference.put(name, address, ttl)))
+        elif op[0] == "poke":
+            offset = _poke_offset(reference, reference.size, op[1])
+            data = _poke_bytes(offset, reference.size, op[2])
+            for one in caches:
+                one.process.memory.write(one.base + offset, data)
         else:
             cache.advance(op[1])
             reference.advance(op[1])

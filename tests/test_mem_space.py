@@ -14,6 +14,7 @@ from repro.mem import (
     WxViolation,
 )
 from repro.mem.space import PAGE_SHIFT
+from repro.obs.taint import ShadowMemory
 
 
 def make_space():
@@ -94,14 +95,66 @@ class TestSegment:
         assert seg.data == b"\xcc" + image[1:] and type(seg.data) is bytearray
         assert image == bytes(range(16))
 
-    def test_writable_or_short_contents_get_their_own_zero_padded_copy(self):
+    def test_writable_or_short_contents_share_nothing_a_write_can_reach(self):
         image = b"\x01\x02"
-        for perm, size in ((Perm.RW, 2), (Perm.RX, 4)):
+        for perm, size in ((Perm.RW, 2), (Perm.RW, 4), (Perm.RX, 4)):
             seg = Segment("s", 0x1000, size, perm, image)
-            assert type(seg.data) is bytearray
+            other = Segment("t", 0x2000, size, perm, image)
             assert seg.data == image + bytes(size - 2)
+            seg.write(size - 1, b"\xee", check=False)
+            assert seg.read(0, size) == image[:size - 1].ljust(size - 1, b"\x00") + b"\xee"
+            assert other.read(0, size) == image + bytes(size - 2)
+            assert image == b"\x01\x02"
         with pytest.raises(ValueError, match="holds"):
             Segment("s", 0x1000, 1, Perm.RX, image)
+
+    def test_zero_filled_segments_borrow_one_zero_block_until_written(self):
+        first, second = (Segment(name, base, 0x3000, Perm.RW)
+                         for name, base in (("heap", 0x10000), ("bss", 0x20000)))
+        assert first.data is second.data and type(first.data) is bytes
+        first.write(0x1234, b"\xaa\xbb")
+        assert type(first.data) is bytearray
+        assert first.read(0x1233, 0x1237) == b"\x00\xaa\xbb\x00"
+        assert second.read(0, 0x3000) == bytes(0x3000)
+        assert Segment("fresh", 0x30000, 0x3000, Perm.RW).data == bytes(0x3000)
+
+    def test_guard_page_write_faults_without_copying(self):
+        guard = Segment("stack-guard", 0x1000, 0x1000, Perm.NONE)
+        zeros = guard.data
+        with pytest.raises(AccessViolation):
+            guard.write(0x10, b"\xff")
+        assert guard.data is zeros and zeros == bytes(0x1000)
+
+    def test_generations_and_taint_move_before_the_copy(self):
+        space = AddressSpace()
+        heap = space.map_new("heap", 0x40000, 0x2000, Perm.RW)
+        guard = space.map_new("guard", 0x42000, 0x1000, Perm.NONE)
+        space.taint = ShadowMemory()
+        space.taint.set_range(0x42000, [frozenset({9})])
+        zeros = guard.data
+        page = 0x42000 >> PAGE_SHIFT
+        # The guard write faults before any byte moves, yet its page
+        # generation and shadow were already updated: spurious, not missed.
+        with pytest.raises(AccessViolation):
+            space.write(0x42000, b"\x01")
+        assert space.page_generation(page) == 1
+        assert space.taint.read(0x42000, 1) == (frozenset(),)
+        assert guard.data is zeros and zeros == bytes(0x1000)
+        # A heap write: the segment copies its zero block only after the
+        # generation and the labels moved.
+        seen = []
+        copy_on_write = heap.write
+
+        def spy(start, payload, *, check=True):
+            seen.append((space.page_generation(0x41fff >> PAGE_SHIFT),
+                         space.taint.read(0x41fff, 1), type(heap.data)))
+            copy_on_write(start, payload, check=check)
+
+        heap.write = spy
+        space.write(0x41fff, b"\x05", taint=[frozenset({3})])
+        assert seen == [(1, (frozenset({3}),), bytes)]
+        assert type(heap.data) is bytearray and space.read(0x41fff, 1) == b"\x05"
+        assert zeros == bytes(0x1000)
 
 
 class TestMapping:

@@ -123,20 +123,35 @@ class TestBootsShareTheImages:
         first, second = (loaded_pair(arch, wx=True, aslr=True, seed=seed) for seed in (1, 2))
         assert first.layout.libc_base != second.layout.libc_base
         borrowed = 0
+        writable = []
         for image, prefix in ((first.binary, f"{first.binary.name}:"),
                               (build_libc(arch).binary, "libc:")):
             for section in image.sections.values():
                 a = first.process.memory.segment(prefix + section.name)
                 b = second.process.memory.segment(prefix + section.name)
                 if a.writable:
-                    assert type(a.data) is bytearray and a.data is not b.data
+                    writable.append(prefix + section.name)
                 elif section.data:
                     assert a.data is section.data and b.data is section.data
                     borrowed += 1
         assert borrowed >= 4  # .text, .plt and .rodata of connman; libc's .text
-        for name in ("stack", "heap"):
-            assert (first.process.memory.segment(name).data
-                    is not second.process.memory.segment(name).data)
+        assert f"{first.binary.name}:.bss" in writable
+        # Writable segments share nothing a write can reach: a write into one
+        # boot's .bss, .data, stack or heap reaches neither the other boot
+        # nor the image bytes or zero block both borrowed.
+        segments = [first.process.memory.segment(name) for name in writable + ["stack", "heap"]]
+        shared = {seg.name: (seg.data, bytes(seg.data)) for seg in segments
+                  if type(seg.data) is bytes}
+        assert shared["heap"][1] == bytes(first.layout.heap_size)
+        for name in writable + ["stack", "heap"]:
+            a = first.process.memory.segment(name)
+            b = second.process.memory.segment(name)
+            before = b.read(0, b.size)
+            first.process.memory.write(a.end - 4, b"\xa5\x5a\xa5\x5a")
+            assert a.read(a.size - 4, a.size) == b"\xa5\x5a\xa5\x5a"
+            assert b.read(0, b.size) == before, name
+        for name, (block, frozen) in shared.items():
+            assert block == frozen, name
         natives = list(first.process.native.values())
         assert len(natives) == len(second.process.native)
         assert all(a is b for a, b in zip(natives, second.process.native.values()))
