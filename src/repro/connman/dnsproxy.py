@@ -175,27 +175,29 @@ class DnsProxyCore:
         """Write the benign activation record for parse_response."""
         memory = self.loaded.process.memory
         frame = self.frame
-        # Locals (including the ARM NULL slots) start zeroed.
-        memory.write(place.name_address, b"\x00" * frame.ret_offset)
-        if self.canary is not None:
-            self.canary.arm_frame(
-                self.loaded.process, place.name_address + frame.canary_offset
-            )
-        # Saved callee registers hold plausible frame-chain values.
-        saved_base = place.ret_slot - frame.saved_area_size
-        for index in range(len(frame.saved_registers)):
-            memory.write_u32(saved_base + 4 * index, place.ret_slot + 0x40 + 4 * index)
         # The legitimate return address (encrypted when ret-guard is on).
         stored = self.resume_address
         if self.ret_guard is not None:
             stored = self.ret_guard.protect(stored)
-        memory.write_u32(place.ret_slot, stored)
+        # One write from ``name`` up to the return slot: zeroed locals
+        # (including the ARM NULL slots), saved callee registers holding
+        # plausible frame-chain values, then the return address.
+        saved = [place.ret_slot + 0x40 + 4 * index
+                 for index in range(len(frame.saved_registers))]
+        memory.write(place.name_address,
+                     bytes(frame.buffer_size + frame.locals_size)
+                     + struct.pack(f"<{len(saved) + 1}I", *saved, stored))
+        if self.canary is not None:
+            self.canary.arm_frame(
+                self.loaded.process, place.name_address + frame.canary_offset
+            )
         # Caller-frame spills that parse_rr later dereferences: one pointer
         # into .data, one into the stack — both mapped in a benign run.
-        for offset, value in zip(
-            frame.check_slot_offsets, (self.globals_address, place.name_address)
-        ):
-            memory.write_u32(place.ret_slot + offset, value)
+        checks = frame.check_slot_offsets
+        if checks:
+            values = (self.globals_address, place.name_address)[:len(checks)]
+            memory.write(place.ret_slot + checks[0],
+                         struct.pack(f"<{len(values)}I", *values))
         # Shadow-stack bookkeeping for the simulated call of parse_response.
         cfi = self.loaded.process.cfi
         if cfi is not None:
@@ -315,27 +317,32 @@ class DnsProxyCore:
             cursor += 1 + label_length
 
     def _read_back_name(self, place: FramePlacement) -> str:
-        """Benign read of the expanded name for the cache (bounded)."""
+        """Benign read of the expanded name for the cache (bounded).
+
+        One guest read covers every byte the label walk can reach: a label
+        starting on the buffer's last byte runs at most 63 bytes past it.
+        """
         process = self.loaded.process
-        memory = process.memory
         taint = process.taint
         shadowed = taint is not None and taint.shadow is not None
+        buffer_size = self.frame.buffer_size
+        expanded = process.memory.read(place.name_address, buffer_size + 63)
         labels: List[str] = []
         char_labels: List = []
-        cursor = place.name_address
-        limit = place.name_address + self.frame.buffer_size
-        while cursor < limit:
-            length = memory.read_u8(cursor)
+        offset = 0
+        while offset < buffer_size:
+            length = expanded[offset]
             if length == 0 or length > 63:
                 break
-            labels.append(memory.read(cursor + 1, length).decode("latin-1"))
+            labels.append(expanded[offset + 1 : offset + 1 + length].decode("latin-1"))
             if shadowed:
+                cursor = place.name_address + offset
                 if len(labels) > 1:
                     # The '.' separator stands in for this label's length
                     # byte, so it inherits that byte's provenance.
                     char_labels.append(taint.shadow.union(cursor, 1))
                 char_labels.extend(taint.shadow.read(cursor + 1, length))
-            cursor += 1 + length
+            offset += 1 + length
         name = ".".join(labels)
         if shadowed:
             # The daemon will copy this *string* (not memory) into the
@@ -394,8 +401,10 @@ class DnsProxyCore:
         frame = self.frame
         taint = process.taint
         saved_base = place.ret_slot - frame.saved_area_size
+        saved = struct.unpack(f"<{len(frame.saved_registers)}I",
+                              memory.read(saved_base, frame.saved_area_size))
         for index, register in enumerate(frame.saved_registers):
-            process.registers[register] = memory.read_u32(saved_base + 4 * index)
+            process.registers[register] = saved[index]
             if taint is not None and taint.shadow is not None:
                 # The epilogue's register restores move (possibly
                 # overflowed) stack bytes into callee-saved registers.

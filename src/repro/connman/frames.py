@@ -37,7 +37,8 @@ class FrameModel:
     saved_registers: Tuple[str, ...]
     #: Offsets (from `name`) of locals that must be NULL before the return.
     null_slot_offsets: Tuple[int, ...]
-    #: Offsets (from the return slot) that parse_rr dereferences.
+    #: Offsets (from the return slot) that parse_rr dereferences:
+    #: consecutive words, lowest first.
     check_slot_offsets: Tuple[int, ...]
     #: Bytes past the return slot that survive; beyond this the daemon's own
     #: writes clobber the stack before the hijacked return executes.
@@ -47,6 +48,11 @@ class FrameModel:
     ret_slot_from_stack_top: int = 0x300
     #: Size of the overflowable buffer (Connman: the 1024-byte `name`).
     buffer_size: int = NAME_BUFFER_SIZE
+
+    def __post_init__(self) -> None:
+        checks = self.check_slot_offsets
+        if any(high - low != 4 for low, high in zip(checks, checks[1:])):
+            raise ValueError(f"check slots {checks} are not consecutive words")
 
     @property
     def saved_area_size(self) -> int:

@@ -160,15 +160,19 @@ class GuestBackedDnsCache:
     def put(self, name: str, address: str, ttl: int = 300) -> bool:
         """Store one entry; returns False when it cannot be stored.
 
-        The guest table is IPv4-only (4-byte address field); AAAA results
-        pass through the proxy but are not cached here.
+        A name outside latin-1 has no table bytes, so it is not stored
+        (``get`` treats it as a miss).  The guest table is IPv4-only
+        (4-byte address field); AAAA results pass through the proxy but
+        are not cached here.
         """
         if len(name) > MAX_NAME:
             return False
         parts = address.split(".")
         if len(parts) != 4 or not all(part.isdigit() and int(part) <= 255 for part in parts):
             return False
-        encoded = name.lower().encode("latin-1")
+        encoded = _encoded(name.lower())
+        if encoded is None:
+            return False
         record_size = ENTRY_OVERHEAD + len(encoded)
         cursor = self._append_offset()
         if cursor + record_size + 1 > self.base + self.size:

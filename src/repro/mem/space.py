@@ -18,6 +18,8 @@ ADDRESS_MASK = 0xFFFFFFFF
 PAGE_SHIFT = 12
 
 _BASE = attrgetter("base")
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
 
 
 class AddressSpace:
@@ -134,6 +136,9 @@ class AddressSpace:
         Faults when ``address`` itself is unmapped.
         """
         address &= ADDRESS_MASK
+        index = bisect_right(self._bases, address) - 1
+        if limit > 0 and index >= 0 and address + limit <= self._segments[index].end:
+            return limit
         try:
             self._spans(address, max(limit, 1))
         except UnmappedAddressError as gap:
@@ -179,7 +184,8 @@ class AddressSpace:
     def _spans(self, address: int, length: int) -> List[Tuple[Segment, int, int]]:
         """``(segment, start, stop)`` data offsets covering a masked range.
 
-        The one range walk behind every access: it faults on the first gap
+        The one walk across segment boundaries, behind every access that
+        does not lie inside one segment: it faults on the first gap
         (a range running past 2**32 faults at address 0) before the caller
         touches any byte.
         """
@@ -195,11 +201,22 @@ class AddressSpace:
         return spans
 
     # -- byte access ----------------------------------------------------------
+    # ``read``, ``write`` and ``fetch`` bisect once: a non-empty range that
+    # ends inside the segment it starts in is served by that segment.  Any
+    # other range (one leaving the segment, starting in a gap, or empty)
+    # goes through ``_spans``, the only walk across segment boundaries.
 
     def read(self, address: int, length: int, *, check: bool = True) -> bytes:
         """Read bytes, spanning segment boundaries if mappings are contiguous."""
+        address &= ADDRESS_MASK
+        index = bisect_right(self._bases, address) - 1
+        if index >= 0 and length > 0:
+            seg = self._segments[index]
+            if address + length <= seg.end:
+                start = address - seg.base
+                return seg.read(start, start + length, check=check)
         return b"".join([seg.read(start, stop, check=check) for seg, start, stop
-                         in self._spans(address & ADDRESS_MASK, length)])
+                         in self._spans(address, length)])
 
     def write(self, address: int, payload: bytes, *, check: bool = True,
               taint=None) -> None:
@@ -210,23 +227,39 @@ class AddressSpace:
         write clears any shadow labels it covers.
         """
         address &= ADDRESS_MASK
-        spans = self._spans(address, len(payload))
-        # Bump generations before writing: a permission fault mid-span may
-        # leave earlier segments modified, and a spurious invalidation is
-        # harmless while a missed one would execute stale decodes.
-        self._note_write(address, len(payload))
+        length = len(payload)
+        index = bisect_right(self._bases, address) - 1
+        seg = self._segments[index] if index >= 0 else None
+        if length > 0 and seg is not None and address + length <= seg.end:
+            spans = None
+            page = address >> PAGE_SHIFT
+            if page == (address + length - 1) >> PAGE_SHIFT:
+                page_gens = self._page_gens
+                page_gens[page] = page_gens.get(page, 0) + 1
+            else:
+                self._note_write(address, length)
+        else:
+            spans = self._spans(address, length)
+            # Bump generations before writing: a permission fault mid-span
+            # may leave earlier segments modified, and a spurious
+            # invalidation is harmless while a missed one would execute
+            # stale decodes.
+            self._note_write(address, length)
         if self.taint is not None:
             # Same ordering rationale as the generation bump above: a
             # spurious label after a mid-span fault is harmless over-taint,
             # a missed one would hide real attacker data flow.
             if taint is None:
-                self.taint.clear_range(address, len(payload))
+                self.taint.clear_range(address, length)
             else:
-                if len(taint) != len(payload):
+                if len(taint) != length:
                     raise ValueError(
                         f"taint labels cover {len(taint)} bytes but the "
-                        f"write covers {len(payload)}")
+                        f"write covers {length}")
                 self.taint.set_range(address, taint)
+        if spans is None:
+            seg.write(address - seg.base, payload, check=check)
+            return
         offset = 0
         for seg, start, stop in spans:
             seg.write(start, payload[offset : offset + stop - start], check=check)
@@ -234,8 +267,15 @@ class AddressSpace:
 
     def fetch(self, address: int, length: int) -> bytes:
         """Instruction fetch (X-checked) — the W^X enforcement point."""
+        address &= ADDRESS_MASK
+        index = bisect_right(self._bases, address) - 1
+        if index >= 0 and length > 0:
+            seg = self._segments[index]
+            if address + length <= seg.end:
+                start = address - seg.base
+                return seg.fetch(start, start + length)
         return b"".join([seg.fetch(start, stop) for seg, start, stop
-                         in self._spans(address & ADDRESS_MASK, length)])
+                         in self._spans(address, length)])
 
     # -- typed helpers ---------------------------------------------------------
 
@@ -243,19 +283,19 @@ class AddressSpace:
         return self.read(address, 1)[0]
 
     def read_u16(self, address: int) -> int:
-        return struct.unpack("<H", self.read(address, 2))[0]
+        return _U16.unpack(self.read(address, 2))[0]
 
     def read_u32(self, address: int) -> int:
-        return struct.unpack("<I", self.read(address, 4))[0]
+        return _U32.unpack(self.read(address, 4))[0]
 
     def write_u8(self, address: int, value: int, *, taint=None) -> None:
         self.write(address, bytes([value & 0xFF]), taint=taint)
 
     def write_u16(self, address: int, value: int, *, taint=None) -> None:
-        self.write(address, struct.pack("<H", value & 0xFFFF), taint=taint)
+        self.write(address, _U16.pack(value & 0xFFFF), taint=taint)
 
     def write_u32(self, address: int, value: int, *, taint=None) -> None:
-        self.write(address, struct.pack("<I", value & ADDRESS_MASK), taint=taint)
+        self.write(address, _U32.pack(value & ADDRESS_MASK), taint=taint)
 
     def read_cstring(self, address: int, limit: int = 4096) -> bytes:
         """Read a NUL-terminated string (used by execve/system stubs)."""

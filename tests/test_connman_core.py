@@ -4,6 +4,7 @@ import pytest
 
 from repro.connman import (
     ARM_FRAME,
+    ConnmanDaemon,
     ConnmanVersion,
     EventKind,
     FIRST_FIXED,
@@ -12,7 +13,10 @@ from repro.connman import (
     X86_FRAME,
     frame_model,
 )
+from repro.defenses import NONE
 from repro.dns import build_raw_response, make_query, make_response, ResourceRecord
+from repro.obs import Collector, TaintEngine
+from repro.obs.taint import NO_LABELS
 from tests.conftest import fresh_daemon
 
 
@@ -144,3 +148,139 @@ class TestHeaderValidation:
         event = daemon.handle_upstream_reply(reply.encode(), expected_id=10)
         assert event.kind == EventKind.RESPONDED
         assert event.cached and event.cached[0][0] == "v6.example"
+
+
+# -- the expanded name in the stack frame ---------------------------------------
+
+
+def _tainted_daemon(arch, profile=NONE):
+    collector = Collector()
+    engine = collector.attach_taint(TaintEngine())
+    return ConnmanDaemon(arch=arch, profile=profile, observer=collector), engine
+
+
+def _labels(length):
+    """Distinct per-byte labels, every fifth byte untainted."""
+    return [NO_LABELS if index % 5 == 0 else frozenset({(0, index)})
+            for index in range(length)]
+
+
+def _read_back_byte_by_byte(memory, shadow, name_address, buffer_size):
+    """Reference walk: one guest read per length byte and per label."""
+    labels, char_labels = [], []
+    cursor = name_address
+    while cursor < name_address + buffer_size:
+        length = memory.read_u8(cursor)
+        if length == 0 or length > 63:
+            break
+        labels.append(memory.read(cursor + 1, length).decode("latin-1"))
+        if len(labels) > 1:
+            char_labels.append(shadow.union(cursor, 1))
+        char_labels.extend(shadow.read(cursor + 1, length))
+        cursor += 1 + length
+    return ".".join(labels), tuple(char_labels)
+
+
+def _label(length, seed):
+    return bytes([length]) + bytes((seed + 37 * index) & 0xFF for index in range(length))
+
+
+#: Stack contents at ``name``, each ending the walk a different way.
+READ_BACK_CASES = {
+    # 15 + 1 labels end on the buffer's last byte, where a 63-byte label
+    # starts: its last byte is the farthest one the walk can read.
+    "63-byte label on the last byte": (
+        b"".join(_label(63, seed) for seed in range(15)) + _label(62, 99)
+        + _label(63, 200)),
+    "length byte over 63": _label(3, 1) + _label(2, 2) + b"\x40" + _label(63, 3) + b"\x00",
+    "zero length byte": _label(3, 1) + _label(2, 2) + b"\x00" + _label(1, 3) + b"\x00",
+}
+
+
+@pytest.mark.parametrize("arch", ["x86", "arm"])
+class TestNameReadBack:
+    @pytest.mark.parametrize("case", sorted(READ_BACK_CASES))
+    def test_one_read_matches_the_byte_walk(self, arch, case):
+        daemon, engine = _tainted_daemon(arch)
+        proxy = daemon.proxy
+        memory = daemon.loaded.process.memory
+        place = proxy.placement()
+        stack = READ_BACK_CASES[case]
+        memory.write(place.name_address, stack, taint=_labels(len(stack)))
+        reads = []
+        read = memory.read
+        memory.read = lambda *args, **kwargs: reads.append(args) or read(*args, **kwargs)
+        name = proxy._read_back_name(place)
+        assert reads == [(place.name_address, proxy.frame.buffer_size + 63)]
+        del memory.read
+        want, want_labels = _read_back_byte_by_byte(
+            memory, engine.shadow, place.name_address, proxy.frame.buffer_size)
+        assert name == want and name
+        assert engine.derived_labels(name) == want_labels
+
+    def test_read_back_stays_in_the_stack(self, arch):
+        daemon = fresh_daemon(arch)
+        place = daemon.proxy.placement()
+        stack = daemon.loaded.process.memory.segment_at(place.name_address)
+        assert stack.name == "stack"
+        assert place.name_address + daemon.proxy.frame.buffer_size + 63 <= stack.end
+
+    def test_get_name_keeps_listing_1_stores(self, arch):
+        """Two stores per label (its length byte, then its bytes plus the
+        one-byte over-copy) and one for the terminator; a compression
+        pointer stores nothing."""
+        daemon = fresh_daemon(arch)
+        proxy = daemon.proxy
+        memory = daemon.loaded.process.memory
+        place = proxy.placement()
+        packet = b"\x01a\x02bb\x00" + b"\x03ccc\xc0\x00"
+        writes = []
+        write = memory.write
+        memory.write = lambda address, payload, **kwargs: (
+            writes.append((address - place.name_address, bytes(payload)))
+            or write(address, payload, **kwargs))
+        assert proxy._get_name(packet, 6, place.name_address) == len(packet)
+        assert writes == [(0, b"\x03"), (1, b"ccc\xc0"), (4, b"\x01"), (5, b"a\x02"),
+                          (6, b"\x02"), (7, b"bb\x00"), (9, b"\x00")]
+
+    def test_benign_frame_matches_the_per_field_stores(self, arch):
+        """The frame goes down in one store to the return slot, the canary,
+        and one store of the check slots; bytes and shadow are those of a
+        store per field."""
+        daemon, engine = _tainted_daemon(arch, NONE.with_(canary=True, ret_guard=True))
+        proxy = daemon.proxy
+        frame = proxy.frame
+        memory = daemon.loaded.process.memory
+        place = proxy.placement()
+        span = frame.ret_offset + max(frame.check_slot_offsets, default=0) + 8
+        dirty = bytes(range(256)) * (span // 256 + 1)
+
+        def set_up(how):
+            memory.write(place.name_address, dirty[:span], taint=_labels(span))
+            writes = []
+            write = memory.write
+            memory.write = lambda *args, **kwargs: writes.append(args) or write(*args, **kwargs)
+            how(place)
+            del memory.write
+            return (memory.read(place.name_address, span),
+                    engine.shadow.read(place.name_address, span), len(writes))
+
+        got = set_up(proxy._set_up_frame)
+        want = set_up(lambda place: _per_field_frame(proxy, place))
+        assert got[:2] == want[:2]
+        assert got[2] == (3 if arch == "arm" else 2)
+
+
+def _per_field_frame(proxy, place):
+    """The benign activation record written one field at a time."""
+    memory = proxy.loaded.process.memory
+    frame = proxy.frame
+    memory.write(place.name_address, b"\x00" * frame.ret_offset)
+    proxy.canary.arm_frame(proxy.loaded.process, place.name_address + frame.canary_offset)
+    saved_base = place.ret_slot - frame.saved_area_size
+    for index in range(len(frame.saved_registers)):
+        memory.write_u32(saved_base + 4 * index, place.ret_slot + 0x40 + 4 * index)
+    memory.write_u32(place.ret_slot, proxy.ret_guard.protect(proxy.resume_address))
+    for offset, value in zip(frame.check_slot_offsets,
+                             (proxy.globals_address, place.name_address)):
+        memory.write_u32(place.ret_slot + offset, value)

@@ -254,6 +254,19 @@ class TestMemoizedTable:
         assert reads == []
 
 
+@pytest.mark.parametrize("arch", ["x86", "arm"])
+def test_name_outside_latin1_is_refused_without_a_write(arch):
+    cache, loaded = storage_cache(arch)
+    memory = loaded.process.memory
+    assert cache.put("a.example", "1.2.3.4")
+    region = memory.read(cache.base, cache.size)
+    stamp = memory.page_generation_span(cache.base, cache.size)
+    assert cache.put("☃.example", "1.2.3.4") is False
+    assert memory.read(cache.base, cache.size) == region
+    assert memory.page_generation_span(cache.base, cache.size) == stamp
+    assert len(cache) == 1
+
+
 class ReferenceCache(GuestBackedDnsCache):
     """A per-field table walk: one guest read per field (``read_u8``/
     ``read``/``read``/``read_u32``), every field decoded, and the readers

@@ -455,6 +455,21 @@ def _build(start, pieces):
 @given(layout=_layouts(), ops=_OPS)
 @example(layout=(0x1000, [(0, 8, "rw-"), (0, 8, "r--")]),
          ops=[("write", 4, b"ABCDEFGH", True)])
+# Where a one-segment shortcut could part from the walk: empty ranges
+# touch no segment, so they neither fault nor bump a generation ...
+@example(layout=(0x1000, [(0, 8, "-w-")]), ops=[("read", 2, b"", True)])
+@example(layout=(0x1000, [(0, 8, "r--")]), ops=[("write", 2, b"", True)])
+# ... a range may end exactly at a segment's end ...
+@example(layout=(0x1000, [(0, 8, "rwx"), (1, 8, "rw-")]),
+         ops=[("write", 4, b"WXYZ", True), ("read", 4, b"ABCD", True),
+              ("fetch", 4, b"ABCD", True), ("contiguous_span", 4, b"ABC", True),
+              ("contiguous_span", 4, b"ABCD", True)])
+# ... a write inside one segment may cross a page ...
+@example(layout=(0x1FFC, [(0, 16, "rw-")]), ops=[("write", 2, b"ABCDEFGH", True)])
+# ... and a range starting on a segment's last byte runs into its neighbour.
+@example(layout=(0x1000, [(0, 8, "rwx"), (0, 8, "r--")]),
+         ops=[("read", 7, b"AB", True), ("fetch", 7, b"AB", True),
+              ("contiguous_span", 7, b"AB", True), ("write", 7, b"AB", True)])
 def test_property_range_walk_matches_byte_model(layout, ops):
     """Every access agrees with a per-byte walk: results, bytes, page
     generations and cleared shadow ranges — or the fault type and address.
