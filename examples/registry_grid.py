@@ -10,8 +10,8 @@ way the CLI does:
     the legacy function directly,
   * widen a parameter axis into a real grid, shard it over workers
     (bit-identical to sequential), and
-  * write/reload the `repro-results/v1` artifact that `repro report`,
-    `repro dash --results`, and the bench `--results` gate consume.
+  * write/reload the `repro-results/v1` artifact that
+    `repro report --results` renders.
 
 Run:  python examples/registry_grid.py
 """

@@ -19,8 +19,6 @@ scenarios.
     python -m repro recon --arch x86 --aslr
     python -m repro autogen --arch arm --level wx
     python -m repro chaos --rates 0,0.2,0.5 --workers 2
-    python -m repro dash --once --json      # campaign dashboard (series + SLOs)
-    python -m repro dash --scenario crash --once            # forced-crash board
     python -m repro observe chaos --emit events --json   # observed chaos point
     python -m repro observe chaos --emit metrics --json  # its metrics registry
     python -m repro observe attack --emit spans   # wire-to-verdict span tree
@@ -63,7 +61,6 @@ from .obs import (
     Collector,
     DeterministicProfiler,
     TaintEngine,
-    TimeSeriesStore,
     export_pcap_text,
     render_profile,
     render_provenance,
@@ -99,7 +96,7 @@ def cmd_report(args) -> int:
     Every experiment runs through the registry and renders from its
     ``repro-results/v1`` document — the same artifact ``repro run
     --results`` writes, ``--results PATH`` re-reads, and ``--emit-results
-    DIR`` persists for the dash consumer.  ``--only`` picks experiments by
+    DIR`` persists, one file per experiment.  ``--only`` picks experiments by
     id and ``--list`` prints the registry without running it.  Exits
     non-zero when any trial failed or ended unexpectedly.
     """
@@ -256,8 +253,8 @@ def cmd_run(args) -> int:
     axis into a sharded sweep, ``--checkpoint``/``--resume`` journal it
     (per inner trial for experiments that support it, per grid point
     otherwise), and ``--results PATH`` writes the ``repro-results/v1``
-    artifact that ``repro report --results`` and ``repro dash --results``
-    consume.
+    artifact that ``repro report --results`` renders.  Exits 1 when any
+    trial failed, ended unexpectedly, or was quarantined.
     """
     from .core import CheckpointMismatch, TaskError
     from .core.registry import get_experiment, run_experiment
@@ -306,19 +303,21 @@ def cmd_run(args) -> int:
         return 1
     if args.results:
         write_results(args.results, run.artifact_header(), run.artifact_rows())
-    # stdout is the artifact (tables or JSON); harness health and SLO
-    # verdicts go to stderr so clean and resumed runs byte-compare.
+    # stdout is the artifact (tables or JSON); harness health and
+    # quarantines go to stderr so clean and resumed runs byte-compare.
     if args.json:
         print(json.dumps(run.to_artifact(), indent=2, sort_keys=True))
     else:
         print(run.describe())
     if run.stats is not None:
         print(run.stats.describe(), file=sys.stderr)
-    print(run.slo_report.describe(), file=sys.stderr)
     for trial in run.trials:
         if trial.failure is not None:
             print(f"repro run: {trial.failure.describe()}", file=sys.stderr)
-    return 0 if run.ok and run.slo_report.ok else 1
+    if run.quarantined:
+        print(f"repro run: sweep.quarantined = {run.quarantined}: results "
+              "are missing", file=sys.stderr)
+    return 0 if run.ok else 1
 
 
 def cmd_gadgets(args) -> int:
@@ -388,24 +387,16 @@ def _parse_rates(text: str) -> tuple:
 def cmd_chaos(args) -> int:
     """Sweep fault rates: client availability vs. attack success."""
     from .core import CheckpointMismatch
-    from .obs import SWEEP_SLOS, SloRuleError, evaluate_slos, parse_rule
 
     settings = _sweep_settings(args, "chaos")
     if settings is None:
         return 2
     checkpoint, resume, policy = settings
-    try:
-        health_slos = tuple(
-            parse_rule(rule) for rule in args.health_slo
-        ) if args.health_slo else SWEEP_SLOS
-    except SloRuleError as exc:
-        print(f"repro chaos: {exc}", file=sys.stderr)
-        return 2
     # Two collectors, deliberately: the scientific observer feeds the
     # deterministic artifact; the sweep observer records wall-clock harness
     # health (retries, timeouts, respawns) that must never leak into it.
     sweep_observer = Collector()
-    observer = Collector(series=TimeSeriesStore())
+    observer = Collector()
     if args.taint:
         observer.attach_taint(TaintEngine())
     try:
@@ -432,11 +423,9 @@ def cmd_chaos(args) -> int:
     # byte-compares across interrupted-then-resumed and clean runs.
     if report.health is not None:
         print(report.health.describe(), file=sys.stderr)
-    slo_report = evaluate_slos(health_slos, sweep_observer, emit=False)
-    print(slo_report.describe(), file=sys.stderr)
     for failure in report.failures:
         print(f"repro chaos: {failure.describe()}", file=sys.stderr)
-    return 0 if not report.failures and slo_report.ok else 1
+    return 0 if not report.failures else 1
 
 
 #: Observed scenarios and their default seeds (``repro observe <scenario>``).
@@ -462,26 +451,23 @@ def _capture_lan(args) -> Network:
 
 
 def _run_scenario(args, collector: Collector):
-    """Run ``args.scenario`` under ``collector`` (``observe`` and ``dash``).
+    """Run ``args.scenario`` under ``collector`` for ``observe``.
 
     Returns an :class:`ObservedAttack` for attack and crash, the
     :class:`ChaosCell` for chaos, and the captured network for lan.
     """
     if args.scenario == "chaos":
-        run = run_chaos_point(args.fault_level, seed=args.seed,
-                              queries=args.queries,
-                              attack_budget=args.attack_budget,
-                              observer=collector)
-    elif args.scenario == "crash":
-        run = run_forced_crash(arch=args.arch, seed=args.seed,
+        return run_chaos_point(args.fault_level, seed=args.seed,
+                               queries=args.queries,
+                               attack_budget=args.attack_budget,
                                observer=collector)
-    elif args.scenario == "attack":
-        run = run_observed_attack(arch=args.arch, level_label=args.level,
-                                  seed=args.seed, observer=collector)
-    else:  # lan
-        run = _capture_lan(args)
-    collector.sample()  # flush a final sample at the scenario's end clock
-    return run
+    if args.scenario == "crash":
+        return run_forced_crash(arch=args.arch, seed=args.seed,
+                                observer=collector)
+    if args.scenario == "attack":
+        return run_observed_attack(arch=args.arch, level_label=args.level,
+                                   seed=args.seed, observer=collector)
+    return _capture_lan(args)
 
 
 def _spans_text(_args, collector, run) -> str:
@@ -555,7 +541,7 @@ def cmd_observe(args) -> int:
         args.seed = SCENARIO_SEEDS[args.scenario]
     if args.queries is None:
         args.queries = 8 if args.scenario == "lan" else 16
-    collector = Collector(series=TimeSeriesStore())
+    collector = Collector()
     if args.emit in ("profile", "folded"):
         collector.attach_profiler(
             DeterministicProfiler(sample_interval=args.sample_interval))
@@ -577,66 +563,6 @@ def cmd_observe(args) -> int:
                                      and run.succeeded):
         return 1
     return 0
-
-
-def cmd_dash(args) -> int:
-    """Campaign dashboard: series sparklines, SLO verdicts, top spans."""
-    import time
-
-    from .obs import (DEFAULT_SLOS, SloRuleError, dashboard_json,
-                      evaluate_slos, parse_rule, render_dashboard)
-    from .obs.dashboard import CLEAR, frame_times
-
-    try:
-        rules = ([parse_rule(text) for text in args.slo]
-                 if args.slo else list(DEFAULT_SLOS))
-    except SloRuleError as error:
-        print(f"repro dash: {error}", file=sys.stderr)
-        return 2
-    # Results artifacts ride along on the board: each panel renders the
-    # per-trial verdicts and failing trials flip the gate exit code.
-    documents = []
-    for path in args.results or []:
-        from .core.resume import load_results
-
-        try:
-            header, rows = load_results(path)
-        except (OSError, ValueError) as error:
-            print(f"repro dash: cannot read results artifact {path}: {error}",
-                  file=sys.stderr)
-            return 2
-        documents.append({"header": header, "rows": rows})
-    collector = Collector(series=TimeSeriesStore(interval=args.interval))
-    collector.attach_profiler(DeterministicProfiler())
-    _run_scenario(args, collector)
-    color = not args.no_color
-    if not args.once:
-        # Replay the recorded campaign as live frames: each frame truncates
-        # the series at a later simulated moment and re-evaluates the SLOs
-        # read-only at that moment (no breach events, no counter changes).
-        for moment in frame_times(collector, args.frames):
-            report = evaluate_slos(rules, collector, at=moment, emit=False)
-            frame = render_dashboard(collector, report, until=moment,
-                                     color=color)
-            print((CLEAR if color else "") + frame)
-            if args.fps > 0:
-                time.sleep(1.0 / args.fps)
-    report = evaluate_slos(rules, collector)
-    from .core.registry import render_results_panel, results_ok
-
-    artifacts_ok = all(results_ok(doc["rows"]) for doc in documents)
-    if args.json:
-        payload = json.loads(dashboard_json(collector, report,
-                                            scenario=args.scenario))
-        if documents:
-            payload["results"] = documents
-        print(json.dumps(payload, indent=2))
-    else:
-        print(render_dashboard(collector, report, color=color))
-        for document in documents:
-            print()
-            print(render_results_panel(document["header"], document["rows"]))
-    return 0 if report.ok and artifacts_ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -713,46 +639,11 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--json", action="store_true", help="machine-readable output")
     _add_sweep_flags(chaos, trial_timeout=SUPERVISED_POLICY.timeout,
                      retries=SUPERVISED_POLICY.retries)
-    chaos.add_argument("--health-slo", action="append", metavar="RULE",
-                       help="sweep-health SLO gating the exit code, e.g. "
-                            "'sweep.quarantined count == 0' (repeatable; "
-                            "default: the built-in sweep set)")
     chaos.add_argument("--taint", action="store_true",
                        help="run every trial under the taint engine; taint.* "
                             "counters land in the artifact, outcome cells "
                             "stay byte-identical")
     chaos.set_defaults(run=cmd_chaos)
-
-    dash = subparsers.add_parser(
-        "dash", help="campaign dashboard: series, SLO verdicts, top spans")
-    dash.add_argument("--scenario", choices=("chaos", "crash", "attack"),
-                      default="chaos",
-                      help="which observed scenario feeds the board")
-    dash.add_argument("--level", dest="fault_level", type=_fraction, default=0.3,
-                      help="fault level for the chaos scenario")
-    dash.add_argument("--seed", type=int, default=0xB5EC)
-    dash.add_argument("--queries", type=_non_negative_int, default=16)
-    dash.add_argument("--attack-budget", type=_non_negative_int, default=12)
-    dash.add_argument("--interval", type=_positive_float, default=1.0,
-                      help="series sampling interval (simulated seconds)")
-    dash.add_argument("--slo", action="append", metavar="RULE",
-                      help="SLO rule, e.g. 'daemon.crashes count == 0' "
-                           "(repeatable; default: the built-in set)")
-    dash.add_argument("--once", action="store_true",
-                      help="render one final frame instead of the replay")
-    dash.add_argument("--json", action="store_true",
-                      help="machine-readable output (implies --once frame)")
-    dash.add_argument("--no-color", action="store_true",
-                      help="plain text, no ANSI escapes")
-    dash.add_argument("--frames", type=int, default=12,
-                      help="replay frames in live mode")
-    dash.add_argument("--fps", type=float, default=8.0,
-                      help="replay speed (frames/second; 0 = no delay)")
-    dash.add_argument("--results", action="append", metavar="PATH",
-                      help="append repro-results/v1 artifact panel(s) to the "
-                           "board; failing trials flip the gate (repeatable)")
-    # The board's attack and crash scenarios run the default x86 victim.
-    dash.set_defaults(run=cmd_dash, arch="x86", level="none")
 
     observe = subparsers.add_parser(
         "observe", help="run one observed scenario and render one view of it")

@@ -57,7 +57,7 @@ class ExperimentResult:
         return all(row[-1] == "ok" for row in self.rows)
 
     def to_dict(self) -> dict:
-        """JSON-serializable form (CLI ``report --json``, dashboards)."""
+        """JSON-serializable form (CLI ``report --json``, results artifact)."""
         payload = {
             "experiment": self.experiment_id,
             "title": self.title,
@@ -635,8 +635,8 @@ def e14_reliability(trials: int = 10, *,
 
     ``checkpoint``/``resume``/``policy`` flow into the study runner
     (journaled per STUDY_PLAN cell), so an interrupted E14 resumes to the
-    same table; ``sweep_observer`` collects the harness-health counters
-    the registry's SLO rules gate on.
+    same table; ``sweep_observer`` collects the harness-health counters,
+    and a quarantined cell fails the registry run.
     """
     from .reliability import run_reliability_study
 

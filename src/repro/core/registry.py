@@ -6,7 +6,7 @@ to be re-plumbed through the CLI, chaos runner, report, and bench gate by
 hand.  This module replaces the wiring with data:
 
 * :class:`ExperimentSpec` — one experiment's declaration: id, title,
-  parameter grid, seed-derivation rule, SLO rules, and expected-outcome
+  parameter grid, seed-derivation rule, and expected-outcome
   predicate.  Registered with the :func:`register_experiment` decorator;
   the CLI resolves experiments from :data:`REGISTRY` instead of a
   hand-written table.
@@ -21,8 +21,7 @@ hand.  This module replaces the wiring with data:
   byte for byte.
 * the ``repro-results/v1`` columnar artifact — one JSONL row per trial
   (parameters, derived seed, outcome, metrics, full result table) that
-  ``repro report``, ``repro dash --results``, and the bench
-  ``--compare --results`` gate all read.  Serialization lives in
+  ``repro report --results`` reads.  Serialization lives in
   :mod:`repro.core.resume` next to the checkpoint journal.
 
 Seed-derivation rule
@@ -48,8 +47,6 @@ from typing import (Any, Callable, Dict, FrozenSet, List, Mapping, Optional,
                     Sequence, Tuple)
 
 from ..obs import Collector
-from ..obs.slo import (SWEEP_SLOS, SloReport, SloRule, evaluate_slos,
-                       parse_rules)
 from .parallel import DEFAULT_POLICY, RunPolicy, SweepStats, run_supervised
 from .report import render_table
 from .resume import RESULTS_SCHEMA, TrialFailure, grid_hash as compute_grid_hash
@@ -117,7 +114,6 @@ class ExperimentSpec:
     #: Runner kwarg that receives the trial's derived seed (None: the
     #: runner self-seeds; the derived seed is provenance/failure context).
     seed_param: Optional[str] = None
-    slos: Tuple[SloRule, ...] = SWEEP_SLOS
     expected: Callable[[Any], bool] = field(default=lambda result: result.all_pass)
     expected_doc: str = "every row's expected column says ok"
     description: str = ""
@@ -215,7 +211,6 @@ def register_experiment(experiment_id: str, title: str, *,
                         grid: Optional[Mapping[str, Sequence[Any]]] = None,
                         entropy: Optional[int] = None,
                         seed_param: Optional[str] = None,
-                        slos: Sequence[SloRule] = SWEEP_SLOS,
                         expected: Optional[Callable[[Any], bool]] = None,
                         expected_doc: str = "every row's expected column says ok",
                         description: str = ""):
@@ -240,7 +235,6 @@ def register_experiment(experiment_id: str, title: str, *,
             entropy=(derive_seed("repro.experiments", experiment_id)
                      if entropy is None else entropy),
             seed_param=seed_param,
-            slos=parse_rules(slos),
             expected=expected if expected is not None
             else (lambda result: result.all_pass),
             expected_doc=expected_doc,
@@ -326,22 +320,25 @@ class TrialOutcome:
 
 @dataclass
 class ExperimentRun:
-    """A registry-driven run: trials + health + SLO verdicts.
+    """A registry-driven run: trials + sweep health.
 
     ``trials`` is positional over the expanded grid (quarantined slots
     included), so the artifact and a resumed run line up row for row.
+    ``quarantined`` counts every trial the sweep gave up on, grid points
+    and an experiment's own inner trials alike.
     """
 
     spec: ExperimentSpec
     grid_hash: str
     trials: List[TrialOutcome]
     stats: Optional[SweepStats] = None
-    slo_report: Optional[SloReport] = None
+    quarantined: int = 0
 
     @property
     def ok(self) -> bool:
-        return all(trial.failure is None and trial.expected_ok
-                   for trial in self.trials)
+        return self.quarantined == 0 and all(
+            trial.failure is None and trial.expected_ok
+            for trial in self.trials)
 
     @property
     def result(self):
@@ -412,10 +409,11 @@ def run_experiment(spec_or_id, *,
     bit for bit, and a ``checkpoint``-journaled run killed mid-grid
     resumes (``resume=True``) into a byte-identical artifact.
 
-    The spec's SLO rules are evaluated against ``sweep_observer`` (one is
-    created when not supplied) and attached as ``run.slo_report`` —
-    harness health (quarantines, retries) gates the CLI exit code without
-    ever leaking wall-clock telemetry into the deterministic artifact.
+    Both paths count quarantined trials on ``sweep_observer`` (one is
+    created when not supplied); ``run.quarantined`` reads that count, so
+    a trial the sweep gave up on fails ``run.ok`` even when the
+    experiment builds its rows from the trials that finished.  Harness
+    health never leaks into the deterministic artifact.
     """
     spec = (get_experiment(spec_or_id) if isinstance(spec_or_id, str)
             else spec_or_id)
@@ -461,13 +459,12 @@ def run_experiment(spec_or_id, *,
                     seed=trial.seed, result=payload,
                     expected_ok=bool(spec.expected(payload))))
 
-    run = ExperimentRun(spec=spec, grid_hash=hash_, trials=outcomes,
-                        stats=stats)
-    run.slo_report = evaluate_slos(spec.slos, observer, emit=False)
-    return run
+    return ExperimentRun(spec=spec, grid_hash=hash_, trials=outcomes,
+                         stats=stats,
+                         quarantined=observer.metrics.value("sweep.quarantined"))
 
 
-# -- rendering helpers shared by the CLI (report / dash / bench gate) --------------
+# -- rendering helpers shared by the CLI (report) ----------------------------------
 
 
 def render_registry_table() -> str:
@@ -493,22 +490,6 @@ def registry_index_markdown() -> str:
     return "\n".join(lines)
 
 
-def render_results_panel(header: Dict[str, Any],
-                         rows: Sequence[Dict[str, Any]]) -> str:
-    """One artifact's trial table (`repro dash --results`, report footer)."""
-    body = []
-    for row in rows:
-        shown = ", ".join(f"{k}={v!r}" for k, v in sorted(row["params"].items()))
-        body.append((row["index"], shown or "(defaults)", row["seed"],
-                     row["outcome"], "ok" if row["expected"] else "MISMATCH"))
-    return render_table(
-        ("trial", "params", "seed", "outcome", "expected"),
-        body,
-        title=(f"{header['experiment']}: {header['title']} "
-               f"(grid {header['grid_hash']}, {header['total']} trials)"),
-    )
-
-
 def results_ok(rows: Sequence[Dict[str, Any]]) -> bool:
-    """The artifact-level gate verdict the bench/dash consumers share."""
+    """The artifact-level gate verdict ``repro report`` exits on."""
     return all(row["outcome"] == "pass" and row["expected"] for row in rows)

@@ -308,8 +308,8 @@ class SweepCheckpoint:
 # The registry orchestrator's output format: a header line pinning the
 # experiment identity plus one JSON object per trial
 # (index/params/seed/outcome/expected/metrics/result/error).  Unlike the
-# checkpoint journal it carries no pickles — plain JSON a dashboard, the
-# bench gate, or an external notebook can read — and it is written
+# checkpoint journal it carries no pickles — plain JSON that ``repro report
+# --results`` or an external notebook can read — and it is written
 # canonically (sorted keys, no timestamps), so a resumed sweep's artifact
 # is byte-identical to the uninterrupted run's.
 

@@ -16,7 +16,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..mem import AddressSpace
 from .cache import DecodeCache
 from .isa import check_arch
-from .registers import RegisterFile, make_registers, pc_register, sp_register
+from .registers import (MASK32, RegisterFile, make_registers, pc_register,
+                        sp_register)
 
 
 @dataclass(frozen=True)
@@ -85,21 +86,24 @@ class Process:
 
     # -- register conveniences --------------------------------------------------
 
+    # pc and sp are canonical names, never aliases, so these index the
+    # register file's live dict instead of resolving the name each time.
+
     @property
     def pc(self) -> int:
-        return self.registers[self._pc_name]
+        return self.registers.values[self._pc_name]
 
     @pc.setter
     def pc(self, value: int) -> None:
-        self.registers[self._pc_name] = value
+        self.registers.values[self._pc_name] = value & MASK32
 
     @property
     def sp(self) -> int:
-        return self.registers[self._sp_name]
+        return self.registers.values[self._sp_name]
 
     @sp.setter
     def sp(self, value: int) -> None:
-        self.registers[self._sp_name] = value
+        self.registers.values[self._sp_name] = value & MASK32
 
     # -- stack helpers (both ISAs use a full-descending stack) -------------------
 

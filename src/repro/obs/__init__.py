@@ -7,34 +7,14 @@ daemon, supervisor, emulators, and brute forcer all report into — flat
 events, counters/histograms, *causal spans* (one exploit attempt = one
 span tree from wire to verdict), structured :class:`CrashReport`
 postmortems, and a text pcap format for the traffic log that
-round-trips through the sniffer.  On top of the flat registry sits the
-campaign layer: ring-buffered :class:`TimeSeriesStore` sampling on the
-simulated clock, declarative :class:`SloRule` objectives with
-``slo.breach`` alerts, and the ``repro dash`` terminal dashboard.
+round-trips through the sniffer.  Alongside them sit the deterministic
+profiler (simulated-step stack samples) and the taint engine (wire
+offset -> memory -> PC provenance).
 """
 
 from .collector import Collector, CollectorSnapshot, CollectorSpec
-from .dashboard import (
-    build_dashboard_json,
-    dashboard_json,
-    render_dashboard,
-    sparkline,
-    top_spans,
-)
 from .events import EventBus, TraceEvent
 from .metrics import Counter, Histogram, MetricsRegistry, estimate_percentile
-from .slo import (
-    DEFAULT_SLOS,
-    SWEEP_SLOS,
-    SloReport,
-    SloRule,
-    SloRuleError,
-    SloVerdict,
-    evaluate_slos,
-    parse_rule,
-    parse_rules,
-)
-from .timeseries import TimeSeries, TimeSeriesStore
 from .pcap import (
     PcapFormatError,
     export_datagrams,
@@ -63,7 +43,6 @@ from .taint import (
 )
 
 __all__ = [
-    "build_dashboard_json",
     "CACHE_LINES",
     "capture_crash_report",
     "Collector",
@@ -71,12 +50,9 @@ __all__ = [
     "CollectorSpec",
     "Counter",
     "CrashReport",
-    "dashboard_json",
     "DEFAULT_SAMPLE_INTERVAL",
-    "DEFAULT_SLOS",
     "DeterministicProfiler",
     "estimate_percentile",
-    "evaluate_slos",
     "EventBus",
     "export_datagrams",
     "export_pcap_text",
@@ -86,28 +62,16 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "parse_pcap_text",
-    "parse_rule",
-    "parse_rules",
     "PcapFormatError",
     "ProfileData",
-    "render_dashboard",
     "render_profile",
     "render_provenance",
     "replay_network",
-    "SloReport",
-    "SloRule",
-    "SloRuleError",
-    "SloVerdict",
     "ShadowMemory",
     "sniff_capture",
     "snapshot_payload",
     "Span",
     "TaintEngine",
-    "SWEEP_SLOS",
-    "sparkline",
-    "TimeSeries",
-    "TimeSeriesStore",
-    "top_spans",
     "TraceEvent",
     "Tracer",
     "validate_taint_summary",

@@ -22,7 +22,6 @@ from .metrics import MetricsRegistry
 from .profiler import DeterministicProfiler, ProfileData
 from .spans import Span, Tracer
 from .taint import TaintEngine
-from .timeseries import TimeSeriesStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .postmortem import CrashReport
@@ -33,17 +32,12 @@ class CollectorSpec:
     """What a collector has attached, as a picklable value with a
     deterministic ``repr`` (sweep checkpoints hash it into their grid)."""
 
-    series_interval: Optional[float] = None
-    series_limit: int = 0
     profile_interval: Optional[int] = None
     taint: bool = False
 
     def build(self) -> "Collector":
         """A fresh collector with the same attachments."""
         collector = Collector()
-        if self.series_interval is not None:
-            collector.attach_series(TimeSeriesStore(
-                interval=self.series_interval, limit=self.series_limit))
         if self.profile_interval is not None:
             collector.attach_profiler(
                 DeterministicProfiler(sample_interval=self.profile_interval))
@@ -58,24 +52,20 @@ class CollectorSnapshot(NamedTuple):
 
     metrics: MetricsRegistry
     spans: List[Span]
-    series: Optional[TimeSeriesStore]
     clock: float
     profile: Optional[ProfileData]
 
 
 class Collector(RunObserver):
     """Bundle of clock + :class:`EventBus` + :class:`MetricsRegistry` +
-    :class:`~repro.obs.spans.Tracer` (+ an optional time-series store);
-    :meth:`attach_process` makes it and its run observers watch a process."""
+    :class:`~repro.obs.spans.Tracer`; :meth:`attach_process` makes it
+    and its run observers watch a process."""
 
-    def __init__(self, *, event_limit: int = 100_000,
-                 series: Optional[TimeSeriesStore] = None):
+    def __init__(self, *, event_limit: int = 100_000):
         self.clock = 0.0
         self.bus = EventBus(limit=event_limit)
         self.metrics = MetricsRegistry()
         self.tracer = Tracer(self)
-        #: Attached :class:`~repro.obs.timeseries.TimeSeriesStore`, if any.
-        self.series = series
         #: Attached :class:`~repro.obs.profiler.DeterministicProfiler`,
         #: if any (the daemon wires it onto each booted process).
         self.profiler = None
@@ -102,21 +92,12 @@ class Collector(RunObserver):
                 f"collector clock cannot move backwards: advance({seconds!r})"
             )
         self.clock += seconds
-        self._sample_grid()
         return self.clock
 
     def advance_to(self, when: float) -> float:
         """Move the clock forward to ``when`` (never backwards)."""
         self.clock = max(self.clock, when)
-        self._sample_grid()
         return self.clock
-
-    # -- time series ----------------------------------------------------------
-
-    def attach_series(self, store: TimeSeriesStore) -> TimeSeriesStore:
-        """Attach a time-series store; clock movement now takes samples."""
-        self.series = store
-        return store
 
     # -- profiling ------------------------------------------------------------
 
@@ -165,17 +146,6 @@ class Collector(RunObserver):
         for name, delta in counters.items():
             self.metrics.inc(name, delta)
 
-    def _sample_grid(self) -> None:
-        if self.series is not None:
-            self.series.observe_clock(self.clock, self.metrics)
-
-    def sample(self) -> float:
-        """Force one off-grid sample at the current clock (end-of-run flush)."""
-        if self.series is None:
-            raise ValueError(
-                "no TimeSeriesStore attached (use Collector.attach_series)")
-        return self.series.force_sample(self.clock, self.metrics)
-
     # -- emission -------------------------------------------------------------
 
     def emit(self, category: str, kind: str, **detail: Any) -> TraceEvent:
@@ -218,10 +188,8 @@ class Collector(RunObserver):
 
     def spec(self) -> CollectorSpec:
         """This collector's attachments, for a worker to rebuild."""
-        series, profiler = self.series, self.profiler
+        profiler = self.profiler
         return CollectorSpec(
-            series_interval=series.interval if series is not None else None,
-            series_limit=series.limit if series is not None else 0,
             profile_interval=(profiler.sample_interval
                               if profiler is not None else None),
             taint=self.taint is not None,
@@ -232,7 +200,6 @@ class Collector(RunObserver):
         return CollectorSnapshot(
             metrics=self.metrics,
             spans=self.tracer.spans,
-            series=self.series,
             clock=self.clock,
             profile=(self.profiler.snapshot()
                      if self.profiler is not None else None),
@@ -242,14 +209,9 @@ class Collector(RunObserver):
         """Fold one worker's snapshot in, as if it had run on this collector.
 
         Adopting points in task order reproduces one shared collector's
-        metrics, span ids, series, and profile (span times stay local to
-        each point).  The order matters: the
-        series is adopted *before* the registry merge, because its offsets
-        are the counts every earlier point left behind; the clock moves
-        last, so no grid boundary the series already covers is re-sampled.
+        metrics, span ids, profile, and clock (span times stay local to
+        each point).
         """
-        if self.series is not None and snapshot.series is not None:
-            self.series.adopt(snapshot.series, self.metrics)
         self.metrics.merge(snapshot.metrics)
         self.tracer.adopt(snapshot.spans)
         if self.profiler is not None and snapshot.profile is not None:
@@ -272,8 +234,6 @@ class Collector(RunObserver):
             "spans": self.tracer.to_dicts(),
             "postmortems": [report.to_dict() for report in self.postmortems],
         }
-        if self.series is not None:
-            exported["series"] = self.series.to_dict()
         if self.profiler is not None:
             exported["profile"] = self.profiler.to_dict()
         if self.taint is not None:

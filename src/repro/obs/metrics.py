@@ -109,8 +109,8 @@ class Histogram:
         """Estimated q-quantile (q in [0, 1]) from the cumulative buckets.
 
         Contract: an empty histogram returns ``None`` and never raises —
-        the SLO engine treats "no data" as its own verdict, distinct from
-        any numeric comparison.
+        "no data" stays distinct from any numeric answer, and the export
+        shows it as ``null``.
         """
         if self.count == 0:
             return None

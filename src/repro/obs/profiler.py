@@ -233,9 +233,8 @@ class DeterministicProfiler(RunObserver):
 
     def end_run(self, process, counters: Dict[str, int]) -> None:
         """Run-loop exit: fold in the run's cache-counter deltas and flush
-        one final sample if steps ran since the last boundary (the
-        run-end analog of ``Collector.sample()``), so short runs (the
-        12-step ARM payload) still contribute at least one stack.
+        one final sample if steps ran since the last boundary, so short
+        runs (the 12-step ARM payload) still contribute at least one stack.
         """
         if self.sample_interval and self._since:
             self._since = 0

@@ -21,8 +21,8 @@ engine that has **zero outcome effect**:
   observer, like ``TraceRecorder``.
 * Any write of tainted labels into the program counter is recorded as a
   **PC event** — the provenance chain's terminal link — and surfaces in
-  ``CrashReport``, ``repro observe --emit taint``, the dashboard, and the
-  ``taint.*`` metrics (which merge bit-identically across chaos workers).
+  ``CrashReport``, ``repro observe --emit taint``, the collector export,
+  and the ``taint.*`` metrics (which merge bit-identically across chaos workers).
 
 Untainted writes *clear* shadow bytes they cover, so stale labels never
 survive buffer reuse; an engine observes, it never perturbs — parity tests
@@ -443,7 +443,7 @@ class TaintEngine(RunObserver):
         }
 
     def to_dict(self) -> dict:
-        """Full provenance export (collector/dashboard JSON)."""
+        """Full provenance export (collector JSON, ``observe --emit taint``)."""
         return {
             "sources": [dict(source) for source in self.sources],
             "seeds": [dict(seed) for seed in self.seeds],

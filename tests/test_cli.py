@@ -1,6 +1,7 @@
 """Command-line interface."""
 
 import hashlib
+import re
 
 import pytest
 
@@ -36,8 +37,6 @@ class TestCommands:
         assert out.count("root shell") == 6
 
     @pytest.mark.parametrize("argv", [
-        pytest.param(["dash", "--once", "--interval", "0"], id="dash-interval-zero"),
-        pytest.param(["dash", "--once", "--interval", "-1"], id="dash-interval"),
         pytest.param(["observe", "attack", "--emit", "profile",
                       "--sample-interval", "-5"], id="observe-sample-interval"),
         pytest.param(["observe", "chaos", "--emit", "events", "--limit", "-2"],
@@ -58,10 +57,6 @@ class TestCommands:
                      id="observe-corrupt"),
         pytest.param(["observe", "lan", "--emit", "pcap", "--duplicate", "-0.5"],
                      id="observe-duplicate"),
-        pytest.param(["dash", "--once", "--level", "1.5"], id="dash-level"),
-        pytest.param(["dash", "--once", "--interval", "nan"],
-                     id="dash-interval-nan"),
-        pytest.param(["dash", "--once", "--queries", "-3"], id="dash-queries"),
         pytest.param(["chaos", "--rates", "nan"], id="chaos-rates-nan"),
         pytest.param(["chaos", "--rates", "0,1.5"], id="chaos-rates-range"),
         pytest.param(["chaos", "--rates", "0,x"], id="chaos-rates-syntax"),
@@ -187,6 +182,29 @@ class TestCommands:
         assert main(["run", "E10"]) == 0
         assert "root shell" in capsys.readouterr().out
 
+    def test_run_fails_on_a_quarantined_inner_trial(self, capsys, monkeypatch):
+        # E16 runs its chaos points in its own inner sweep and builds its
+        # rows from the points that finished, so a quarantined point leaves
+        # every remaining row passing: only the quarantine count fails it.
+        import repro.core.chaos as chaos
+
+        run_point = chaos._chaos_point_task
+
+        def failing_point(task):
+            if task.level == 0.2:
+                raise RuntimeError("injected chaos point failure")
+            return run_point(task)
+
+        argv = ["run", "E16", "--retries", "0",
+                "--set", "queries_per_rate=2", "--set", "attack_budget=2"]
+        assert main(argv) == 0
+        assert "\n0.20 " in capsys.readouterr().out
+        monkeypatch.setattr(chaos, "_chaos_point_task", failing_point)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "\n0.20 " not in captured.out
+        assert re.search(r"sweep\.quarantined.*\b1\b", captured.err)
+
 
 #: ``repro observe`` invocations and the sha256 of their stdout.  The
 #: digests were recorded from the per-view verbs ``observe`` replaced
@@ -194,7 +212,9 @@ class TestCommands:
 #: ``postmortem``, ``taint``, ``pcap``, ``trace``), so each view renders
 #: byte for byte what it did before.  Seeds 2910 (0x0B5E) and 3243 (0xCAB)
 #: are the defaults the ``taint`` and ``pcap --taint`` crash captures used
-#: to run.
+#: to run.  The two ``chaos --emit events --json`` digests were re-recorded
+#: when the collector lost its time series: each document is the earlier
+#: one without its ``"series"`` key.
 OBSERVE_DIGESTS = [
     ("chaos --emit metrics",
      "fd3c1e4142589547f248b695b743f4912e2b3acf6bea5d14422ec5995553ac4c"),
@@ -205,9 +225,9 @@ OBSERVE_DIGESTS = [
     ("chaos --emit events",
      "dc99823df9186ad0cae058c21580efc8278dfb82942555922cc328c0a0f2b14a"),
     ("chaos --emit events --json",
-     "33e0e69c7a146957b58ff81e80e57b48223bad857a6ffbc91e283f8b8c5a99c3"),
+     "f47a706c9edb1580448dea0b4fc769eb879360062625f2d3f949e3b758d37013"),
     ("chaos --emit events --json --queries 8 --attack-budget 6",
-     "6b59f3219bcf164c0ed406ef8818b484751c3e465bca49382af9336a7678e91d"),
+     "cb096cb8d08dd0b4e42eda3f59d1bb666a94471cbce7fee2096545a1df0301bb"),
     ("chaos --emit events --limit 5",
      "ef7c730ba791d1c5704d7b1d8f7ce5f27b6225e5adbf8760ce9808aefd88c9d5"),
     ("attack --emit spans",
@@ -290,7 +310,7 @@ class TestObserve:
 
     @pytest.mark.parametrize("verb", ["trace-events", "metrics", "spans",
                                       "trace-export", "profile", "postmortem",
-                                      "taint", "pcap", "trace"])
+                                      "taint", "pcap", "trace", "dash"])
     def test_replaced_verbs_no_longer_parse(self, verb, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main([verb])

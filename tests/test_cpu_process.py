@@ -31,6 +31,14 @@ class TestProcess:
         assert process.pop_u32() == 0xAABBCCDD
         assert process.sp == 0x2F000
 
+    @pytest.mark.parametrize("arch", ["x86", "arm"])
+    def test_pc_and_sp_are_masked_to_32_bits(self, arch):
+        process = make_process(arch)
+        process.pc = 1 << 32 | 5
+        process.sp = 1 << 32 | 8
+        assert (process.pc, process.sp) == (5, 8)
+        assert (process.registers["pc"], process.registers["sp"]) == (5, 8)
+
     def test_push_bytes_unaligned(self):
         process = make_process()
         process.push_bytes(b"abc")

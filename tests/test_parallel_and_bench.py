@@ -20,7 +20,7 @@ from repro.core import (
 from repro.core.bench import run_dispatch_bench
 from repro.core.experiments import e10_bruteforce
 from repro.obs import (Collector, CollectorSpec, DeterministicProfiler,
-                       TaintEngine, TimeSeriesStore)
+                       TaintEngine)
 from repro.obs.metrics import Histogram, MetricsRegistry
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -51,7 +51,7 @@ class TestRunTasks:
 
 def _observed_sweep(**kwargs) -> str:
     """One observed sweep with every attachment on, as its sorted export."""
-    collector = Collector(series=TimeSeriesStore())
+    collector = Collector()
     collector.attach_profiler(DeterministicProfiler())
     collector.attach_taint(TaintEngine())
     run_chaos_sweep((0.0, 0.4), seed=21, queries_per_rate=6, attack_budget=6,
@@ -99,21 +99,19 @@ class TestObservedSweepParity:
         }
         baseline = exports["workers=1"]
         exported = json.loads(baseline)
-        assert exported["spans"] and exported["series"]["timeline"]
+        assert exported["spans"]
         assert exported["profile"]["runs"] > 0
         assert exported["metrics"]["counters"]["taint.sources"] > 0
         for name, export in exports.items():
             assert export == baseline, name
 
     def test_spec_names_the_attachments(self):
-        collector = Collector(series=TimeSeriesStore(interval=2.5, limit=64))
+        collector = Collector()
         collector.attach_profiler(DeterministicProfiler(sample_interval=9))
         collector.attach_taint(TaintEngine())
         spec = collector.spec()
         # The repr feeds the checkpoint grid hash, so it must be stable.
-        assert repr(spec) == ("CollectorSpec(series_interval=2.5, "
-                              "series_limit=64, profile_interval=9, "
-                              "taint=True)")
+        assert repr(spec) == "CollectorSpec(profile_interval=9, taint=True)"
         assert pickle.loads(pickle.dumps(spec)) == spec
         assert spec.build().spec() == spec
         assert Collector().spec() == CollectorSpec()
@@ -160,25 +158,6 @@ class TestParallelParity:
                     for s in tracer.spans]
 
         assert links(par_collector.tracer) == links(seq_collector.tracer)
-
-    def test_chaos_sweep_parallel_merges_worker_series(self):
-        """Time-series parity under workers=2: the adopted worker stores
-        reproduce the sequential sweep's sampled series bit for bit."""
-        from repro.obs import TimeSeriesStore
-
-        kwargs = dict(queries_per_rate=6, attack_budget=6)
-        seq_collector = Collector(series=TimeSeriesStore())
-        par_collector = Collector(series=TimeSeriesStore())
-        run_chaos_sweep((0.0, 0.2, 0.5), workers=1,
-                        observer=seq_collector, **kwargs)
-        run_chaos_sweep((0.0, 0.2, 0.5), workers=2,
-                        observer=par_collector, **kwargs)
-        assert par_collector.series.timeline  # the sweep actually sampled
-        assert par_collector.clock == seq_collector.clock
-        seq_dict = seq_collector.series.to_dict()
-        par_dict = par_collector.series.to_dict()
-        assert json.dumps(par_dict, sort_keys=True) == \
-               json.dumps(seq_dict, sort_keys=True)
 
     def test_reliability_study_parallel_matches_sequential(self):
         sequential = run_reliability_study(trials=2, workers=1)

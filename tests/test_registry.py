@@ -17,6 +17,7 @@ import pytest
 
 from repro.core import (
     REGISTRY,
+    RunPolicy,
     e1_dos,
     e6_firmware_survey,
     load_results,
@@ -230,12 +231,42 @@ class TestGridOrchestrator:
         run = run_experiment("E1")
         assert run.ok
         assert run.result.experiment_id == "E1"
-        assert run.slo_report.ok
+        assert run.quarantined == 0
 
     def test_spec_objects_run_directly(self):
         spec = get_experiment("E6")
         assert isinstance(spec, ExperimentSpec)
         assert run_experiment(spec).ok
+
+    @pytest.mark.parametrize("grid, failing", [
+        pytest.param({"queries_per_rate": (2,)},
+                     lambda task: task.level == 0.2, id="inner"),
+        pytest.param({"queries_per_rate": (2, 3)},
+                     lambda task: task.queries == 3, id="grid"),
+    ])
+    def test_quarantined_trial_fails_the_run(self, grid, failing, monkeypatch):
+        # One grid point runs E16's own chaos sweep under the policy; two
+        # run as grid trials, each with a strict inner sweep.
+        import repro.core.chaos as chaos
+
+        run_point = chaos._chaos_point_task
+
+        def point(task):
+            if failing(task):
+                raise RuntimeError("injected chaos point failure")
+            return run_point(task)
+
+        monkeypatch.setattr(chaos, "_chaos_point_task", point)
+        run = run_experiment("E16", grid=grid, params={"attack_budget": 2},
+                             policy=RunPolicy(on_failure="quarantine"))
+        assert run.quarantined == 1
+        assert not run.ok
+        if len(run.trials) == 1:
+            # The inner sweep drops the point's row; every row left passes.
+            assert run.trials[0].failure is None and run.trials[0].expected_ok
+        else:
+            assert [trial.status for trial in run.trials] == [
+                "pass", "quarantined"]
 
 
 # -- acceptance: SIGKILL a sweep, resume, byte-identical artifact -------------

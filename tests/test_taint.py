@@ -380,13 +380,3 @@ class TestTaintCli:
         assert main(["observe", "crash", "--emit", "sniff", "--taint"]) == 0
         sniffed = capsys.readouterr().out
         assert "[bytes reached tainted PC]" in sniffed
-
-    def test_dash_json_carries_taint_panel(self, capsys):
-        run, engine = _tainted_crash("x86")
-        from repro.obs import build_dashboard_json, render_dashboard
-
-        payload = build_dashboard_json(run.collector)
-        assert payload["taint"]["seeded_bytes"] == engine.seeded_bytes
-        frame = render_dashboard(run.collector, color=False)
-        assert "taint provenance" in frame
-        assert "pc_writes=1" in frame
