@@ -102,6 +102,7 @@ def cmd_report(args) -> int:
     """
     import os
 
+    from .core import TaskError
     from .core.registry import (get_experiment, render_registry_table,
                                 results_ok, run_experiment)
     from .core.resume import load_results, write_results
@@ -127,8 +128,12 @@ def cmd_report(args) -> int:
         except KeyError as error:
             print(f"repro report: {error.args[0]}", file=sys.stderr)
             return 2
-        for spec in specs:
-            documents.append(run_experiment(spec).to_artifact())
+        try:
+            for spec in specs:
+                documents.append(run_experiment(spec).to_artifact())
+        except TaskError as error:
+            print(f"repro report: {error}", file=sys.stderr)
+            return 1
         if args.emit_results:
             os.makedirs(args.emit_results, exist_ok=True)
             for document in documents:

@@ -13,9 +13,9 @@ matters for CVE-2017-12865:
       memcpy(name + *name_len, p + 1, label_len + 1);
       *name_len += label_len;
 
-  Every write lands in the emulated process stack, so an oversized
-  expansion genuinely clobbers the saved registers, the return address and
-  the caller frame;
+  The bytes those stores leave are written to the emulated process
+  stack, so an oversized expansion genuinely clobbers the saved
+  registers, the return address and the caller frame;
 * the 1.35 patch adds the size check and bails out before the buffer can
   overflow;
 * ``parse_rr`` then dereferences two caller-frame words (the ARM
@@ -36,6 +36,7 @@ from ..cpu import ExecutionResult, make_emulator
 from ..cpu.events import CanaryClobbered, ControlFlowViolation, EmulationBudgetExceeded
 from ..defenses import StackCanary
 from ..mem import MemoryFault
+from ..obs.taint import NO_LABELS
 from .frames import NAME_BUFFER_SIZE, FrameModel
 from .outcomes import DaemonEvent, EventKind
 from .version import ConnmanVersion
@@ -69,6 +70,12 @@ class _AbortPath(Exception):
     def __init__(self, reason: str):
         self.reason = reason
         super().__init__(reason)
+
+
+def _commit(memory, address: int, parts: List[bytes], shadow: Optional[list]) -> None:
+    """Write an expanded name's pending bytes (and their labels) at ``address``."""
+    if parts:
+        memory.write(address, b"".join(parts), taint=shadow)
 
 
 @dataclass
@@ -259,62 +266,119 @@ class DnsProxyCore:
         """Expand a name into the stack buffer — the vulnerable routine.
 
         Returns the offset just past the name in the original byte stream.
-        Every ``memory.write`` below is a real store into the emulated
-        process stack.
+        Listing 1 stores a label as its length byte, then its bytes plus one
+        over-copied byte that the next store overwrites.  So the bytes its
+        stores leave are the packet's label slices, the terminator, and,
+        when the name is dropped, the last label's over-copied byte.  They
+        are joined on the host and written to the emulated stack in one
+        ``memory.write``: at the terminator, and before every drop.  A label
+        whose stores would leave the segment holding ``name`` (the
+        expansion ran off the top of the stack) is stored as Listing 1 does,
+        after a commit, so its length byte lands and its bytes fault at the
+        same address.
         """
         memory = self.loaded.process.memory
         taint = self.loaded.process.taint
 
-        def wire(cursor_offset: int, count: int, note: str):
-            """Per-byte labels for copying wire bytes at ``cursor_offset``."""
+        def wire(cursor_offset: int, count: int, at: int, note: str):
+            """Per-byte labels for copying wire bytes at ``cursor_offset`` to
+            ``name + at``: ``None`` without a taint engine, empty sets
+            outside a source (either clears the shadow)."""
             if taint is None:
                 return None
-            return taint.wire_labels(cursor_offset, count,
-                                     address=name_address + name_len,
-                                     note=note)
+            labels = taint.wire_labels(cursor_offset, count,
+                                       address=name_address + at, note=note)
+            return labels if labels is not None else (NO_LABELS,) * count
 
+        try:
+            segment = memory.segment_at(name_address)
+            room = segment.end - name_address if segment.writable else 0
+        except MemoryFault:
+            room = 0
         patched = not self.version.is_vulnerable
+        size = len(packet)
         name_len = 0
+        # The stores not yet written: label slices from ``name + start`` on,
+        # their labels (taint only), and the packet offset of the last
+        # label's over-copied byte (-1 once a later store covers it).
+        start = 0
+        parts: List[bytes] = []
+        shadow: Optional[list] = None if taint is None else []
+        over, over_labels = -1, ()
         jumps = 0
         cursor = offset
         end: Optional[int] = None
-        while True:
-            if cursor >= len(packet):
-                raise _Drop("name runs past end of packet")
-            length = packet[cursor]
-            if length == 0:
-                memory.write_u8(name_address + name_len, 0,
-                                taint=wire(cursor, 1, "name terminator"))
-                return end if end is not None else cursor + 1
-            if length & 0xC0 == 0xC0:
-                if end is None:
-                    end = cursor + 2
-                jumps += 1
-                if jumps > MAX_POINTER_JUMPS:
-                    raise _Drop("compression pointer loop")
-                if cursor + 1 >= len(packet):
-                    raise _Drop("truncated pointer")
-                cursor = ((length & 0x3F) << 8) | packet[cursor + 1]
-                continue
-            if length & 0xC0:
-                raise _Drop(f"reserved label type {length:#04x}")
-            # NOTE: no check of `length` against the 63-byte RFC limit here —
-            # the vulnerable parser consumes the raw byte (up to 0xBF).
-            label_length = length
-            if patched and name_len + label_length + 2 > self.frame.buffer_size:
-                # The 1.35 fix: refuse to expand past the buffer.
-                raise _Drop("uncompressed name too long (patched bounds check)")
-            # Listing 1, line by line:
-            memory.write_u8(name_address + name_len, label_length,
-                            taint=wire(cursor, 1, "label length"))
-            name_len += 1
-            chunk = packet[cursor + 1 : cursor + 1 + label_length + 1]  # +1 over-copy
-            if len(chunk) < label_length:
-                raise _Drop("label runs past end of packet")
-            memory.write(name_address + name_len, chunk,
-                         taint=wire(cursor + 1, len(chunk), "label bytes"))
-            name_len += label_length
-            cursor += 1 + label_length
+        try:
+            while True:
+                if cursor >= size:
+                    raise _Drop("name runs past end of packet")
+                length = packet[cursor]
+                if length == 0:
+                    # Past the segment's end nothing is pending (the last
+                    # label was stored directly), so this is Listing 1's
+                    # terminator store.
+                    parts.append(b"\x00")
+                    if shadow is not None:
+                        shadow += wire(cursor, 1, name_len, "name terminator")
+                    _commit(memory, name_address + start, parts, shadow)
+                    return end if end is not None else cursor + 1
+                if length & 0xC0 == 0xC0:
+                    if end is None:
+                        end = cursor + 2
+                    jumps += 1
+                    if jumps > MAX_POINTER_JUMPS:
+                        raise _Drop("compression pointer loop")
+                    if cursor + 1 >= size:
+                        raise _Drop("truncated pointer")
+                    cursor = ((length & 0x3F) << 8) | packet[cursor + 1]
+                    continue
+                if length & 0xC0:
+                    raise _Drop(f"reserved label type {length:#04x}")
+                # NOTE: no check of `length` against the 63-byte RFC limit
+                # here — the vulnerable parser consumes the raw byte (up to 0xBF).
+                label_length = length
+                if patched and name_len + label_length + 2 > self.frame.buffer_size:
+                    # The 1.35 fix: refuse to expand past the buffer.
+                    raise _Drop("uncompressed name too long (patched bounds check)")
+                # Listing 1's two stores at name + name_len: the length byte,
+                # then the label bytes plus the over-copy.
+                if name_len + label_length + 2 > room:
+                    # A pending over-copied byte is left out: it sits at
+                    # name + name_len, where this label's length byte lands.
+                    _commit(memory, name_address + start, parts, shadow)
+                    start, parts, over = name_len + 1 + label_length, [], -1
+                    shadow = None if shadow is None else []
+                    copied = min(label_length + 1, size - cursor - 1)
+                    memory.write(name_address + name_len, packet[cursor:cursor + 1],
+                                 taint=wire(cursor, 1, name_len, "label length"))
+                    if copied < label_length:
+                        raise _Drop("label runs past end of packet")
+                    memory.write(name_address + name_len + 1,
+                                 packet[cursor + 1:cursor + 1 + copied],
+                                 taint=wire(cursor + 1, copied, name_len + 1, "label bytes"))
+                else:
+                    if shadow is not None:
+                        shadow += wire(cursor, 1, name_len, "label length")
+                    if size - cursor - 1 < label_length:
+                        parts.append(packet[cursor:cursor + 1])
+                        over = -1
+                        raise _Drop("label runs past end of packet")
+                    parts.append(packet[cursor:cursor + 1 + label_length])
+                    over = cursor + 1 + label_length
+                    if shadow is not None:
+                        labels = wire(cursor + 1, min(label_length + 1, size - cursor - 1),
+                                      name_len + 1, "label bytes")
+                        shadow += labels[:label_length]
+                        over_labels = labels[label_length:]
+                name_len += 1 + label_length
+                cursor += 1 + label_length
+        except _Drop:
+            if over >= 0:
+                parts.append(packet[over:over + 1])
+                if shadow is not None:
+                    shadow += over_labels
+            _commit(memory, name_address + start, parts, shadow)
+            raise
 
     def _read_back_name(self, place: FramePlacement) -> str:
         """Benign read of the expanded name for the cache (bounded).

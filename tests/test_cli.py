@@ -206,6 +206,22 @@ class TestCommands:
         assert re.search(r"sweep\.quarantined.*\b1\b", captured.err)
 
 
+    def test_report_exits_when_a_trial_raises(self, capsys, monkeypatch):
+        # ``report`` runs E16 under the strict default policy, so the
+        # failing chaos point aborts the sweep with a TaskError: it must
+        # end as exit 1 with one line on stderr, as ``run`` does.
+        import repro.core.chaos as chaos
+
+        def failing_point(task):
+            raise RuntimeError("injected chaos point failure")
+
+        monkeypatch.setattr(chaos, "_chaos_point_task", failing_point)
+        assert main(["report", "--only", "E16"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro report: task 0 ")
+        assert "injected chaos point failure" in captured.err
+
 #: ``repro observe`` invocations and the sha256 of their stdout.  The
 #: digests were recorded from the per-view verbs ``observe`` replaced
 #: (``metrics``, ``trace-events``, ``spans``, ``trace-export``, ``profile``,

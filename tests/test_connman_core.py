@@ -1,6 +1,8 @@
 """Connman version model, frame geometry, and header validation."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.connman import (
     ARM_FRAME,
@@ -13,8 +15,10 @@ from repro.connman import (
     X86_FRAME,
     frame_model,
 )
+from repro.connman.dnsproxy import MAX_POINTER_JUMPS, _Drop
 from repro.defenses import NONE
 from repro.dns import build_raw_response, make_query, make_response, ResourceRecord
+from repro.mem import MemoryFault
 from repro.obs import Collector, TaintEngine
 from repro.obs.taint import NO_LABELS
 from tests.conftest import fresh_daemon
@@ -225,10 +229,9 @@ class TestNameReadBack:
         assert stack.name == "stack"
         assert place.name_address + daemon.proxy.frame.buffer_size + 63 <= stack.end
 
-    def test_get_name_keeps_listing_1_stores(self, arch):
-        """Two stores per label (its length byte, then its bytes plus the
-        one-byte over-copy) and one for the terminator; a compression
-        pointer stores nothing."""
+    def test_benign_name_is_one_write(self, arch):
+        """An untainted name that stays in the stack costs one guest write:
+        Listing 1's stores land as the bytes they leave behind."""
         daemon = fresh_daemon(arch)
         proxy = daemon.proxy
         memory = daemon.loaded.process.memory
@@ -240,8 +243,7 @@ class TestNameReadBack:
             writes.append((address - place.name_address, bytes(payload)))
             or write(address, payload, **kwargs))
         assert proxy._get_name(packet, 6, place.name_address) == len(packet)
-        assert writes == [(0, b"\x03"), (1, b"ccc\xc0"), (4, b"\x01"), (5, b"a\x02"),
-                          (6, b"\x02"), (7, b"bb\x00"), (9, b"\x00")]
+        assert writes == [(0, b"\x03ccc\x01a\x02bb\x00")]
 
     def test_benign_frame_matches_the_per_field_stores(self, arch):
         """The frame goes down in one store to the return slot, the canary,
@@ -284,3 +286,209 @@ def _per_field_frame(proxy, place):
     for offset, value in zip(frame.check_slot_offsets,
                              (proxy.globals_address, place.name_address)):
         memory.write_u32(place.ret_slot + offset, value)
+
+
+# -- Listing 1 as the reference model of the name expansion ------------------------
+
+
+def _listing_1_get_name(proxy, packet, offset, name_address):
+    """``get_name`` with one guest store per line of Listing 1::
+
+        name[(*name_len)++] = label_len;
+        memcpy(name + *name_len, p + 1, label_len + 1);
+        *name_len += label_len;
+
+    ``DnsProxyCore._get_name`` must match it byte for byte, label for
+    label, and drop for drop or fault for fault.
+    """
+    memory = proxy.loaded.process.memory
+    taint = proxy.loaded.process.taint
+
+    def wire(cursor_offset, count, note):
+        if taint is None:
+            return None
+        return taint.wire_labels(cursor_offset, count,
+                                 address=name_address + name_len, note=note)
+
+    patched = not proxy.version.is_vulnerable
+    name_len = 0
+    jumps = 0
+    cursor = offset
+    end = None
+    while True:
+        if cursor >= len(packet):
+            raise _Drop("name runs past end of packet")
+        length = packet[cursor]
+        if length == 0:
+            memory.write_u8(name_address + name_len, 0,
+                            taint=wire(cursor, 1, "name terminator"))
+            return end if end is not None else cursor + 1
+        if length & 0xC0 == 0xC0:
+            if end is None:
+                end = cursor + 2
+            jumps += 1
+            if jumps > MAX_POINTER_JUMPS:
+                raise _Drop("compression pointer loop")
+            if cursor + 1 >= len(packet):
+                raise _Drop("truncated pointer")
+            cursor = ((length & 0x3F) << 8) | packet[cursor + 1]
+            continue
+        if length & 0xC0:
+            raise _Drop(f"reserved label type {length:#04x}")
+        label_length = length
+        if patched and name_len + label_length + 2 > proxy.frame.buffer_size:
+            raise _Drop("uncompressed name too long (patched bounds check)")
+        # Listing 1, line by line:
+        memory.write_u8(name_address + name_len, label_length,
+                        taint=wire(cursor, 1, "label length"))
+        name_len += 1
+        chunk = packet[cursor + 1 : cursor + 1 + label_length + 1]  # +1 over-copy
+        if len(chunk) < label_length:
+            raise _Drop("label runs past end of packet")
+        memory.write(name_address + name_len, chunk,
+                     taint=wire(cursor + 1, len(chunk), "label bytes"))
+        name_len += label_length
+        cursor += 1 + label_length
+
+
+#: Header bytes ahead of the name; a compression pointer into them reads
+#: them as labels (0x05 is a 5-byte label).
+_HEADER = b"\x00\x05\x81\x80\x00\x01\x00\x01\x00\x00\x00\x00"
+
+_PIECES = st.lists(st.one_of(
+    # A length byte of 0-70 (0 ends the name, 64-70 is a reserved type)
+    # and that many label bytes.
+    st.tuples(st.just("label"), st.integers(0, 70), st.integers(0, 255)),
+    # A compression pointer, mostly into the packet (loops included).
+    st.tuples(st.just("pointer"),
+              st.one_of(st.integers(0, 120), st.integers(0, 0x3FFF)), st.just(0)),
+    st.tuples(st.just("reserved"), st.integers(0x40, 0xBF), st.just(0)),
+), max_size=40)
+
+
+def _wire_name(pieces, cut):
+    packet = bytearray(_HEADER)
+    for kind, value, seed in pieces:
+        if kind == "label":
+            packet.append(value)
+            packet += bytes((seed + 41 * index) & 0xFF for index in range(value))
+        elif kind == "pointer":
+            packet += bytes((0xC0 | (value >> 8), value & 0xFF))
+        else:
+            packet.append(value)
+    return bytes(packet if cut is None else packet[:len(_HEADER) + cut])
+
+
+def _expand(how, daemon, engine, packet, name_address):
+    """Run one expansion; return everything a reader of the guest can see."""
+    memory = daemon.loaded.process.memory
+    segment = memory.segment_at(name_address)
+    pages = range(segment.base >> 12, ((segment.end - 1) >> 12) + 2)
+    before = [memory.page_generation(page) for page in pages]
+    if engine is not None:
+        engine.begin_source(packet)
+    try:
+        outcome = ("offset", how(daemon.proxy, packet, len(_HEADER), name_address))
+    except _Drop as drop:
+        outcome = ("drop", drop.reason)
+    except MemoryFault as fault:
+        outcome = ("fault", type(fault).__name__, str(fault))
+    finally:
+        if engine is not None:
+            engine.end_source()
+    moved = {page for page, generation in zip(pages, before)
+             if memory.page_generation(page) != generation}
+    return (outcome, memory.read(segment.base, segment.size, check=False), moved,
+            None if engine is None else
+            (engine.shadow.read(segment.base, segment.size), engine.seeds))
+
+
+def _expansion_daemon(arch, version, tainted, name_address_from):
+    collector = Collector() if tainted else None
+    engine = collector.attach_taint(TaintEngine()) if tainted else None
+    daemon = ConnmanDaemon(arch=arch, version=version, observer=collector)
+    memory = daemon.loaded.process.memory
+    name_address = name_address_from(daemon.proxy, memory)
+    segment = memory.segment_at(name_address)
+    if segment.writable:
+        # Stale bytes and labels around ``name``, so a store too few, too
+        # many or out of order shows in the bytes or the shadow.
+        low = max(segment.base, name_address - 64)
+        dirty = bytes(range(7, 256, 3)) * (segment.end - low)
+        memory.write(low, dirty[:segment.end - low], taint=_labels(segment.end - low))
+    return daemon, engine, name_address
+
+
+def _assert_matches_listing_1(arch, version, tainted, name_address_from, packet):
+    results = []
+    for how in (lambda proxy, *args: proxy._get_name(*args), _listing_1_get_name):
+        daemon, engine, name_address = _expansion_daemon(
+            arch, version, tainted, name_address_from)
+        results.append(_expand(how, daemon, engine, packet, name_address))
+    got, want = results
+    assert got[0] == want[0]  # the offset, drop reason or fault
+    assert got[1] == want[1]  # the bytes of the segment holding ``name``
+    assert got[2] == want[2]  # the pages whose generation moved
+    assert got[3] == want[3]  # its shadow, and the seeds
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    arch=st.sampled_from(["x86", "arm"]),
+    version=st.sampled_from(["1.34", "1.35"]),
+    tainted=st.booleans(),
+    from_end=st.one_of(st.none(), st.integers(1, 200)),
+    pieces=_PIECES,
+    cut=st.one_of(st.none(), st.integers(0, 400)),
+)
+@example(arch="x86", version="1.34", tainted=True, from_end=None,
+         pieces=[("label", 3, 1), ("pointer", 12, 0)], cut=None)  # loops to the drop
+@example(arch="arm", version="1.34", tainted=True, from_end=100,
+         pieces=[("label", 63, 9)] * 3 + [("label", 0, 0)], cut=None)  # faults
+@example(arch="x86", version="1.35", tainted=False, from_end=None,
+         pieces=[("label", 63, 9)] * 20, cut=None)  # patched bounds check
+@example(arch="arm", version="1.34", tainted=True, from_end=None,
+         pieces=[("label", 5, 1), ("label", 9, 2)], cut=7)  # truncated label
+def test_property_get_name_matches_listing_1(arch, version, tainted, from_end,
+                                             pieces, cut):
+    """Random names (labels of 0-70 bytes, compression pointers, reserved
+    label types, truncated packets) expanded at ``name`` or within 200
+    bytes of the stack's end: the one-commit expansion and Listing 1's
+    per-line stores leave the same stack bytes and shadow, seed the same
+    wire bytes, move the same pages' generations, and end the same way."""
+    def name_address_from(proxy, memory):
+        if from_end is None:
+            return proxy.placement().name_address
+        return memory.segment("stack").end - from_end
+
+    _assert_matches_listing_1(arch, version, tainted, name_address_from,
+                              _wire_name(pieces, cut))
+
+
+#: Labels of 2, 1 and 3 bytes store up to ``name + 10``; then the name
+#: ends, its last label's over-copy is cut off, or a label is truncated.
+_EDGE_NAMES = {
+    "terminated": _wire_name([("label", 2, 1), ("label", 1, 2), ("label", 3, 3),
+                              ("label", 0, 0)], None),
+    "no over-copy": _wire_name([("label", 2, 1), ("label", 1, 2), ("label", 3, 3)], None),
+    "truncated label": _wire_name([("label", 2, 1), ("label", 1, 2), ("label", 3, 3),
+                                   ("label", 4, 4)], 11),
+}
+
+
+@pytest.mark.parametrize("arch", ["x86", "arm"])
+@pytest.mark.parametrize("tainted", [False, True], ids=["clean", "tainted"])
+@pytest.mark.parametrize("name", sorted(_EDGE_NAMES))
+def test_every_stack_end_alignment_matches_listing_1(arch, tainted, name):
+    """The stack's end falls before, inside and after each store of the
+    name in turn (and ``name`` in a read-only segment faults its first
+    store): the expansion matches Listing 1 at every alignment."""
+    packet = _EDGE_NAMES[name]
+    for from_end in range(1, 12):
+        _assert_matches_listing_1(
+            arch, "1.34", tainted,
+            lambda proxy, memory: memory.segment("stack").end - from_end, packet)
+    _assert_matches_listing_1(
+        arch, "1.34", tainted,
+        lambda proxy, memory: memory.segment("connman:.rodata").base,
+        packet)
