@@ -40,8 +40,8 @@ class LoadedProcess:
         """libc relocated to this boot's base, built on first read.
 
         Booting and serving queries never read it: the segments and natives
-        come straight from the shared image.  Recon, CFI, the profiler and
-        :meth:`symbol` do.
+        come straight from the shared image.  Recon, CFI and :meth:`symbol`
+        do.
         """
         return relocate(self.libc_image.binary, self.layout.libc_base, new_name="libc")
 

@@ -22,7 +22,6 @@ scenarios.
     python -m repro observe chaos --emit events --json   # observed chaos point
     python -m repro observe chaos --emit metrics --json  # its metrics registry
     python -m repro observe attack --emit spans   # wire-to-verdict span tree
-    python -m repro observe attack --arch arm --emit folded  # flamegraph input
     python -m repro observe attack --emit trace --arch arm --level wx+aslr
     python -m repro observe crash --emit postmortem --taint  # gdb-style report
     python -m repro observe crash --emit taint  # wire offset -> memory -> PC
@@ -57,12 +56,9 @@ from .core.registry import all_experiments
 from .exploit import AutoExploiter, GadgetFinder, builder_for
 from .net import DNS_PORT, FaultPolicy, Host, Network
 from .obs import (
-    DEFAULT_SAMPLE_INTERVAL,
     Collector,
-    DeterministicProfiler,
     TaintEngine,
     export_pcap_text,
-    render_profile,
     render_provenance,
     sniff_capture,
 )
@@ -519,10 +515,6 @@ EMITTERS: Dict[str, tuple] = {
                 lambda _args, c, _run:
                     f"{c.summary()}\n{c.metrics.describe()}\n"),
     "spans": (lambda _args, c, _run: c.tracer.to_dicts(), _spans_text),
-    "profile": (lambda _args, c, _run: c.profiler.to_dict(),
-                lambda args, c, _run:
-                    render_profile(c.profiler.data, top=args.top) + "\n"),
-    "folded": (None, lambda _args, c, _run: c.profiler.folded()),
     "postmortem": (lambda _args, c, _run: c.last_postmortem.to_dict(),
                    lambda _args, c, _run: f"{c.last_postmortem.render()}\n\n"
                                           f"{c.tracer.render_tree()}\n"),
@@ -547,9 +539,6 @@ def cmd_observe(args) -> int:
     if args.queries is None:
         args.queries = 8 if args.scenario == "lan" else 16
     collector = Collector()
-    if args.emit in ("profile", "folded"):
-        collector.attach_profiler(
-            DeterministicProfiler(sample_interval=args.sample_interval))
     if args.emit == "taint" or args.taint:
         collector.attach_taint(TaintEngine())
     if args.emit == "trace":
@@ -673,16 +662,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="brute-force attempts for the chaos scenario")
     observe.add_argument("--json", action="store_true",
                          help="machine-readable events, metrics, spans, "
-                              "profile, postmortem or taint")
+                              "postmortem or taint")
     observe.add_argument("--limit", type=_non_negative_int, default=None,
                          help="events: show only the last N; trace: keep "
                               "the first N records (default 64)")
-    observe.add_argument("--sample-interval", type=_non_negative_int,
-                         default=DEFAULT_SAMPLE_INTERVAL,
-                         help="profile: guest steps between stack samples "
-                              "(0 disables stack sampling)")
-    observe.add_argument("--top", type=_non_negative_int, default=10,
-                         help="profile: rows per table in the text report")
     observe.add_argument("--taint", action="store_true",
                          help="run under the taint engine: postmortem gains "
                               "the PC-provenance section, pcap/sniff mark "

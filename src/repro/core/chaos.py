@@ -291,9 +291,9 @@ def run_chaos_sweep(
     summary on the report.  Each point runs under a fresh collector built
     from ``observer.spec()``; its snapshot is adopted into ``observer`` in
     point order, so the metrics, span forest (ids rebased, times local to
-    each point), profile, and clock are the same at any worker
-    count.  Events, postmortems, and taint provenance stay with the point
-    that made them — ``repro observe chaos`` shows them for one point.
+    each point) and clock are the same at any worker count.  Events,
+    postmortems, and taint provenance stay with the point that made
+    them — ``repro observe chaos`` shows them for one point.
 
     Resilience: ``policy`` adds per-trial timeouts/retries (quarantined
     points land in ``report.failures`` instead of aborting the sweep);

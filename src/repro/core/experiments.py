@@ -733,6 +733,13 @@ def e16_chaos(rates: Sequence[float] = (0.0, 0.2, 0.5),
         else:
             expected = cell.answered < cell.queries and (cell.stale + cell.failed) > 0
         result.rows.append(cell.row() + (_check(expected),))
+    # A quarantined point fails its own row, from fields that do not
+    # depend on the worker count.
+    for failure in report.failures:
+        result.rows.append(
+            (f"{rates[failure.index]:.2f}", "-", "-", "-", "-", "-",
+             f"lost: {failure.kind} after {failure.attempts} attempt(s)",
+             "FAIL"))
 
     # The supervision headline: same victim seed, same guess stream, with
     # and without init's restart budget.

@@ -77,9 +77,6 @@ class RunObserver:
     run has the same outcome, step count and fault as an unobserved one.
     """
 
-    def begin_run(self, process: Process) -> None:
-        """A run starts."""
-
     def before_step(self, process: Process) -> None:
         """The native or instruction at ``process.pc`` is about to run."""
 
@@ -161,8 +158,6 @@ class Emulator:
         observers = process.observers
         if observers:
             counters_before = _cache_counters(process)
-            for observer in observers:
-                observer.begin_run(process)
         steps = 0
         try:
             while steps < max_steps:

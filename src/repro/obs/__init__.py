@@ -7,9 +7,8 @@ daemon, supervisor, emulators, and brute forcer all report into — flat
 events, counters/histograms, *causal spans* (one exploit attempt = one
 span tree from wire to verdict), structured :class:`CrashReport`
 postmortems, and a text pcap format for the traffic log that
-round-trips through the sniffer.  Alongside them sit the deterministic
-profiler (simulated-step stack samples) and the taint engine (wire
-offset -> memory -> PC provenance).
+round-trips through the sniffer.  Alongside them sits the taint engine
+(wire offset -> memory -> PC provenance).
 """
 
 from .collector import Collector, CollectorSnapshot, CollectorSpec
@@ -24,14 +23,6 @@ from .pcap import (
     sniff_capture,
 )
 from .postmortem import CrashReport, capture_crash_report
-from .profiler import (
-    CACHE_LINES,
-    DEFAULT_SAMPLE_INTERVAL,
-    DeterministicProfiler,
-    ProfileData,
-    folded_stacks,
-    render_profile,
-)
 from .spans import Span, Tracer, snapshot_payload
 from .taint import (
     ShadowMemory,
@@ -43,28 +34,22 @@ from .taint import (
 )
 
 __all__ = [
-    "CACHE_LINES",
     "capture_crash_report",
     "Collector",
     "CollectorSnapshot",
     "CollectorSpec",
     "Counter",
     "CrashReport",
-    "DEFAULT_SAMPLE_INTERVAL",
-    "DeterministicProfiler",
     "estimate_percentile",
     "EventBus",
     "export_datagrams",
     "export_pcap_text",
-    "folded_stacks",
     "format_offsets",
     "group_offsets",
     "Histogram",
     "MetricsRegistry",
     "parse_pcap_text",
     "PcapFormatError",
-    "ProfileData",
-    "render_profile",
     "render_provenance",
     "replay_network",
     "ShadowMemory",

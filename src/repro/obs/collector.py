@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional
 from ..cpu.emulator import RunObserver
 from .events import EventBus, TraceEvent
 from .metrics import MetricsRegistry
-from .profiler import DeterministicProfiler, ProfileData
 from .spans import Span, Tracer
 from .taint import TaintEngine
 
@@ -32,15 +31,11 @@ class CollectorSpec:
     """What a collector has attached, as a picklable value with a
     deterministic ``repr`` (sweep checkpoints hash it into their grid)."""
 
-    profile_interval: Optional[int] = None
     taint: bool = False
 
     def build(self) -> "Collector":
         """A fresh collector with the same attachments."""
         collector = Collector()
-        if self.profile_interval is not None:
-            collector.attach_profiler(
-                DeterministicProfiler(sample_interval=self.profile_interval))
         if self.taint:
             collector.attach_taint(TaintEngine())
         return collector
@@ -53,7 +48,6 @@ class CollectorSnapshot(NamedTuple):
     metrics: MetricsRegistry
     spans: List[Span]
     clock: float
-    profile: Optional[ProfileData]
 
 
 class Collector(RunObserver):
@@ -66,9 +60,6 @@ class Collector(RunObserver):
         self.bus = EventBus(limit=event_limit)
         self.metrics = MetricsRegistry()
         self.tracer = Tracer(self)
-        #: Attached :class:`~repro.obs.profiler.DeterministicProfiler`,
-        #: if any (the daemon wires it onto each booted process).
-        self.profiler = None
         #: Attached :class:`~repro.obs.taint.TaintEngine`, if any (the
         #: daemon wires it onto each booted process).
         self.taint = None
@@ -99,15 +90,6 @@ class Collector(RunObserver):
         self.clock = max(self.clock, when)
         return self.clock
 
-    # -- profiling ------------------------------------------------------------
-
-    def attach_profiler(self, profiler):
-        """Attach a deterministic profiler; anything that boots a process
-        under this collector (the daemon does) wires it onto the process
-        and registers the booted image's symbols for stack sampling."""
-        self.profiler = profiler
-        return profiler
-
     # -- taint provenance -----------------------------------------------------
 
     def attach_taint(self, engine):
@@ -129,16 +111,13 @@ class Collector(RunObserver):
     def attach_process(self, loaded) -> None:
         """Observe a freshly booted process: its runs nest under
         ``cpu.run`` spans here and report to every attached run observer.
-        The profiler takes this boot's symbol tables (ASLR re-slides libc
-        every boot), the taint engine a fresh shadow map."""
+        The taint engine takes a fresh shadow map."""
         process = loaded.process
         process.observer = self
-        if self.profiler is not None:
-            self.profiler.register_symbols(loaded)
         if self.taint is not None:
             self.taint.attach_process(process)
         process.observers = tuple(
-            observer for observer in (self.trace, self.taint, self.profiler)
+            observer for observer in (self.trace, self.taint)
             if observer is not None) + (self,)
 
     def end_run(self, process, counters: Dict[str, int]) -> None:
@@ -188,12 +167,7 @@ class Collector(RunObserver):
 
     def spec(self) -> CollectorSpec:
         """This collector's attachments, for a worker to rebuild."""
-        profiler = self.profiler
-        return CollectorSpec(
-            profile_interval=(profiler.sample_interval
-                              if profiler is not None else None),
-            taint=self.taint is not None,
-        )
+        return CollectorSpec(taint=self.taint is not None)
 
     def snapshot(self) -> CollectorSnapshot:
         """What a worker ships back to the parent's :meth:`adopt`."""
@@ -201,21 +175,16 @@ class Collector(RunObserver):
             metrics=self.metrics,
             spans=self.tracer.spans,
             clock=self.clock,
-            profile=(self.profiler.snapshot()
-                     if self.profiler is not None else None),
         )
 
     def adopt(self, snapshot: CollectorSnapshot) -> None:
         """Fold one worker's snapshot in, as if it had run on this collector.
 
         Adopting points in task order reproduces one shared collector's
-        metrics, span ids, profile, and clock (span times stay local to
-        each point).
+        metrics, span ids, and clock (span times stay local to each point).
         """
         self.metrics.merge(snapshot.metrics)
         self.tracer.adopt(snapshot.spans)
-        if self.profiler is not None and snapshot.profile is not None:
-            self.profiler.adopt(snapshot.profile)
         self.advance_to(snapshot.clock)
 
     # -- export ---------------------------------------------------------------
@@ -234,8 +203,6 @@ class Collector(RunObserver):
             "spans": self.tracer.to_dicts(),
             "postmortems": [report.to_dict() for report in self.postmortems],
         }
-        if self.profiler is not None:
-            exported["profile"] = self.profiler.to_dict()
         if self.taint is not None:
             exported["taint"] = self.taint.to_dict()
         return exported

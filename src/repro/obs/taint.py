@@ -3,9 +3,9 @@
 The paper's core claim is a *data-flow* claim: specific attacker-controlled
 bytes of a DNS reply travel through ``dnsproxy``'s name expansion into a
 stack buffer and finally into the saved return address.  Spans prove the
-stages happened and the profiler prices them, but neither attributes the
-*bytes*.  This module closes that gap with a deterministic, opt-in taint
-engine that has **zero outcome effect**:
+stages happened, but they do not attribute the *bytes*.  This module
+closes that gap with a deterministic, opt-in taint engine that has **zero
+outcome effect**:
 
 * A **label** is a ``(source_id, wire_offset)`` pair — source ``N`` is the
   ``N``-th reply datagram the daemon parsed under this engine, and the
@@ -183,7 +183,7 @@ class TaintEngine(RunObserver):
     One engine accumulates sources, seed records, and PC events across
     every process booted under its collector (each boot gets a fresh
     :class:`ShadowMemory` — the address space is per-boot — while the
-    provenance record is cumulative, like the profiler's sample log).
+    provenance record is cumulative).
     """
 
     def __init__(self) -> None:

@@ -5,9 +5,21 @@ import re
 
 import pytest
 
+import repro.core.chaos as chaos
 from repro.cli import LEVELS, build_parser, main
 from repro.core.registry import experiment_ids
+from repro.core.resume import load_results
 from repro.cpu import Process
+
+_RUN_CHAOS_POINT = chaos._chaos_point_task
+
+
+def _failing_chaos_point(task):
+    """E16's chaos point with the 0.2 fault level raising; module-level,
+    so a worker pool can unpickle it."""
+    if task.level == 0.2:
+        raise RuntimeError("injected chaos point failure")
+    return _RUN_CHAOS_POINT(task)
 
 
 class TestParser:
@@ -37,14 +49,10 @@ class TestCommands:
         assert out.count("root shell") == 6
 
     @pytest.mark.parametrize("argv", [
-        pytest.param(["observe", "attack", "--emit", "profile",
-                      "--sample-interval", "-5"], id="observe-sample-interval"),
         pytest.param(["observe", "chaos", "--emit", "events", "--limit", "-2"],
                      id="observe-limit"),
         pytest.param(["observe", "attack", "--emit", "trace", "--limit", "-1"],
                      id="observe-trace-limit"),
-        pytest.param(["observe", "attack", "--emit", "profile", "--top", "-1"],
-                     id="observe-top"),
         pytest.param(["observe", "chaos", "--emit", "metrics",
                       "--fault-level", "1.5"], id="observe-fault-level"),
         pytest.param(["observe", "chaos", "--emit", "metrics",
@@ -183,35 +191,43 @@ class TestCommands:
         assert "root shell" in capsys.readouterr().out
 
     def test_run_fails_on_a_quarantined_inner_trial(self, capsys, monkeypatch):
-        # E16 runs its chaos points in its own inner sweep and builds its
-        # rows from the points that finished, so a quarantined point leaves
-        # every remaining row passing: only the quarantine count fails it.
-        import repro.core.chaos as chaos
-
-        run_point = chaos._chaos_point_task
-
-        def failing_point(task):
-            if task.level == 0.2:
-                raise RuntimeError("injected chaos point failure")
-            return run_point(task)
-
+        # E16 runs its chaos points in its own inner sweep: a quarantined
+        # point's row turns into a FAIL row, and the quarantine count
+        # fails the run.
         argv = ["run", "E16", "--retries", "0",
                 "--set", "queries_per_rate=2", "--set", "attack_budget=2"]
         assert main(argv) == 0
         assert "\n0.20 " in capsys.readouterr().out
-        monkeypatch.setattr(chaos, "_chaos_point_task", failing_point)
+        monkeypatch.setattr(chaos, "_chaos_point_task", _failing_chaos_point)
         assert main(argv) == 1
         captured = capsys.readouterr()
-        assert "\n0.20 " not in captured.out
+        assert re.search(r"\n0\.20 .* lost: error .*FAIL\n", captured.out)
         assert re.search(r"sweep\.quarantined.*\b1\b", captured.err)
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_lost_chaos_point_fails_the_artifact(self, workers, tmp_path,
+                                                 capsys, monkeypatch):
+        # The artifact itself must carry the loss: re-rendering it with
+        # ``report --results`` exits 1 without the run's own exit status.
+        monkeypatch.setattr(chaos, "_chaos_point_task", _failing_chaos_point)
+        path = tmp_path / "e16.jsonl"
+        assert main(["run", "E16", "--retries", "0", "--workers", workers,
+                     "--set", "queries_per_rate=2", "--set", "attack_budget=2",
+                     "--results", str(path)]) == 1
+        capsys.readouterr()
+        _header, rows = load_results(str(path))
+        assert [row["outcome"] for row in rows] == ["fail"]
+        lost = [cells for cells in rows[0]["result"]["rows"]
+                if cells[-1] == "FAIL"]
+        assert lost == [["0.20", "-", "-", "-", "-", "-",
+                         "lost: error after 1 attempt(s)", "FAIL"]]
+        assert main(["report", "--results", str(path)]) == 1
+        assert "lost: error after 1 attempt(s)" in capsys.readouterr().out
 
     def test_report_exits_when_a_trial_raises(self, capsys, monkeypatch):
         # ``report`` runs E16 under the strict default policy, so the
         # failing chaos point aborts the sweep with a TaskError: it must
         # end as exit 1 with one line on stderr, as ``run`` does.
-        import repro.core.chaos as chaos
-
         def failing_point(task):
             raise RuntimeError("injected chaos point failure")
 
@@ -224,7 +240,7 @@ class TestCommands:
 
 #: ``repro observe`` invocations and the sha256 of their stdout.  The
 #: digests were recorded from the per-view verbs ``observe`` replaced
-#: (``metrics``, ``trace-events``, ``spans``, ``trace-export``, ``profile``,
+#: (``metrics``, ``trace-events``, ``spans``, ``trace-export``,
 #: ``postmortem``, ``taint``, ``pcap``, ``trace``), so each view renders
 #: byte for byte what it did before.  Seeds 2910 (0x0B5E) and 3243 (0xCAB)
 #: are the defaults the ``taint`` and ``pcap --taint`` crash captures used
@@ -252,20 +268,6 @@ OBSERVE_DIGESTS = [
      "0c3873c30864e7cd5e48624dd72f2cdaddcc538973b6b650356bb2cd96a4b44e"),
     ("attack --emit spans --arch arm --level wx",
      "8df94d0787d8ce8910b63b1d92d8b88affc1d6bdeb0d36d9d6079636dffaba49"),
-    ("attack --emit profile",
-     "aca1d74cf53f347ae3fda5399e703b2c5bba965b25288aa394ab442759885564"),
-    ("attack --arch x86 --emit folded",
-     "5c191c1590efc11e11a7424262f8d4371596ee47c168f3dcdf30d7d411a1efd0"),
-    ("attack --arch arm --emit folded",
-     "f766fd080b54fbc614064ad57a3aaba3989e823ac2d89bee28cd9f1e94868734"),
-    ("attack --arch x86 --emit profile --top 5",
-     "690bc96e3093cc41835de4ea5767db121b5413e3c324e06555249da82494cbc4"),
-    ("attack --emit profile --json",
-     "e407bc72c88ba3e01a44f06592a4114fe575ba780b456e51dffecf61c8868975"),
-    ("crash --emit profile --seed 2910",
-     "59170032358e6bd82c4da415db8de6427961ad2872efd19534af18e5725c772b"),
-    ("chaos --emit profile --seed 2910",
-     "0275d2818b646cc363d1c822aba0b18c914277004c6274d3654b6b55136c3cf8"),
     ("crash --emit postmortem",
      "c801f1b5fed2506f8253d8b7b49cec0b8c3ca53f1261d3f0713248290b5eb6a4"),
     ("crash --emit postmortem --json",
@@ -332,13 +334,23 @@ class TestObserve:
             main([verb])
         assert exit_info.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        "attack --emit profile", "attack --emit folded",
+        "attack --emit trace --sample-interval 23",
+        "attack --emit trace --top 5"])
+    def test_removed_views_and_flags_no_longer_parse(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["observe", *argv.split()])
+        assert exit_info.value.code == 2
+
     def test_help_lists_scenarios_and_views(self, capsys):
         with pytest.raises(SystemExit):
             main(["observe", "--help"])
         out = capsys.readouterr().out
         assert "{attack,crash,chaos,lan}" in out
-        assert ("{events,metrics,spans,profile,folded,postmortem,taint,trace,"
-                "pcap,sniff}") in out
+        assert ("{events,metrics,spans,postmortem,taint,trace,pcap,sniff}"
+                in out)
+        assert "--sample-interval" not in out and "--top" not in out
         assert "--compact" not in out
 
     @pytest.mark.parametrize("argv", ["chaos --emit pcap", "chaos --emit sniff",

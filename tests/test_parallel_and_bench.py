@@ -19,8 +19,7 @@ from repro.core import (
 )
 from repro.core.bench import run_dispatch_bench
 from repro.core.experiments import e10_bruteforce
-from repro.obs import (Collector, CollectorSpec, DeterministicProfiler,
-                       TaintEngine)
+from repro.obs import Collector, CollectorSpec, TaintEngine
 from repro.obs.metrics import Histogram, MetricsRegistry
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -50,9 +49,8 @@ class TestRunTasks:
 
 
 def _observed_sweep(**kwargs) -> str:
-    """One observed sweep with every attachment on, as its sorted export."""
+    """One observed sweep under the taint engine, as its sorted export."""
     collector = Collector()
-    collector.attach_profiler(DeterministicProfiler())
     collector.attach_taint(TaintEngine())
     run_chaos_sweep((0.0, 0.4), seed=21, queries_per_rate=6, attack_budget=6,
                     observer=collector, **kwargs)
@@ -100,18 +98,16 @@ class TestObservedSweepParity:
         baseline = exports["workers=1"]
         exported = json.loads(baseline)
         assert exported["spans"]
-        assert exported["profile"]["runs"] > 0
         assert exported["metrics"]["counters"]["taint.sources"] > 0
         for name, export in exports.items():
             assert export == baseline, name
 
     def test_spec_names_the_attachments(self):
         collector = Collector()
-        collector.attach_profiler(DeterministicProfiler(sample_interval=9))
         collector.attach_taint(TaintEngine())
         spec = collector.spec()
         # The repr feeds the checkpoint grid hash, so it must be stable.
-        assert repr(spec) == "CollectorSpec(profile_interval=9, taint=True)"
+        assert repr(spec) == "CollectorSpec(taint=True)"
         assert pickle.loads(pickle.dumps(spec)) == spec
         assert spec.build().spec() == spec
         assert Collector().spec() == CollectorSpec()

@@ -262,8 +262,11 @@ class TestGridOrchestrator:
         assert run.quarantined == 1
         assert not run.ok
         if len(run.trials) == 1:
-            # The inner sweep drops the point's row; every row left passes.
-            assert run.trials[0].failure is None and run.trials[0].expected_ok
+            # The inner sweep's lost point fails its own row.
+            assert run.trials[0].failure is None
+            assert not run.trials[0].expected_ok
+            assert run.trials[0].result.rows[2][-2:] == (
+                "lost: error after 1 attempt(s)", "FAIL")
         else:
             assert [trial.status for trial in run.trials] == [
                 "pass", "quarantined"]

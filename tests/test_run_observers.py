@@ -1,11 +1,13 @@
 """The run-observer protocol: what the run loop promises every observer.
 
-Trace recorder, taint engine, profiler and collector are plain
+Trace recorder, taint engine and collector are plain
 :class:`~repro.cpu.RunObserver` implementations in ``Process.observers``.
 This file pins the loop's side of the contract on both ISAs: every run
-is bracketed by exactly one ``begin_run`` and one ``end_run`` however it
-ends, and the step hooks account for exactly ``result.steps``.  It also pins the observers' side: all four
-attached at once change no outcome, and none changes another's export.
+ends in exactly one ``end_run`` however it ends, and the step hooks
+account for exactly ``result.steps``.  It also pins the observers' side:
+all three attached at once change no outcome, none changes another's
+export, and the scenarios behind E2, E3 and E16 produce the same
+verdicts observed or not.
 """
 
 import json
@@ -15,7 +17,8 @@ from collections import Counter
 import pytest
 
 from repro.connman import ConnmanDaemon
-from repro.core import AttackScenario, attacker_knowledge, run_observed_attack
+from repro.core import (AttackScenario, attacker_knowledge, e16_chaos,
+                        run_observed_attack)
 from repro.cpu import Process, RunObserver, TraceRecorder, make_emulator
 from repro.cpu.arm import asm as arm
 from repro.cpu.events import _EmulationStop
@@ -24,7 +27,7 @@ from repro.cpu.x86 import asm as x86
 from repro.defenses import WX_ASLR
 from repro.exploit import builder_for, deliver
 from repro.mem import AddressSpace, Perm, Segment
-from repro.obs import Collector, DeterministicProfiler, TaintEngine
+from repro.obs import Collector, TaintEngine
 
 NATIVE = 0x5000
 STACK_TOP = 0x20800
@@ -34,10 +37,6 @@ class CountingObserver(RunObserver):
     def __init__(self):
         self.calls = Counter()
         self.counters = None
-
-    def begin_run(self, process):
-        assert self.calls["begin_run"] == self.calls["end_run"]
-        self.calls["begin_run"] += 1
 
     def before_step(self, process):
         self.calls["before_step"] += 1
@@ -114,7 +113,7 @@ class TestLoopContract:
                                  "stop": "exit"}[ending]
         assert (result.signal == "SIGKILL") == (ending == "budget")
         calls = observer.calls
-        assert calls["begin_run"] == calls["end_run"] == 1
+        assert calls["end_run"] == 1
         assert calls["on_insn"] + calls["on_native"] == result.steps
         assert calls["on_native"] >= 1
         # The step that faulted or stopped was announced but never
@@ -123,24 +122,27 @@ class TestLoopContract:
         assert (observer.counters["decode_cache_misses"]
                 == process.decode_cache.misses)
 
-        # A second run over the same process is bracketed on its own.
+        # A second run over the same process ends on its own.
         process.pc = 0x1000 if process.arch == "x86" else 0x10000
         emulator.run(max_steps=10)
-        assert calls["begin_run"] == calls["end_run"] == 2
+        assert calls["end_run"] == 2
 
     def test_unobserved_process_has_no_observers(self):
         assert x86_program("fault").observers == ()
 
 
-def _observed_attack(attach, arch="arm", level="wx+aslr"):
+def _collector(attach):
     collector = Collector()
     if "trace" in attach:
         collector.attach_trace(TraceRecorder())
-    if "profiler" in attach:
-        collector.attach_profiler(DeterministicProfiler())
     if "taint" in attach:
         collector.attach_taint(TaintEngine())
-    return run_observed_attack(arch=arch, level_label=level, observer=collector)
+    return collector
+
+
+def _observed_attack(attach, arch="arm", level="wx+aslr"):
+    return run_observed_attack(arch=arch, level_label=level,
+                               observer=_collector(attach))
 
 
 def _collector_export(collector):
@@ -148,8 +150,7 @@ def _collector_export(collector):
     bus and registry (``taint.*`` counters, ``taint`` events) and the
     attached observers' sections belong to those observers."""
     exported = collector.to_dict()
-    for key in ("profile", "taint"):
-        exported.pop(key, None)
+    exported.pop("taint", None)
     # Taint events interleave with the rest, shifting their bus numbers.
     exported["events"] = [{**event, "seq": None} for event in exported["events"]
                           if event["category"] != "taint"]
@@ -164,7 +165,6 @@ def _collector_export(collector):
 
 EXPORTS = {
     "trace": lambda c: c.trace.describe(),
-    "profiler": lambda c: json.dumps(c.profiler.to_dict(), sort_keys=True),
     "taint": lambda c: json.dumps(c.taint.to_dict(), sort_keys=True),
     "collector": _collector_export,
 }
@@ -172,7 +172,7 @@ EXPORTS = {
 
 class TestObserversTogether:
     def test_all_observers_change_no_outcome(self):
-        observed = _observed_attack({"trace", "profiler", "taint"})
+        observed = _observed_attack({"trace", "taint"})
         profile = WX_ASLR
         victim = ConnmanDaemon(arch="arm", profile=profile,
                                rng=random.Random(0x0B5E))
@@ -190,3 +190,40 @@ class TestObserversTogether:
         for name, export in EXPORTS.items():
             alone = _observed_attack({name}, arch, level).collector
             assert export(together) == export(alone), name
+
+
+class TestOutcomeParity:
+    """Trace and taint attached change no scenario outcome (E2/E3/E16)."""
+
+    @pytest.mark.parametrize("level", ["none", "wx"])  # E2 / E3 scenarios
+    def test_observed_attack_outcomes_identical(self, level):
+        outcomes = []
+        for attach in (set(), {"trace", "taint"}):
+            run = _observed_attack(attach, arch="x86", level=level)
+            counters = {
+                name: value
+                for name, value in run.collector.metrics.counters().items()
+                if not name.startswith("taint.") and name != "events.taint"
+            }
+            outcomes.append({
+                "event": run.event.kind.value if run.event else None,
+                "error": run.error,
+                "exploit": run.exploit.name if run.exploit else None,
+                "succeeded": run.succeeded,
+                "spans": run.collector.tracer.to_dicts(),
+                "counters": counters,
+            })
+        assert outcomes[0] == outcomes[1]
+
+    def test_e16_chaos_table_identical(self):
+        rows = []
+        for attach in (set(), {"trace", "taint"}):
+            result = e16_chaos(rates=(0.0, 0.3), queries_per_rate=4,
+                               attack_budget=4,
+                               sweep_observer=_collector(attach))
+            assert result.all_pass
+            rows.append(result.rows)
+        assert rows[0] == rows[1]
+        labels = [row[0] for row in rows[0]]
+        assert "(bruteforce, bare init)" in labels
+        assert "(bruteforce, supervised)" in labels
