@@ -25,7 +25,8 @@ from repro.defenses import WX_ASLR
 from repro.dns import ResilientResolver, SimpleDnsServer, make_query
 from repro.exploit import AslrBruteForcer
 from repro.net import FaultPolicy, faulty_transport
-from repro.core import run_chaos_sweep
+from repro.core import describe_sweep_health, run_chaos_sweep
+from repro.obs import Collector
 
 
 def show_resilient_resolution() -> None:
@@ -71,9 +72,9 @@ def show_checkpoint_resume() -> None:
 
     On the command line the same round trip is:
 
-        python -m repro chaos --workers 4 --checkpoint run.ckpt --json
+        python -m repro run E16 --workers 4 --checkpoint run.ckpt --json
         ... SIGKILL mid-sweep ...
-        python -m repro chaos --workers 4 --resume run.ckpt --json
+        python -m repro run E16 --workers 4 --resume run.ckpt --json
 
     The resumed artifact is byte-identical to an uninterrupted run;
     only the trials missing from the journal re-execute.
@@ -81,11 +82,13 @@ def show_checkpoint_resume() -> None:
     print("=== checkpointed sweep, then resume ===")
     path = os.path.join(tempfile.mkdtemp(), "chaos.ckpt")
     first = run_chaos_sweep((0.0, 0.2, 0.5), checkpoint=path)
-    resumed = run_chaos_sweep((0.0, 0.2, 0.5), checkpoint=path, resume=True)
+    health = Collector()
+    resumed = run_chaos_sweep((0.0, 0.2, 0.5), checkpoint=path, resume=True,
+                              sweep_observer=health)
     identical = (json.dumps(first.to_dict(), sort_keys=True)
                  == json.dumps(resumed.to_dict(), sort_keys=True))
     print(f"journal           : {path}")
-    print(f"resume health     : {resumed.health.describe()}")
+    print(f"resume health     : {describe_sweep_health(health)}")
     print(f"artifact identical: {identical}")
     print()
 

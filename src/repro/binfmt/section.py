@@ -74,15 +74,6 @@ class SymbolTable:
     def address_of(self, name: str) -> int:
         return self[name].address
 
-    def resolve(self, address: int) -> Optional[Symbol]:
-        """Best (closest preceding, in-range) symbol for an address."""
-        best: Optional[Symbol] = None
-        for symbol in self._by_name.values():
-            if symbol.address <= address and (symbol.size == 0 or address < symbol.address + symbol.size):
-                if best is None or symbol.address > best.address:
-                    best = symbol
-        return best
-
     def names(self):
         return sorted(self._by_name)
 

@@ -14,11 +14,11 @@ scenarios.
     python -m repro run E11 --set burst=4096 --set max_queries=256
     python -m repro run E15 --checkpoint /tmp/e15.ckpt --results e15.jsonl
     python -m repro run E14 --grid trials=4,8 --workers 2 --results e14.jsonl
+    python -m repro run E16 --set rates=0,0.2,0.5 --workers 2  # chaos sweep
     python -m repro report --results e15.jsonl   # render from the artifact
     python -m repro gadgets --arch arm --contains "blx"
     python -m repro recon --arch x86 --aslr
     python -m repro autogen --arch arm --level wx
-    python -m repro chaos --rates 0,0.2,0.5 --workers 2
     python -m repro observe chaos --emit events --json   # observed chaos point
     python -m repro observe chaos --emit metrics --json  # its metrics registry
     python -m repro observe attack --emit spans   # wire-to-verdict span tree
@@ -46,9 +46,9 @@ from .core import (
     ObservedAttack,
     RunPolicy,
     attacker_knowledge,
+    describe_sweep_health,
     render_table,
     run_chaos_point,
-    run_chaos_sweep,
     run_forced_crash,
     run_observed_attack,
 )
@@ -178,19 +178,12 @@ def _fraction(text: str) -> float:
     return value
 
 
-def _add_sweep_flags(parser: argparse.ArgumentParser, *,
-                     trial_timeout: Optional[float],
-                     retries: Optional[int]) -> None:
-    """The harness flags of every sweep verb (``run``, ``chaos``).
+def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
+    """The harness flags of ``run``: workers, journal and supervision.
 
-    Supervision is on when ``--trial-timeout`` or ``--retries`` has a
-    value, so a verb that passes defaults for them quarantines by default.
+    Supervision (quarantine instead of abort) is on when
+    ``--trial-timeout`` or ``--retries`` is given.
     """
-    def supervision(default) -> str:
-        if default is None:
-            return " (enables quarantine supervision)"
-        return f" (default {default:g})"
-
     parser.add_argument("--workers", type=_non_negative_int, default=1,
                         help="fan trials out over N processes "
                              "(0 = one per CPU); output matches --workers 1")
@@ -205,15 +198,14 @@ def _add_sweep_flags(parser: argparse.ArgumentParser, *,
                               "(PATH is trusted input: payloads are "
                               "unpickled, restricted to repro classes)")
     parser.add_argument("--trial-timeout", type=_positive_float,
-                        default=trial_timeout,
                         help="wall-clock seconds before a hung trial's pool "
-                             f"is respawned{supervision(trial_timeout)}")
-    parser.add_argument("--retries", type=_non_negative_int, default=retries,
-                        help="retry budget per trial before quarantine"
-                             f"{supervision(retries)}")
+                             "is respawned (enables quarantine supervision)")
+    parser.add_argument("--retries", type=_non_negative_int,
+                        help="retry budget per trial before quarantine "
+                             "(enables quarantine supervision)")
 
 
-def _sweep_settings(args, verb: str):
+def _sweep_settings(args):
     """Resolve :func:`_add_sweep_flags` into ``(checkpoint, resume,
     policy)``, or None (after saying why on stderr) when ``--checkpoint``
     would overwrite a journal that ``--resume`` should continue."""
@@ -223,7 +215,7 @@ def _sweep_settings(args, verb: str):
     resume = args.resume is not None
     if (not resume and checkpoint and os.path.exists(checkpoint)
             and os.path.getsize(checkpoint) > 0):
-        print(f"repro {verb}: checkpoint {checkpoint!r} already has "
+        print(f"repro run: checkpoint {checkpoint!r} already has "
               "journaled trials; pass --resume to continue it or remove the "
               "file to start over", file=sys.stderr)
         return None
@@ -283,7 +275,7 @@ def cmd_run(args) -> int:
                   file=sys.stderr)
             return 2
         params[key.strip()] = _parse_value(value)
-    settings = _sweep_settings(args, "run")
+    settings = _sweep_settings(args)
     if settings is None:
         return 2
     checkpoint, resume, policy = settings
@@ -310,8 +302,9 @@ def cmd_run(args) -> int:
         print(json.dumps(run.to_artifact(), indent=2, sort_keys=True))
     else:
         print(run.describe())
-    if run.stats is not None:
-        print(run.stats.describe(), file=sys.stderr)
+    health = describe_sweep_health(sweep_observer)
+    if health is not None:
+        print(health, file=sys.stderr)
     for trial in run.trials:
         if trial.failure is not None:
             print(f"repro run: {trial.failure.describe()}", file=sys.stderr)
@@ -375,58 +368,6 @@ def cmd_autogen(args) -> int:
     result = AutoExploiter(victim).run()
     print(result.describe())
     return 0 if result.succeeded else 1
-
-
-def _parse_rates(text: str) -> tuple:
-    try:
-        return tuple(_fraction(rate) for rate in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"want comma-separated floats, e.g. 0,0.2,0.5; got {text!r}")
-
-
-def cmd_chaos(args) -> int:
-    """Sweep fault rates: client availability vs. attack success."""
-    from .core import CheckpointMismatch
-
-    settings = _sweep_settings(args, "chaos")
-    if settings is None:
-        return 2
-    checkpoint, resume, policy = settings
-    # Two collectors, deliberately: the scientific observer feeds the
-    # deterministic artifact; the sweep observer records wall-clock harness
-    # health (retries, timeouts, respawns) that must never leak into it.
-    sweep_observer = Collector()
-    observer = Collector()
-    if args.taint:
-        observer.attach_taint(TaintEngine())
-    try:
-        report = run_chaos_sweep(
-            args.rates,
-            seed=args.seed,
-            queries_per_rate=args.queries,
-            attack_budget=args.attack_budget,
-            observer=observer,
-            workers=args.workers,
-            policy=policy,
-            checkpoint=checkpoint,
-            resume=resume,
-            sweep_observer=sweep_observer,
-        )
-    except CheckpointMismatch as exc:
-        print(f"repro chaos: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        print(report.describe())
-    # Harness health goes to stderr so stdout stays a pure artifact that
-    # byte-compares across interrupted-then-resumed and clean runs.
-    if report.health is not None:
-        print(report.health.describe(), file=sys.stderr)
-    for failure in report.failures:
-        print(f"repro chaos: {failure.describe()}", file=sys.stderr)
-    return 0 if not report.failures else 1
 
 
 #: Observed scenarios and their default seeds (``repro observe <scenario>``).
@@ -586,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="run one registered experiment (grids, checkpoints, "
                     "repro-results/v1 artifact)")
     run.add_argument("experiment", help="registry id, e.g. E15")
-    _add_sweep_flags(run, trial_timeout=None, retries=None)
+    _add_sweep_flags(run)
     run.add_argument("--grid", action="append", metavar="KEY=V1,V2",
                      help="widen a spec parameter into a sweep axis "
                           "(repeatable; values literal-eval'd)")
@@ -621,23 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_arch(autogen)
     _add_level(autogen)
     autogen.set_defaults(run=cmd_autogen)
-
-    chaos = subparsers.add_parser("chaos", help="fault-rate sweep (E16 chaos table)")
-    chaos.add_argument("--rates", type=_parse_rates, default="0,0.2,0.5",
-                       help="comma-separated fault levels, e.g. 0,0.1,0.3")
-    chaos.add_argument("--seed", type=int, default=0xC4A05)
-    chaos.add_argument("--queries", type=_non_negative_int, default=24,
-                       help="client queries per fault level")
-    chaos.add_argument("--attack-budget", type=_non_negative_int, default=32,
-                       help="brute-force attempts per fault level")
-    chaos.add_argument("--json", action="store_true", help="machine-readable output")
-    _add_sweep_flags(chaos, trial_timeout=SUPERVISED_POLICY.timeout,
-                     retries=SUPERVISED_POLICY.retries)
-    chaos.add_argument("--taint", action="store_true",
-                       help="run every trial under the taint engine; taint.* "
-                            "counters land in the artifact, outcome cells "
-                            "stay byte-identical")
-    chaos.set_defaults(run=cmd_chaos)
 
     observe = subparsers.add_parser(
         "observe", help="run one observed scenario and render one view of it")

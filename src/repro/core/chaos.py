@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import List, Optional, Sequence, Tuple
 
 from ..connman import ConnmanDaemon, DaemonSupervisor
@@ -24,7 +25,7 @@ from ..dns import ResilientResolver, SimpleDnsServer, make_query
 from ..exploit import AslrBruteForcer
 from ..net import FaultPolicy, faulty_transport
 from ..obs import Collector, CollectorSpec
-from .parallel import DEFAULT_POLICY, RunPolicy, SweepStats, run_supervised
+from .parallel import DEFAULT_POLICY, RunPolicy, run_supervised
 from .resume import TrialFailure
 from .report import render_table
 
@@ -88,9 +89,6 @@ class ReliabilityReport:
     #: Trials that exhausted their retry budget under a quarantine policy
     #: (empty for strict/healthy runs, so the artifact stays byte-stable).
     failures: List[TrialFailure] = field(default_factory=list)
-    #: Harness-health ledger from the supervised runner (not part of the
-    #: results artifact: retry/timeout counts are wall-clock dependent).
-    health: Optional[SweepStats] = None
 
     HEADERS = ("fault rate", "answered", "stale", "failed", "restarts",
                "availability", "attack")
@@ -305,7 +303,22 @@ def run_chaos_sweep(
     ``sweep.resumed_trials``) — deliberately a *separate* collector from
     ``observer`` so wall-clock-dependent harness telemetry never leaks
     into the deterministic results artifact.
+
+    Before any point runs, a ``ValueError`` naming the parameter rejects
+    a rate that is not a real number in [0, 1] and a ``queries_per_rate``
+    or ``attack_budget`` that is not a non-negative integer.
     """
+    if isinstance(rates, str) or not isinstance(rates, Sequence):
+        raise ValueError(f"rates: want a sequence of fault levels in "
+                         f"[0, 1], got {rates!r}")
+    for rate in rates:
+        if not (isinstance(rate, Real) and 0.0 <= rate <= 1.0):
+            raise ValueError(f"rates: fault level {rate!r} is not a real "
+                             "number in [0, 1]")
+    for name, value in (("queries_per_rate", queries_per_rate),
+                        ("attack_budget", attack_budget)):
+        if not (isinstance(value, int) and value >= 0):
+            raise ValueError(f"{name}: want an integer >= 0, got {value!r}")
     report = ReliabilityReport(seed=seed)
     spec = observer.spec() if observer is not None else None
     tasks = [
@@ -320,7 +333,6 @@ def run_chaos_sweep(
         experiment=CHAOS_EXPERIMENT_ID, seed=seed,
     )
     report.failures = outcome.failures
-    report.health = outcome.stats
     for cell, snapshot in outcome.completed():
         report.cells.append(cell)
         if observer is not None:

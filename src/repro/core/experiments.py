@@ -81,6 +81,11 @@ def _check(expected: bool) -> str:
     return "ok" if expected else "MISMATCH"
 
 
+def _lost(failure) -> str:
+    """The verdict cell of a row whose trial the sweep quarantined."""
+    return f"lost: {failure.kind} after {failure.attempts} attempt(s)"
+
+
 # -- E1: crash / DoS (§III intro) -------------------------------------------------
 
 
@@ -635,10 +640,12 @@ def e14_reliability(trials: int = 10, *,
 
     ``checkpoint``/``resume``/``policy`` flow into the study runner
     (journaled per STUDY_PLAN cell), so an interrupted E14 resumes to the
-    same table; ``sweep_observer`` collects the harness-health counters,
-    and a quarantined cell fails the registry run.
+    same table; ``sweep_observer`` collects the harness-health counters.
+    A cell quarantined under a supervision ``policy`` keeps its row, as
+    ``lost: ...`` and ``FAIL``, so the artifact itself records the loss.
     """
-    from .reliability import run_reliability_study
+    from .reliability import STUDY_PLAN, run_reliability_study
+    from .resume import TrialFailure
 
     result = ExperimentResult(
         "E14", "exploit reliability across fresh boots",
@@ -646,11 +653,17 @@ def e14_reliability(trials: int = 10, *,
         notes="'always' techniques use only non-randomized facts; 'lottery' "
               "is the 1-in-2^entropy residual that E10 brute-forces.",
     )
-    for cell in run_reliability_study(trials=trials, workers=workers,
-                                      policy=policy, checkpoint=checkpoint,
-                                      resume=resume,
-                                      sweep_observer=sweep_observer):
-        result.rows.append(cell.row() + (_check(cell.matches_expectation),))
+    cells = run_reliability_study(trials=trials, workers=workers,
+                                  policy=policy, checkpoint=checkpoint,
+                                  resume=resume, sweep_observer=sweep_observer)
+    for plan, cell in zip(STUDY_PLAN, cells):
+        if isinstance(cell, TrialFailure):
+            label, arch, *_middle, victim_profile, expectation = plan
+            result.rows.append((label, arch, victim_profile.label(),
+                                _lost(cell), expectation, "FAIL"))
+        else:
+            result.rows.append(
+                cell.row() + (_check(cell.matches_expectation),))
     return result
 
 
@@ -738,8 +751,7 @@ def e16_chaos(rates: Sequence[float] = (0.0, 0.2, 0.5),
     for failure in report.failures:
         result.rows.append(
             (f"{rates[failure.index]:.2f}", "-", "-", "-", "-", "-",
-             f"lost: {failure.kind} after {failure.attempts} attempt(s)",
-             "FAIL"))
+             _lost(failure), "FAIL"))
 
     # The supervision headline: same victim seed, same guess stream, with
     # and without init's restart budget.

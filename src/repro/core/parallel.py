@@ -17,10 +17,12 @@ Two entry points share one engine:
 * :func:`run_supervised` — the campaign runner: failures are quarantined
   into typed :class:`TrialFailure` slots instead of raised, completed
   trials can be journaled to a :class:`SweepCheckpoint` for ``--resume``,
-  and harness-health counters (``sweep.retries``/``sweep.timeouts``/
+  and the harness-health counters (``sweep.retries``/``sweep.timeouts``/
   ``sweep.quarantined``/``sweep.resumed_trials``/``sweep.respawns``/
-  ``sweep.fallback``) plus a ``sweep.trial.duration`` histogram flow into
-  an optional observer :class:`~repro.obs.Collector`.
+  ``sweep.fallback``) plus a ``sweep.trial.duration`` histogram are the
+  sweep's one health record, kept on an observer
+  :class:`~repro.obs.Collector` that :func:`describe_sweep_health`
+  renders.
 
 Dispatch is ``apply_async`` per trial with a per-trial wall-clock
 deadline (the heartbeat), not one blocking ``Pool.map`` — and at most
@@ -45,13 +47,10 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
-                    Optional, Tuple, TypeVar)
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, TypeVar
 
+from ..obs import Collector
 from .resume import SweepCheckpoint, TaskError, TrialFailure, grid_hash
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..obs import Collector
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -83,6 +82,19 @@ def _pool_context():
     return multiprocessing.get_context("fork" if "fork" in methods else None)
 
 
+#: Seconds before a failed trial's first re-dispatch; each further retry
+#: of the same trial waits ``RETRY_BACKOFF_FACTOR`` times longer.
+RETRY_BACKOFF_S = 0.05
+RETRY_BACKOFF_FACTOR = 2.0
+#: Seconds the pool dispatcher sleeps when no in-flight trial has finished.
+POLL_INTERVAL_S = 0.02
+
+
+def _backoff_for(attempt: int) -> float:
+    """Delay before re-dispatching a trial that failed ``attempt`` times."""
+    return RETRY_BACKOFF_S * RETRY_BACKOFF_FACTOR ** max(attempt - 1, 0)
+
+
 @dataclass(frozen=True)
 class RunPolicy:
     """Per-trial supervision budget for a sweep.
@@ -93,15 +105,11 @@ class RunPolicy:
     trial, so the timeout only applies to pool dispatch).  ``retries`` is
     how many times a failed/timed-out trial re-executes before it is
     quarantined (or raised, per ``on_failure``); the re-execution is
-    bit-identical because task specs are fully seeded.  Backoff between
-    retries is ``backoff * backoff_factor**(attempt-1)`` seconds.
+    bit-identical because task specs are fully seeded.
     """
 
     timeout: Optional[float] = None
     retries: int = 0
-    backoff: float = 0.05
-    backoff_factor: float = 2.0
-    poll_interval: float = 0.02
     on_failure: str = "raise"  # "raise" | "quarantine"
 
     def __post_init__(self):
@@ -114,12 +122,6 @@ class RunPolicy:
         if self.on_failure not in ("raise", "quarantine"):
             raise ValueError(f"unknown on_failure mode {self.on_failure!r}")
 
-    def backoff_for(self, attempt: int) -> float:
-        """Delay before re-dispatching a trial that failed ``attempt`` times."""
-        if self.backoff <= 0:
-            return 0.0
-        return self.backoff * (self.backoff_factor ** max(attempt - 1, 0))
-
 
 #: Strict default: behaves like the old bare runner, plus error context.
 DEFAULT_POLICY = RunPolicy()
@@ -129,43 +131,8 @@ SUPERVISED_POLICY = RunPolicy(timeout=120.0, retries=2, on_failure="quarantine")
 
 
 @dataclass
-class SweepStats:
-    """Harness-health counters for one supervised sweep."""
-
-    total: int = 0
-    executed: int = 0
-    resumed: int = 0
-    retries: int = 0
-    timeouts: int = 0
-    quarantined: int = 0
-    respawns: int = 0
-    fallback_reason: Optional[str] = None
-
-    def describe(self) -> str:
-        text = (f"sweep health: {self.executed}/{self.total} executed, "
-                f"{self.resumed} resumed, {self.retries} retries, "
-                f"{self.timeouts} timeouts, {self.quarantined} quarantined, "
-                f"{self.respawns} pool respawns")
-        if self.fallback_reason:
-            text += f", in-process fallback ({self.fallback_reason})"
-        return text
-
-    def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "executed": self.executed,
-            "resumed": self.resumed,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "quarantined": self.quarantined,
-            "respawns": self.respawns,
-            "fallback_reason": self.fallback_reason,
-        }
-
-
-@dataclass
 class SweepOutcome:
-    """A supervised sweep's positional results plus its health ledger.
+    """A supervised sweep's positional results and its quarantined trials.
 
     ``results[i]`` is trial *i*'s result, or the :class:`TrialFailure`
     that quarantined it — positions are stable either way, so partial
@@ -174,7 +141,6 @@ class SweepOutcome:
 
     results: List[Any]
     failures: List[TrialFailure] = field(default_factory=list)
-    stats: SweepStats = field(default_factory=SweepStats)
 
     @property
     def ok(self) -> bool:
@@ -184,6 +150,31 @@ class SweepOutcome:
         """Only the successful results, in task order."""
         return [result for result in self.results
                 if not isinstance(result, TrialFailure)]
+
+
+def describe_sweep_health(observer: Collector) -> Optional[str]:
+    """The ``sweep health: ...`` line for every sweep counted on
+    ``observer``, or None when no trial ran, resumed or was quarantined.
+
+    Executed trials are the ``sweep.trial.duration`` observations (one
+    per finished trial); the total adds the resumed and quarantined ones.
+    """
+    metrics = observer.metrics
+    executed = metrics.histogram("sweep.trial.duration").count
+    resumed = metrics.value("sweep.resumed_trials")
+    quarantined = metrics.value("sweep.quarantined")
+    total = executed + resumed + quarantined
+    if not total:
+        return None
+    text = (f"sweep health: {executed}/{total} executed, {resumed} resumed, "
+            f"{metrics.value('sweep.retries')} retries, "
+            f"{metrics.value('sweep.timeouts')} timeouts, "
+            f"{quarantined} quarantined, "
+            f"{metrics.value('sweep.respawns')} pool respawns")
+    fallbacks = observer.bus.by_kind("sweep.fallback")
+    if fallbacks:
+        text += f", in-process fallback ({fallbacks[-1].detail['reason']})"
+    return text
 
 
 def _run_envelope(packed: Tuple[Callable, int, Any]) -> Tuple[int, str, Any, str]:
@@ -200,30 +191,10 @@ def _run_envelope(packed: Tuple[Callable, int, Any]) -> Tuple[int, str, Any, str
         return index, "error", repr(exc), traceback.format_exc(limit=16)
 
 
-class _ObserverHooks:
-    """Null-safe shims around the optional harness observer."""
-
-    def __init__(self, observer: Optional["Collector"], experiment: str):
-        self.observer = observer
-        self.experiment = experiment
-
-    def inc(self, name: str, amount: int = 1) -> None:
-        if self.observer is not None:
-            self.observer.inc(name, amount)
-
-    def observe_duration(self, seconds: float) -> None:
-        if self.observer is not None:
-            self.observer.observe("sweep.trial.duration", seconds * 1000.0)
-
-    def emit(self, kind: str, **detail) -> None:
-        if self.observer is not None:
-            self.observer.emit("sweep", kind, sweep=self.experiment, **detail)
-
-
 def run_supervised(worker: Callable[[T], R], tasks: Iterable[T], *,
                    workers: Optional[int] = 1,
                    policy: RunPolicy = SUPERVISED_POLICY,
-                   observer: Optional["Collector"] = None,
+                   observer: Optional[Collector] = None,
                    checkpoint: Optional[str] = None,
                    resume: bool = False,
                    experiment: str = "sweep",
@@ -238,7 +209,8 @@ def run_supervised(worker: Callable[[T], R], tasks: Iterable[T], *,
     the tasks' grid hash; with ``resume`` its entries short-circuit their
     trials (counted as ``sweep.resumed_trials``).  Newly completed trials
     are journaled before the sweep moves on.  ``experiment`` also names
-    the sweep in its ``sweep`` events.
+    the sweep in its ``sweep`` events.  Health is counted on ``observer``,
+    or on a throwaway collector when none is given.
     """
     tasks = list(tasks)
     if resume and checkpoint is None:
@@ -249,9 +221,11 @@ def run_supervised(worker: Callable[[T], R], tasks: Iterable[T], *,
         journal = SweepCheckpoint(
             checkpoint, experiment=experiment, grid_hash=grid_hash(tasks),
             total=len(tasks), seed=seed, resume=resume)
+    if observer is None:
+        observer = Collector()
     try:
-        return _supervise(worker, tasks, workers, policy,
-                          _ObserverHooks(observer, experiment), journal)
+        return _supervise(worker, tasks, workers, policy, observer,
+                          experiment, journal)
     finally:
         if journal is not None:
             journal.close()
@@ -259,10 +233,12 @@ def run_supervised(worker: Callable[[T], R], tasks: Iterable[T], *,
 
 def _supervise(worker: Callable[[T], R], tasks: List[T],
                workers: Optional[int], policy: RunPolicy,
-               hooks: _ObserverHooks,
+               observer: Collector, experiment: str,
                checkpoint: Optional[SweepCheckpoint]) -> SweepOutcome:
     """The engine behind :func:`run_supervised` (journal already open)."""
-    stats = SweepStats(total=len(tasks))
+    def emit(kind: str, **detail) -> None:
+        observer.emit("sweep", kind, sweep=experiment, **detail)
+
     unset = object()
     slots: List[Any] = [unset] * len(tasks)
     failures: List[TrialFailure] = []
@@ -270,17 +246,17 @@ def _supervise(worker: Callable[[T], R], tasks: List[T],
     if checkpoint is not None and checkpoint.completed:
         for index, result in checkpoint.completed.items():
             slots[index] = result
-        stats.resumed = len(checkpoint.completed)
-        hooks.inc("sweep.resumed_trials", stats.resumed)
-        hooks.emit("sweep.resume", resumed=stats.resumed, total=len(tasks))
+        resumed = len(checkpoint.completed)
+        observer.inc("sweep.resumed_trials", resumed)
+        emit("sweep.resume", resumed=resumed, total=len(tasks))
 
     pending = [index for index in range(len(tasks)) if slots[index] is unset]
     attempts: Dict[int, int] = {index: 0 for index in pending}
 
     def finish(index: int, result: Any, started: float) -> None:
         slots[index] = result
-        stats.executed += 1
-        hooks.observe_duration(time.monotonic() - started)
+        observer.observe("sweep.trial.duration",
+                         (time.monotonic() - started) * 1000.0)
         if checkpoint is not None:
             checkpoint.record(index, result)
 
@@ -288,8 +264,7 @@ def _supervise(worker: Callable[[T], R], tasks: List[T],
         """Charge one failed attempt; True means "retry", False "gave up"."""
         attempts[index] += 1
         if attempts[index] <= policy.retries:
-            stats.retries += 1
-            hooks.inc("sweep.retries")
+            observer.inc("sweep.retries")
             return True
         failure = TrialFailure(
             index=index, kind=kind, attempts=attempts[index], error=error,
@@ -300,9 +275,8 @@ def _supervise(worker: Callable[[T], R], tasks: List[T],
             raise TaskError(failure)
         slots[index] = failure
         failures.append(failure)
-        stats.quarantined += 1
-        hooks.inc("sweep.quarantined")
-        hooks.emit("sweep.quarantine", index=index, failure_kind=kind,
+        observer.inc("sweep.quarantined")
+        emit("sweep.quarantine", index=index, failure_kind=kind,
                    seed=failure.seed, error=error[:120])
         return False
 
@@ -324,7 +298,7 @@ def _supervise(worker: Callable[[T], R], tasks: List[T],
                 except Exception as exc:  # supervised trial failure
                     if fail(index, "error", repr(exc),
                             traceback.format_exc(limit=16)):
-                        delay = policy.backoff_for(attempts[index])
+                        delay = _backoff_for(attempts[index])
                         if delay:
                             time.sleep(delay)
                         continue
@@ -335,7 +309,7 @@ def _supervise(worker: Callable[[T], R], tasks: List[T],
     count = min(resolve_workers(workers), len(pending))
     if count <= 1:
         run_inline(pending)
-        return SweepOutcome(results=slots, failures=failures, stats=stats)
+        return SweepOutcome(results=slots, failures=failures)
 
     context = _pool_context()
     try:
@@ -343,11 +317,10 @@ def _supervise(worker: Callable[[T], R], tasks: List[T],
     except POOL_UNAVAILABLE_ERRORS as exc:
         # No usable multiprocessing primitives here: same results, one
         # process — but loudly, never conflated with a worker crash.
-        stats.fallback_reason = repr(exc)
-        hooks.inc("sweep.fallback")
-        hooks.emit("sweep.fallback", reason=repr(exc), stage="pool-creation")
+        observer.inc("sweep.fallback")
+        emit("sweep.fallback", reason=repr(exc), stage="pool-creation")
         run_inline(pending)
-        return SweepOutcome(results=slots, failures=failures, stats=stats)
+        return SweepOutcome(results=slots, failures=failures)
 
     waiting = deque(pending)        # dispatchable now
     delayed: List[Tuple[float, int]] = []  # (eligible_at, index) backoff queue
@@ -358,9 +331,8 @@ def _supervise(worker: Callable[[T], R], tasks: List[T],
         nonlocal pool
         pool.terminate()
         pool.join()
-        stats.respawns += 1
-        hooks.inc("sweep.respawns")
-        hooks.emit("sweep.respawn", reason=reason)
+        observer.inc("sweep.respawns")
+        emit("sweep.respawn", reason=reason)
         # In-flight trials were innocent bystanders: back to the queue
         # with no retry charge (their outcomes are pure re-runs anyway).
         for other in list(inflight):
@@ -369,9 +341,8 @@ def _supervise(worker: Callable[[T], R], tasks: List[T],
         try:
             pool = context.Pool(processes=count)
         except POOL_UNAVAILABLE_ERRORS as exc:
-            stats.fallback_reason = repr(exc)
-            hooks.inc("sweep.fallback")
-            hooks.emit("sweep.fallback", reason=repr(exc),
+            observer.inc("sweep.fallback")
+            emit("sweep.fallback", reason=repr(exc),
                        stage="pool-respawn")
             return False
         return True
@@ -414,7 +385,7 @@ def _supervise(worker: Callable[[T], R], tasks: List[T],
                         # hard enough to poison the pool): supervise it.
                         if fail(index, "error", repr(exc)):
                             delayed.append(
-                                (now + policy.backoff_for(attempts[index]),
+                                (now + _backoff_for(attempts[index]),
                                  index))
                         pool_lost = not respawn(f"result channel broke: "
                                                 f"{exc!r}")
@@ -424,7 +395,7 @@ def _supervise(worker: Callable[[T], R], tasks: List[T],
                     else:
                         if fail(index, "error", payload, detail):
                             delayed.append(
-                                (now + policy.backoff_for(attempts[index]),
+                                (now + _backoff_for(attempts[index]),
                                  index))
                 elif deadline is not None and time.monotonic() > deadline:
                     # Heartbeat missed: the worker is hung, or the OS
@@ -432,15 +403,14 @@ def _supervise(worker: Callable[[T], R], tasks: List[T],
                     # way the pool slot is unrecoverable in place.
                     progressed = True
                     del inflight[index]
-                    stats.timeouts += 1
-                    hooks.inc("sweep.timeouts")
-                    hooks.emit("sweep.timeout", index=index,
+                    observer.inc("sweep.timeouts")
+                    emit("sweep.timeout", index=index,
                                timeout_s=policy.timeout)
                     if fail(index, "timeout",
                             f"trial exceeded {policy.timeout:g}s wall-clock "
                             f"deadline"):
                         delayed.append(
-                            (now + policy.backoff_for(attempts[index]), index))
+                            (now + _backoff_for(attempts[index]), index))
                     pool_lost = not respawn(f"trial {index} missed its "
                                             f"{policy.timeout:g}s heartbeat")
                     break
@@ -451,7 +421,7 @@ def _supervise(worker: Callable[[T], R], tasks: List[T],
                 delayed = []
                 break
             if not progressed and (waiting or delayed or inflight):
-                sleep_for = policy.poll_interval
+                sleep_for = POLL_INTERVAL_S
                 if delayed:
                     sleep_for = min(sleep_for,
                                     max(delayed[0][0] - time.monotonic(), 0.0))
@@ -466,13 +436,13 @@ def _supervise(worker: Callable[[T], R], tasks: List[T],
     else:
         pool.close()
         pool.join()
-    return SweepOutcome(results=slots, failures=failures, stats=stats)
+    return SweepOutcome(results=slots, failures=failures)
 
 
 def run_tasks(worker: Callable[[T], R], tasks: Iterable[T], *,
               workers: Optional[int] = 1,
               policy: Optional[RunPolicy] = None,
-              observer: Optional["Collector"] = None,
+              observer: Optional[Collector] = None,
               checkpoint: Optional[str] = None,
               resume: bool = False,
               experiment: str = "sweep",

@@ -47,7 +47,7 @@ from typing import (Any, Callable, Dict, FrozenSet, List, Mapping, Optional,
                     Sequence, Tuple)
 
 from ..obs import Collector
-from .parallel import DEFAULT_POLICY, RunPolicy, SweepStats, run_supervised
+from .parallel import DEFAULT_POLICY, RunPolicy, run_supervised
 from .report import render_table
 from .resume import RESULTS_SCHEMA, TrialFailure, grid_hash as compute_grid_hash
 
@@ -320,7 +320,7 @@ class TrialOutcome:
 
 @dataclass
 class ExperimentRun:
-    """A registry-driven run: trials + sweep health.
+    """A registry-driven run: trials + the quarantine count.
 
     ``trials`` is positional over the expanded grid (quarantined slots
     included), so the artifact and a resumed run line up row for row.
@@ -331,7 +331,6 @@ class ExperimentRun:
     spec: ExperimentSpec
     grid_hash: str
     trials: List[TrialOutcome]
-    stats: Optional[SweepStats] = None
     quarantined: int = 0
 
     @property
@@ -409,11 +408,12 @@ def run_experiment(spec_or_id, *,
     bit for bit, and a ``checkpoint``-journaled run killed mid-grid
     resumes (``resume=True``) into a byte-identical artifact.
 
-    Both paths count quarantined trials on ``sweep_observer`` (one is
-    created when not supplied); ``run.quarantined`` reads that count, so
-    a trial the sweep gave up on fails ``run.ok`` even when the
-    experiment builds its rows from the trials that finished.  Harness
-    health never leaks into the deterministic artifact.
+    Both paths count sweep health on ``sweep_observer`` (one is created
+    when not supplied; :func:`~repro.core.parallel.describe_sweep_health`
+    renders it); ``run.quarantined`` reads its quarantine count, so a
+    trial the sweep gave up on fails ``run.ok`` even when the experiment
+    builds its rows from the trials that finished.  Harness health never
+    leaks into the deterministic artifact.
     """
     spec = (get_experiment(spec_or_id) if isinstance(spec_or_id, str)
             else spec_or_id)
@@ -430,7 +430,6 @@ def run_experiment(spec_or_id, *,
     inner = len(trials) == 1 and wants <= spec.passthrough
 
     outcomes: List[TrialOutcome]
-    stats: Optional[SweepStats] = None
     if inner:
         kwargs = spec.trial_kwargs(trials[0])
         kwargs.update((name, harness[name]) for name in spec.passthrough)
@@ -446,7 +445,6 @@ def run_experiment(spec_or_id, *,
             observer=observer, checkpoint=checkpoint, resume=resume,
             experiment=f"{spec.id}.grid", seed=spec.entropy,
         )
-        stats = outcome.stats
         outcomes = []
         for trial, payload in zip(trials, outcome.results):
             if isinstance(payload, TrialFailure):
@@ -460,7 +458,6 @@ def run_experiment(spec_or_id, *,
                     expected_ok=bool(spec.expected(payload))))
 
     return ExperimentRun(spec=spec, grid_hash=hash_, trials=outcomes,
-                         stats=stats,
                          quarantined=observer.metrics.value("sweep.quarantined"))
 
 

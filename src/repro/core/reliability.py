@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Union
 
 from ..connman import ConnmanDaemon
 from ..defenses import NONE, WX, WX_ASLR, ProtectionProfile
@@ -32,6 +32,8 @@ from ..exploit import (
     X86RopMemcpyExeclp,
     deliver,
 )
+from .parallel import DEFAULT_POLICY, run_supervised
+from .resume import TrialFailure
 from .scenarios import AttackScenario, attacker_knowledge
 
 ASLR_ONLY = ProtectionProfile(wx=False, aslr=True)
@@ -141,20 +143,24 @@ def run_reliability_study(trials: int = 10, seed: int = 0xE14, *,
                           workers: Optional[int] = 1, policy=None,
                           checkpoint: Optional[str] = None,
                           resume: bool = False,
-                          sweep_observer=None) -> List[ReliabilityCell]:
+                          sweep_observer=None
+                          ) -> List[Union[ReliabilityCell, TrialFailure]]:
     """Build each exploit once, deliver it to ``trials`` fresh boots.
 
-    Like the entropy sweep, the study journals per STUDY_PLAN cell when
-    given a ``checkpoint`` path: a killed run resumes (``resume=True``)
-    by re-executing only the cells the journal is missing, and the cells
-    are seed-independent, so the resumed table matches the uninterrupted
-    one exactly.
+    One result per STUDY_PLAN row, in plan order.  Under the default
+    strict policy a failing cell raises
+    :class:`~repro.core.resume.TaskError`; under a quarantine ``policy``
+    its slot holds the :class:`~repro.core.resume.TrialFailure` instead,
+    so the other cells still report.  Like the entropy sweep, the study
+    journals per cell when given a ``checkpoint`` path: a killed run
+    resumes (``resume=True``) by re-executing only the cells the journal
+    is missing, and the cells are seed-independent, so the resumed table
+    matches the uninterrupted one exactly.
     """
-    from .parallel import run_tasks
-
     tasks = [ReliabilityTask(index, trials, seed)
              for index in range(len(STUDY_PLAN))]
-    return run_tasks(_reliability_cell, tasks, workers=workers,
-                     policy=policy, observer=sweep_observer,
-                     checkpoint=checkpoint, resume=resume,
-                     experiment=RELIABILITY_EXPERIMENT_ID, seed=seed)
+    return run_supervised(_reliability_cell, tasks, workers=workers,
+                          policy=policy or DEFAULT_POLICY,
+                          observer=sweep_observer, checkpoint=checkpoint,
+                          resume=resume, experiment=RELIABILITY_EXPERIMENT_ID,
+                          seed=seed).results

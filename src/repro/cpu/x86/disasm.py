@@ -24,12 +24,6 @@ def _sign32(value: int) -> int:
     return value - 2**32 if value >= 2**31 else value
 
 
-def _read_u32(data: bytes, offset: int) -> Optional[int]:
-    if offset + 4 > len(data):
-        return None
-    return struct.unpack_from("<I", data, offset)[0]
-
-
 def decode(data: bytes, address: int, offset: int = 0, *, strict: bool = True) -> Instruction:
     """Decode one instruction from ``data[offset:]`` located at ``address``.
 

@@ -2,7 +2,6 @@
 
 from .errors import (
     AccessViolation,
-    BusError,
     MemoryFault,
     SegmentationFault,
     StackOverflowFault,
@@ -30,7 +29,6 @@ __all__ = [
     "ARM_LAYOUT",
     "AslrPolicy",
     "BASE_LAYOUTS",
-    "BusError",
     "layout_for",
     "MemoryFault",
     "MemoryLayout",

@@ -44,11 +44,5 @@ class WxViolation(AccessViolation):
         super().__init__(address, "X", message or "W^X: fetch from non-executable memory")
 
 
-class BusError(MemoryFault):
-    """Misaligned access where the architecture requires alignment."""
-
-    signal = "SIGBUS"
-
-
 class StackOverflowFault(SegmentationFault):
     """Stack pointer ran past the guard page below the stack segment."""

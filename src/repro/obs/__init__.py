@@ -19,7 +19,6 @@ from .pcap import (
     export_datagrams,
     export_pcap_text,
     parse_pcap_text,
-    replay_network,
     sniff_capture,
 )
 from .postmortem import CrashReport, capture_crash_report
@@ -51,7 +50,6 @@ __all__ = [
     "parse_pcap_text",
     "PcapFormatError",
     "render_provenance",
-    "replay_network",
     "ShadowMemory",
     "sniff_capture",
     "snapshot_payload",

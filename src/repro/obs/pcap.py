@@ -101,22 +101,6 @@ def parse_pcap_text(text: str) -> Tuple[str, List[UdpDatagram]]:
     return name, datagrams
 
 
-def replay_network(text: str) -> Network:
-    """Rebuild a hostless :class:`Network` whose traffic log is the capture.
-
-    Attach a :class:`~repro.net.sniffer.PacketSniffer` *before* traffic
-    exists by constructing it against this network and rewinding its
-    cursor — or simpler, attach and then extend; this helper pre-loads
-    the traffic so ``sniffer.attach(net); sniffer.poll()`` sees nothing
-    (cursor starts at the end).  Use :func:`sniff_capture` for the
-    one-call analyze path.
-    """
-    name, datagrams = parse_pcap_text(text)
-    network = Network(name)
-    network.traffic.extend(datagrams)
-    return network
-
-
 def sniff_capture(text: str):
     """Round-trip a capture through the sniffer: returns the analyzed packets.
 

@@ -36,13 +36,6 @@ class TestSymbolTable:
         with pytest.raises(KeyError):
             SymbolTable()["nope"]
 
-    def test_resolve_finds_enclosing_function(self):
-        table = SymbolTable()
-        table.define(Symbol("f", 0x1000, ".text", size=16))
-        table.define(Symbol("g", 0x1010, ".text", size=16))
-        assert table.resolve(0x1008).name == "f"
-        assert table.resolve(0x1010).name == "g"
-
 
 class TestBuilder:
     def test_sections_preassigned_in_order(self):

@@ -6,12 +6,14 @@ import re
 import pytest
 
 import repro.core.chaos as chaos
+import repro.core.reliability as reliability
 from repro.cli import LEVELS, build_parser, main
 from repro.core.registry import experiment_ids
 from repro.core.resume import load_results
 from repro.cpu import Process
 
 _RUN_CHAOS_POINT = chaos._chaos_point_task
+_RUN_RELIABILITY_CELL = reliability._reliability_cell
 
 
 def _failing_chaos_point(task):
@@ -22,15 +24,24 @@ def _failing_chaos_point(task):
     return _RUN_CHAOS_POINT(task)
 
 
+def _failing_reliability_cell(task):
+    """E14's cell with STUDY_PLAN row 1 raising; module-level, so a worker
+    pool can unpickle it."""
+    if task.plan_index == 1:
+        raise RuntimeError("injected reliability cell failure")
+    return _RUN_RELIABILITY_CELL(task)
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
     def test_unknown_command_rejected(self):
-        # The experiment verbs are gone: `run` and `report` replace them.
+        # The experiment verbs are gone: `run` and `report` replace them
+        # (`chaos` is `run E16 --set rates=...`).
         for verb in ("frobnicate", "matrix", "experiments", "dos",
-                     "pineapple", "audit", "bruteforce", "offpath"):
+                     "pineapple", "audit", "bruteforce", "offpath", "chaos"):
             with pytest.raises(SystemExit) as exit_info:
                 build_parser().parse_args([verb])
             assert exit_info.value.code == 2, verb
@@ -65,22 +76,20 @@ class TestCommands:
                      id="observe-corrupt"),
         pytest.param(["observe", "lan", "--emit", "pcap", "--duplicate", "-0.5"],
                      id="observe-duplicate"),
-        pytest.param(["chaos", "--rates", "nan"], id="chaos-rates-nan"),
-        pytest.param(["chaos", "--rates", "0,1.5"], id="chaos-rates-range"),
-        pytest.param(["chaos", "--rates", "0,x"], id="chaos-rates-syntax"),
-        pytest.param(["chaos", "--queries", "-1"], id="chaos-queries"),
-        pytest.param(["chaos", "--attack-budget", "-1"],
-                     id="chaos-attack-budget"),
-        pytest.param(["chaos", "--trial-timeout", "-1"],
-                     id="chaos-trial-timeout"),
-        pytest.param(["chaos", "--trial-timeout", "nan"],
-                     id="chaos-trial-timeout-nan"),
-        pytest.param(["chaos", "--retries", "-1"], id="chaos-retries"),
-        pytest.param(["chaos", "--workers", "-1"], id="chaos-workers"),
         pytest.param(["run", "E16", "--trial-timeout", "-1"],
                      id="run-trial-timeout"),
+        pytest.param(["run", "E16", "--trial-timeout", "nan"],
+                     id="run-trial-timeout-nan"),
         pytest.param(["run", "E16", "--retries", "-1"], id="run-retries"),
         pytest.param(["run", "E16", "--workers", "-1"], id="run-workers"),
+        # The chaos sweep's one shell path, with its rates pinned, rejects
+        # the same bad harness flags.
+        pytest.param(["run", "E16", "--set", "rates=0,0.1",
+                      "--trial-timeout", "-1"], id="chaos-trial-timeout"),
+        pytest.param(["run", "E16", "--set", "rates=0,0.1", "--retries", "-1"],
+                     id="chaos-retries"),
+        pytest.param(["run", "E16", "--set", "rates=0,0.1", "--workers", "-1"],
+                     id="chaos-workers"),
         pytest.param(["gadgets", "--limit", "-1"], id="gadgets-limit"),
     ])
     def test_rejects_bad_numeric_input(self, argv, capsys):
@@ -97,6 +106,13 @@ class TestCommands:
                      id="offpath-max-queries"),
         pytest.param("E10 max_attempts=-3", "max_attempts",
                      id="bruteforce-max-attempts"),
+        pytest.param("E16 rates=0,1.5", "rates", id="chaos-rates-range"),
+        pytest.param("E16 rates=nan", "rates", id="chaos-rates-nan"),
+        pytest.param("E16 rates=0,x", "rates", id="chaos-rates-syntax"),
+        pytest.param("E16 queries_per_rate=-1", "queries_per_rate",
+                     id="chaos-queries-per-rate"),
+        pytest.param("E16 attack_budget=-1", "attack_budget",
+                     id="chaos-attack-budget"),
     ])
     def test_run_rejects_bad_library_input(self, setting, parameter, capsys):
         experiment, pinned = setting.split()
@@ -221,6 +237,27 @@ class TestCommands:
                 if cells[-1] == "FAIL"]
         assert lost == [["0.20", "-", "-", "-", "-", "-",
                          "lost: error after 1 attempt(s)", "FAIL"]]
+        assert main(["report", "--results", str(path)]) == 1
+        assert "lost: error after 1 attempt(s)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_lost_reliability_cell_fails_the_artifact(self, workers, tmp_path,
+                                                      capsys, monkeypatch):
+        # E14 under a supervision policy keeps the cells that finished and
+        # turns the lost one into a FAIL row the artifact carries.
+        monkeypatch.setattr(reliability, "_reliability_cell",
+                            _failing_reliability_cell)
+        path = tmp_path / "e14.jsonl"
+        assert main(["run", "E14", "--retries", "0", "--workers", workers,
+                     "--set", "trials=2", "--results", str(path)]) == 1
+        assert re.search(r"sweep\.quarantined.*\b1\b", capsys.readouterr().err)
+        _header, rows = load_results(str(path))
+        assert [row["outcome"] for row in rows] == ["fail"]
+        table = rows[0]["result"]["rows"]
+        assert len(table) == len(reliability.STUDY_PLAN)
+        assert table[1] == ["code-injection", "arm", "none",
+                            "lost: error after 1 attempt(s)", "always", "FAIL"]
+        assert [cells[-1] for cells in table[:1] + table[2:]] == ["ok"] * 8
         assert main(["report", "--results", str(path)]) == 1
         assert "lost: error after 1 attempt(s)" in capsys.readouterr().out
 

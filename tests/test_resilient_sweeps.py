@@ -22,6 +22,7 @@ from repro.core import (
     SweepCheckpoint,
     TaskError,
     TrialFailure,
+    describe_sweep_health,
     grid_hash,
     load_checkpoint_results,
     run_chaos_sweep,
@@ -34,8 +35,12 @@ from repro.exploit.bruteforce import BruteForceTrial
 from repro.obs import Collector
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-FAST = RunPolicy(retries=0, backoff=0.0, poll_interval=0.005,
-                 on_failure="quarantine")
+FAST = RunPolicy(retries=0, on_failure="quarantine")
+
+
+def _executed(observer):
+    """Trials a sweep ran to completion: one duration observation each."""
+    return observer.metrics.histogram("sweep.trial.duration").count
 
 
 # -- module-level workers (pool-picklable) ------------------------------------
@@ -101,8 +106,7 @@ class TestTaskErrorContext:
 
     def test_pool_error_names_index(self):
         with pytest.raises(TaskError) as excinfo:
-            run_tasks(_explode_on_odd, [0, 2, 4, 5, 6], workers=2,
-                      policy=RunPolicy(poll_interval=0.005))
+            run_tasks(_explode_on_odd, [0, 2, 4, 5, 6], workers=2)
         assert excinfo.value.index == 3
         assert "odd task 5" in excinfo.value.failure.error
 
@@ -124,8 +128,9 @@ class TestRunPolicyValidation:
 
 class TestQuarantine:
     def test_failures_occupy_positional_slots(self):
+        observer = Collector()
         outcome = run_supervised(_explode_on_odd, [0, 1, 2, 3, 4],
-                                 workers=1, policy=FAST)
+                                 workers=1, policy=FAST, observer=observer)
         assert outcome.results[0] == 0
         assert isinstance(outcome.results[1], TrialFailure)
         assert outcome.results[2] == 20
@@ -134,8 +139,8 @@ class TestQuarantine:
         assert [f.index for f in outcome.failures] == [1, 3]
         assert outcome.completed() == [0, 20, 40]
         assert not outcome.ok
-        assert outcome.stats.quarantined == 2
-        assert outcome.stats.executed == 3
+        assert observer.metrics.value("sweep.quarantined") == 2
+        assert _executed(observer) == 3
 
     def test_quarantine_record_is_typed(self):
         outcome = run_supervised(_explode_on_odd, [5], workers=1, policy=FAST)
@@ -149,8 +154,7 @@ class TestQuarantine:
     def test_retry_results_bit_identical(self, tmp_path):
         markers = [str(tmp_path / f"marker-{i}") for i in range(6)]
         tasks = list(zip(range(6), markers))
-        policy = RunPolicy(retries=1, backoff=0.0, poll_interval=0.005,
-                           on_failure="quarantine")
+        policy = RunPolicy(retries=1, on_failure="quarantine")
         observer = Collector()
         outcome = run_supervised(_flaky_until_marker, tasks, workers=2,
                                  policy=policy, observer=observer)
@@ -158,7 +162,6 @@ class TestQuarantine:
         # never-faulting run produces.
         assert outcome.ok
         assert outcome.results == [v * v for v in range(6)]
-        assert outcome.stats.retries == 6
         assert observer.metrics.value("sweep.retries") == 6
         assert observer.metrics.value("sweep.quarantined") == 0
 
@@ -171,8 +174,7 @@ class TestQuarantine:
         assert outcome.failures[0].attempts == 1
 
     def test_hung_worker_times_out_and_others_complete(self):
-        policy = RunPolicy(timeout=0.8, retries=0, backoff=0.0,
-                           poll_interval=0.01, on_failure="quarantine")
+        policy = RunPolicy(timeout=0.8, retries=0, on_failure="quarantine")
         observer = Collector()
         outcome = run_supervised(_hang_on_seven, [1, 7, 2], workers=2,
                                  policy=policy, observer=observer)
@@ -182,8 +184,6 @@ class TestQuarantine:
         assert isinstance(failure, TrialFailure)
         assert failure.kind == "timeout"
         assert "deadline" in failure.error
-        assert outcome.stats.timeouts == 1
-        assert outcome.stats.respawns >= 1
         assert observer.metrics.value("sweep.timeouts") == 1
         assert observer.metrics.value("sweep.respawns") >= 1
 
@@ -193,14 +193,14 @@ class TestQuarantine:
         # (the whole queue dispatched at once), every queued trial would
         # be spuriously declared hung.  Bounded in-flight dispatch means
         # the deadline only ever covers actual execution.
-        policy = RunPolicy(timeout=0.6, retries=0, backoff=0.0,
-                           poll_interval=0.01, on_failure="quarantine")
+        policy = RunPolicy(timeout=0.6, retries=0, on_failure="quarantine")
+        observer = Collector()
         outcome = run_supervised(_sleep_briefly, list(range(8)), workers=2,
-                                 policy=policy)
+                                 policy=policy, observer=observer)
         assert outcome.ok
         assert outcome.results == [v + 1000 for v in range(8)]
-        assert outcome.stats.timeouts == 0
-        assert outcome.stats.respawns == 0
+        assert observer.metrics.value("sweep.timeouts") == 0
+        assert observer.metrics.value("sweep.respawns") == 0
 
     def test_keyboard_interrupt_is_not_supervised(self):
         # ^C is the operator stopping the sweep, not a trial failing: it
@@ -208,21 +208,21 @@ class TestQuarantine:
         def interrupt(value):
             raise KeyboardInterrupt
 
-        policy = RunPolicy(retries=3, backoff=0.0, on_failure="quarantine")
+        policy = RunPolicy(retries=3, on_failure="quarantine")
         with pytest.raises(KeyboardInterrupt):
             run_supervised(interrupt, [1, 2, 3], workers=1, policy=policy)
 
     def test_worker_killed_midtrial_is_detected(self):
         # os._exit(3) in the pool child: the task can never complete, so
         # the heartbeat deadline is the detection path.
-        policy = RunPolicy(timeout=1.0, retries=0, backoff=0.0,
-                           poll_interval=0.01, on_failure="quarantine")
+        policy = RunPolicy(timeout=1.0, retries=0, on_failure="quarantine")
+        observer = Collector()
         outcome = run_supervised(_die_on_three, [1, 3, 5], workers=2,
-                                 policy=policy)
+                                 policy=policy, observer=observer)
         assert outcome.results[0] == 2
         assert outcome.results[2] == 10
         assert isinstance(outcome.results[1], TrialFailure)
-        assert outcome.stats.respawns >= 1
+        assert observer.metrics.value("sweep.respawns") >= 1
 
 
 class TestFallback:
@@ -238,10 +238,12 @@ class TestFallback:
                                  policy=FAST, observer=observer)
         assert outcome.results == [1, 4, 9, 16]
         assert outcome.ok
-        assert "semaphores" in outcome.stats.fallback_reason
         assert observer.metrics.value("sweep.fallback") == 1
         events = [e for e in observer.bus.events if e.kind == "sweep.fallback"]
         assert events and events[0].detail["stage"] == "pool-creation"
+        health = describe_sweep_health(observer)
+        assert health.startswith("sweep health: 4/4 executed, 0 resumed")
+        assert "in-process fallback (OSError('no POSIX semaphores" in health
 
 
 # -- tentpole: the checkpoint journal -----------------------------------------
@@ -277,9 +279,10 @@ class TestCheckpoint:
                                  checkpoint=path, resume=True,
                                  experiment="unit", observer=observer)
         assert outcome.results == [100, 121, 144]
-        assert outcome.stats.resumed == 2
-        assert outcome.stats.executed == 1  # only trial 1 re-ran
         assert observer.metrics.value("sweep.resumed_trials") == 2
+        assert _executed(observer) == 1  # only trial 1 re-ran
+        assert describe_sweep_health(observer).startswith(
+            "sweep health: 1/3 executed, 2 resumed")
 
     def test_resume_without_checkpoint_is_an_error(self):
         # Every sweep hands resume= to the runner, so one check covers the
@@ -376,16 +379,16 @@ class TestCheckpoint:
 
 # -- acceptance: kill mid-sweep, resume, byte-identical artifact --------------
 
-def _run_chaos_cli(tmp_path, *extra, env_extra=None, name="out"):
+def _run_chaos_cli(tmp_path, *extra, env_extra=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     env.pop("REPRO_SWEEP_KILL_AFTER", None)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        [sys.executable, "-m", "repro", "chaos",
-         "--rates", "0,0.2,0.5", "--seed", "7", "--queries", "5",
-         "--attack-budget", "5", "--workers", "2", "--json", *extra],
+        [sys.executable, "-m", "repro", "run", "E16",
+         "--set", "rates=0,0.2,0.5", "--set", "queries_per_rate=5",
+         "--set", "attack_budget=5", "--workers", "2", "--json", *extra],
         capture_output=True, text=True, env=env, cwd=str(tmp_path),
         timeout=120,
     )
@@ -433,8 +436,7 @@ class TestChaosParity:
             workers=1, policy=RunPolicy(retries=2, on_failure="quarantine"),
             sweep_observer=sweep_observer)
         assert supervised.cells == plain.cells
-        assert supervised.health is not None
-        assert supervised.health.executed == 2
+        assert _executed(sweep_observer) == 2
         assert sweep_observer.metrics.value("sweep.quarantined") == 0
 
     def test_failing_point_names_index_and_seed(self, monkeypatch):
@@ -457,12 +459,13 @@ class TestChaosParity:
     def test_checkpointed_parallel_matches_sequential(self, tmp_path):
         plain = run_chaos_sweep(rates=[0.0, 0.3], seed=11, queries_per_rate=5,
                                 attack_budget=5, workers=1)
+        sweep_observer = Collector()
         journaled = run_chaos_sweep(rates=[0.0, 0.3], seed=11,
                                     queries_per_rate=5, attack_budget=5,
                                     workers=2,
-                                    checkpoint=str(tmp_path / "c.ckpt"))
+                                    checkpoint=str(tmp_path / "c.ckpt"),
+                                    sweep_observer=sweep_observer)
         assert (json.dumps(plain.to_dict(), sort_keys=True)
                 == json.dumps(journaled.to_dict(), sort_keys=True))
-        assert journaled.health is not None
-        assert journaled.health.executed == 2
+        assert _executed(sweep_observer) == 2
         assert journaled.failures == []
