@@ -80,11 +80,13 @@ def show_checkpoint_resume() -> None:
     only the trials missing from the journal re-execute.
     """
     print("=== checkpointed sweep, then resume ===")
-    path = os.path.join(tempfile.mkdtemp(), "chaos.ckpt")
-    first = run_chaos_sweep((0.0, 0.2, 0.5), checkpoint=path)
-    health = Collector()
-    resumed = run_chaos_sweep((0.0, 0.2, 0.5), checkpoint=path, resume=True,
-                              sweep_observer=health)
+    # The journal lives only as long as the round trip.
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "chaos.ckpt")
+        first = run_chaos_sweep((0.0, 0.2, 0.5), checkpoint=path)
+        health = Collector()
+        resumed = run_chaos_sweep((0.0, 0.2, 0.5), checkpoint=path, resume=True,
+                                  sweep_observer=health)
     identical = (json.dumps(first.to_dict(), sort_keys=True)
                  == json.dumps(resumed.to_dict(), sort_keys=True))
     print(f"journal           : {path}")

@@ -239,6 +239,18 @@ def _parse_value(text: str):
         return text
 
 
+def _parse_values(text: str) -> tuple:
+    """Literal-eval a ``--grid`` value list as one list, so sequence values
+    keep their commas (``(0,0.5),(0.2,)`` is two tuples); bare words fall
+    back to a comma split (``x86,arm``)."""
+    import ast
+
+    try:
+        return tuple(ast.literal_eval(f"[{text}]"))
+    except (ValueError, SyntaxError):
+        return tuple(_parse_value(value) for value in text.split(","))
+
+
 def cmd_run(args) -> int:
     """Run one registered experiment: grids, checkpoints, results artifact.
 
@@ -261,12 +273,11 @@ def cmd_run(args) -> int:
     grid = {}
     for item in args.grid or []:
         key, sep, values = item.partition("=")
-        if not sep or not key.strip():
+        if not sep or not key.strip() or not values.strip():
             print(f"repro run: --grid wants KEY=V1,V2,... got {item!r}",
                   file=sys.stderr)
             return 2
-        grid[key.strip()] = tuple(_parse_value(value)
-                                  for value in values.split(","))
+        grid[key.strip()] = _parse_values(values)
     params = {}
     for item in args.set or []:
         key, sep, value = item.partition("=")
@@ -530,7 +541,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sweep_flags(run)
     run.add_argument("--grid", action="append", metavar="KEY=V1,V2",
                      help="widen a spec parameter into a sweep axis "
-                          "(repeatable; values literal-eval'd)")
+                          "(repeatable; the values are literal-eval'd as one "
+                          "list, so 'rates=(0,0.5),(0.2,)' is two points)")
     run.add_argument("--set", action="append", metavar="KEY=VALUE",
                      help="pin one spec parameter (repeatable)")
     run.add_argument("--results", metavar="PATH",

@@ -159,13 +159,23 @@ class ExperimentSpec:
             raise ValueError(
                 f"{self.id}: {', '.join(harness)}: harness setting(s), not "
                 "experiment parameters; use the matching CLI flag instead")
-        accepted = sorted(set(inspect.signature(self.runner).parameters)
-                          - HARNESS_PARAMS)
+        parameters = inspect.signature(self.runner).parameters
+        accepted = sorted(set(parameters) - HARNESS_PARAMS)
         unknown = [name for name in axes if name not in accepted]
         if unknown:
             raise ValueError(
                 f"{self.id}: unknown parameter(s) {', '.join(sorted(unknown))} "
                 f"(runner accepts: {', '.join(accepted)})")
+        for name, values in axes.items():
+            # A scalar where the runner takes a sequence would fail every
+            # trial inside the runner; refuse it before any trial runs.
+            default = parameters[name].default
+            if isinstance(default, (list, tuple)):
+                for value in values:
+                    if not isinstance(value, (list, tuple)):
+                        raise ValueError(
+                            f"{self.id}: {name}: want a sequence per grid point "
+                            f"(default {default!r}), got {value!r}")
 
     def trial_kwargs(self, trial: GridTrial) -> Dict[str, Any]:
         """The runner keyword arguments for one grid trial."""

@@ -16,6 +16,12 @@ Entries are only created after a successful ``fetch`` (the W^X
 enforcement point), and segment permissions are immutable once mapped, so
 a validated hit implies the X-check would pass again: attack outcomes are
 bit-identical with the cache on or off.
+
+On a miss the emulator fetches and then asks a per-ISA strict-decode memo
+shared by every process (``_decode_strict`` in :mod:`repro.cpu.x86.emu`
+and :mod:`repro.cpu.arm.emu`, keyed by the fetched bytes and the
+address), so the decoder itself runs only on a memo miss.  ``misses``
+still counts misses of this cache, decoded afresh or not.
 """
 
 from __future__ import annotations
@@ -24,6 +30,10 @@ from typing import Dict, Optional, Tuple
 
 from ..mem.space import AddressSpace
 from .isa import Instruction
+
+#: Entries in each ISA's strict-decode memo: a few sleds' worth (the x86
+#: NOP sled alone is about 80 addresses), so peak memory stays bounded.
+DECODE_MEMO_SIZE = 1024
 
 #: (instruction, mapping epoch, ((page, generation), ...)).
 _Entry = Tuple[Instruction, int, Tuple[Tuple[int, int], ...]]
@@ -44,8 +54,9 @@ class DecodeCache:
         self.enabled = DecodeCache.enabled_by_default if enabled is None else enabled
         #: Validated cache hits (decoder skipped).
         self.hits = 0
-        #: Decoder invocations — every ``record_decode`` call, so with the
-        #: cache disabled ``misses`` still counts decode() calls.
+        #: Cache misses — every ``record_decode`` call, so with the cache
+        #: disabled ``misses`` counts every step.  Each miss fetched; the
+        #: decoder ran only when the shared decode memo missed too.
         self.misses = 0
         #: Entries dropped individually by a page-generation mismatch — a
         #: write landed on a page the cached bytes span.  Epoch flushes are
@@ -79,7 +90,7 @@ class DecodeCache:
         return insn
 
     def record_decode(self, insn: Instruction) -> None:
-        """Note one decoder call, caching its result when enabled."""
+        """Note one miss and its decoded instruction, caching it when enabled."""
         self.misses += 1
         if not self.enabled:
             return

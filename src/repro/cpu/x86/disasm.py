@@ -9,7 +9,6 @@ instructions so the linear sweep can continue).
 from __future__ import annotations
 
 import struct
-from typing import Optional
 
 from ..events import IllegalInstruction
 from ..isa import Instruction
@@ -24,6 +23,59 @@ def _sign32(value: int) -> int:
     return value - 2**32 if value >= 2**31 else value
 
 
+# -- one-byte instructions (no operand bytes follow the opcode) ----------------
+
+_SIMPLE = {
+    0x90: "nop",
+    0xC3: "ret",
+    0xC9: "leave",
+    0x99: "cdq",
+    0xCC: "int3",
+    0xF4: "hlt",
+    # Single-byte BCD-adjust instructions: effectively flag-only NOPs.
+    # The label planner uses them as sled-safe DNS label-length bytes.
+    0x27: "daa",
+    0x2F: "das",
+    0x37: "aaa",
+    0x3F: "aas",
+}
+
+
+def _one_byte_table():
+    """opcode -> ``(mnemonic, operands)`` of every one-byte instruction, else None."""
+    table = [None] * 256
+    for opcode, mnemonic in _SIMPLE.items():
+        table[opcode] = (mnemonic, ())
+    # The low three bits name the register.  XCHG eax, r32 is 0x91-0x97
+    # (0x90 is nop == xchg eax, eax).
+    for index, register in enumerate(X86_REGISTERS):
+        table[0x50 + index] = ("push", (register,))
+        table[0x58 + index] = ("pop", (register,))
+        table[0x40 + index] = ("inc", (register,))
+        table[0x48 + index] = ("dec", (register,))
+        if index:
+            table[0x90 + index] = ("xchg", ("eax", register))
+    return tuple(table)
+
+
+#: Built once, so a one-byte decode allocates nothing but its Instruction.
+_ONE_BYTE = _one_byte_table()
+#: Every opcode's own byte: the ``raw`` of a one-byte or ``(bad)`` decode.
+_RAW1 = tuple(bytes((opcode,)) for opcode in range(256))
+
+# -- operand-carrying opcode tables --------------------------------------------
+_TWO_OP = {0x89: "mov_rm_r", 0x8B: "mov_r_rm", 0x31: "xor", 0x01: "add", 0x29: "sub",
+           0x39: "cmp", 0x85: "test", 0x21: "and", 0x09: "or"}
+_GROUP1 = {0: "add", 5: "sub", 7: "cmp"}
+_REL8 = {0xEB: "jmp", 0x74: "jz", 0x75: "jnz"}
+
+
+def _bad(address: int, raw1: bytes, reason: str, strict: bool) -> Instruction:
+    if strict:
+        raise IllegalInstruction(address, raw1, reason)
+    return Instruction(address, 1, "(bad)", (), raw1)
+
+
 def decode(data: bytes, address: int, offset: int = 0, *, strict: bool = True) -> Instruction:
     """Decode one instruction from ``data[offset:]`` located at ``address``.
 
@@ -34,96 +86,57 @@ def decode(data: bytes, address: int, offset: int = 0, *, strict: bool = True) -
         raise IllegalInstruction(address, b"", "decode past end of buffer")
 
     opcode = data[offset]
-    raw1 = data[offset : offset + 1]
-
-    def bad(reason: str) -> Instruction:
-        if strict:
-            raise IllegalInstruction(address, raw1, reason)
-        return Instruction(address, 1, "(bad)", (), raw1)
-
-    def need(n: int) -> Optional[bytes]:
-        chunk = data[offset : offset + n]
-        return chunk if len(chunk) == n else None
-
-    # -- XCHG eax, r32 (0x91-0x97; 0x90 is nop == xchg eax, eax) --------------
-    if 0x91 <= opcode <= 0x97:
-        return Instruction(address, 1, "xchg", ("eax", X86_REGISTERS[opcode - 0x90]), raw1)
-
-    # -- single byte, no operands -------------------------------------------
-    simple = {
-        0x90: "nop",
-        0xC3: "ret",
-        0xC9: "leave",
-        0x99: "cdq",
-        0xCC: "int3",
-        0xF4: "hlt",
-        # Single-byte BCD-adjust instructions: effectively flag-only NOPs.
-        # The label planner uses them as sled-safe DNS label-length bytes.
-        0x27: "daa",
-        0x2F: "das",
-        0x37: "aaa",
-        0x3F: "aas",
-    }
-    if opcode in simple:
-        return Instruction(address, 1, simple[opcode], (), raw1)
-
-    # -- single byte with encoded register -----------------------------------
-    if 0x50 <= opcode <= 0x57:
-        return Instruction(address, 1, "push", (X86_REGISTERS[opcode - 0x50],), raw1)
-    if 0x58 <= opcode <= 0x5F:
-        return Instruction(address, 1, "pop", (X86_REGISTERS[opcode - 0x58],), raw1)
-    if 0x40 <= opcode <= 0x47:
-        return Instruction(address, 1, "inc", (X86_REGISTERS[opcode - 0x40],), raw1)
-    if 0x48 <= opcode <= 0x4F:
-        return Instruction(address, 1, "dec", (X86_REGISTERS[opcode - 0x48],), raw1)
+    one_byte = _ONE_BYTE[opcode]
+    if one_byte is not None:
+        return Instruction(address, 1, one_byte[0], one_byte[1], _RAW1[opcode])
+    raw1 = _RAW1[opcode]
+    available = len(data) - offset
 
     # -- immediates ------------------------------------------------------------
     if opcode == 0x68:
-        raw = need(5)
-        if raw is None:
-            return bad("truncated push imm32")
+        if available < 5:
+            return _bad(address, raw1, "truncated push imm32", strict)
+        raw = data[offset : offset + 5]
         return Instruction(address, 5, "push", (struct.unpack("<I", raw[1:])[0],), raw)
     if opcode == 0x6A:
-        raw = need(2)
-        if raw is None:
-            return bad("truncated push imm8")
+        if available < 2:
+            return _bad(address, raw1, "truncated push imm8", strict)
+        raw = data[offset : offset + 2]
         return Instruction(address, 2, "push", (_sign8(raw[1]) & 0xFFFFFFFF,), raw)
     if 0xB8 <= opcode <= 0xBF:
-        raw = need(5)
-        if raw is None:
-            return bad("truncated mov reg, imm32")
+        if available < 5:
+            return _bad(address, raw1, "truncated mov reg, imm32", strict)
+        raw = data[offset : offset + 5]
         value = struct.unpack("<I", raw[1:])[0]
         return Instruction(address, 5, "mov", (X86_REGISTERS[opcode - 0xB8], value), raw)
     if 0xB0 <= opcode <= 0xB7:
-        raw = need(2)
-        if raw is None:
-            return bad("truncated mov r8, imm8")
+        if available < 2:
+            return _bad(address, raw1, "truncated mov r8, imm8", strict)
+        raw = data[offset : offset + 2]
         return Instruction(address, 2, "mov8", (X86_REG8[opcode - 0xB0], raw[1]), raw)
     if opcode == 0xC2:
-        raw = need(3)
-        if raw is None:
-            return bad("truncated ret imm16")
+        if available < 3:
+            return _bad(address, raw1, "truncated ret imm16", strict)
+        raw = data[offset : offset + 3]
         return Instruction(address, 3, "retn", (struct.unpack("<H", raw[1:])[0],), raw)
     if opcode == 0xCD:
-        raw = need(2)
-        if raw is None:
-            return bad("truncated int imm8")
+        if available < 2:
+            return _bad(address, raw1, "truncated int imm8", strict)
+        raw = data[offset : offset + 2]
         return Instruction(address, 2, "int", (raw[1],), raw)
     if opcode == 0x3D:
-        raw = need(5)
-        if raw is None:
-            return bad("truncated cmp eax, imm32")
+        if available < 5:
+            return _bad(address, raw1, "truncated cmp eax, imm32", strict)
+        raw = data[offset : offset + 5]
         return Instruction(address, 5, "cmp", ("eax", struct.unpack("<I", raw[1:])[0]), raw)
 
     # -- ModR/M register-direct forms ------------------------------------------
-    two_op = {0x89: "mov_rm_r", 0x8B: "mov_r_rm", 0x31: "xor", 0x01: "add", 0x29: "sub",
-              0x39: "cmp", 0x85: "test", 0x21: "and", 0x09: "or"}
-    if opcode in two_op:
-        raw = need(2)
-        if raw is None:
-            return bad("truncated modrm instruction")
+    kind = _TWO_OP.get(opcode)
+    if kind is not None:
+        if available < 2:
+            return _bad(address, raw1, "truncated modrm instruction", strict)
+        raw = data[offset : offset + 2]
         mod, reg, rm = raw[1] >> 6, (raw[1] >> 3) & 7, raw[1] & 7
-        kind = two_op[opcode]
         if mod == 0 and kind in ("mov_rm_r", "mov_r_rm") and rm not in (4, 5):
             # Register-indirect MOV without displacement: [reg] forms.
             reg_name, base_name = X86_REGISTERS[reg], X86_REGISTERS[rm]
@@ -131,7 +144,7 @@ def decode(data: bytes, address: int, offset: int = 0, *, strict: bool = True) -
                 return Instruction(address, 2, "store", (base_name, reg_name), raw)
             return Instruction(address, 2, "load", (reg_name, base_name), raw)
         if mod != 3:
-            return bad("memory-form ModR/M not supported by this core")
+            return _bad(address, raw1, "memory-form ModR/M not supported by this core", strict)
         reg_name, rm_name = X86_REGISTERS[reg], X86_REGISTERS[rm]
         if kind == "mov_rm_r":
             return Instruction(address, 2, "mov", (rm_name, reg_name), raw)
@@ -141,69 +154,67 @@ def decode(data: bytes, address: int, offset: int = 0, *, strict: bool = True) -
 
     # -- group F7: NOT/NEG (register-direct) --------------------------------------
     if opcode == 0xF7:
-        raw = need(2)
-        if raw is None:
-            return bad("truncated group-3 instruction")
+        if available < 2:
+            return _bad(address, raw1, "truncated group-3 instruction", strict)
+        raw = data[offset : offset + 2]
         mod, group, rm = raw[1] >> 6, (raw[1] >> 3) & 7, raw[1] & 7
         if mod != 3 or group not in (2, 3):
-            return bad("unsupported group-3 form")
+            return _bad(address, raw1, "unsupported group-3 form", strict)
         return Instruction(address, 2, "not" if group == 2 else "neg",
                            (X86_REGISTERS[rm],), raw)
 
     # -- group C1: SHL/SHR imm8 (register-direct) ----------------------------------
     if opcode == 0xC1:
-        raw = need(3)
-        if raw is None:
-            return bad("truncated shift instruction")
+        if available < 3:
+            return _bad(address, raw1, "truncated shift instruction", strict)
+        raw = data[offset : offset + 3]
         mod, group, rm = raw[1] >> 6, (raw[1] >> 3) & 7, raw[1] & 7
         if mod != 3 or group not in (4, 5):
-            return bad("unsupported shift form")
+            return _bad(address, raw1, "unsupported shift form", strict)
         return Instruction(address, 3, "shl" if group == 4 else "shr",
                            (X86_REGISTERS[rm], raw[2] & 0x1F), raw)
 
     # -- group FF: indirect call/jmp through a register ------------------------------
     if opcode == 0xFF:
-        raw = need(2)
-        if raw is None:
-            return bad("truncated group-5 instruction")
+        if available < 2:
+            return _bad(address, raw1, "truncated group-5 instruction", strict)
+        raw = data[offset : offset + 2]
         mod, group, rm = raw[1] >> 6, (raw[1] >> 3) & 7, raw[1] & 7
         if mod != 3 or group not in (2, 4):
-            return bad("unsupported group-5 form")
+            return _bad(address, raw1, "unsupported group-5 form", strict)
         # Register operand (a str) distinguishes these from direct call/jmp,
         # whose operand is the resolved int target.
         mnemonic = "call" if group == 2 else "jmp"
         return Instruction(address, 2, mnemonic, (X86_REGISTERS[rm],), raw)
 
     if opcode == 0x83:
-        raw = need(3)
-        if raw is None:
-            return bad("truncated group-1 imm8")
+        if available < 3:
+            return _bad(address, raw1, "truncated group-1 imm8", strict)
+        raw = data[offset : offset + 3]
         mod, group, rm = raw[1] >> 6, (raw[1] >> 3) & 7, raw[1] & 7
         if mod != 3 or group not in (0, 5, 7):
-            return bad("unsupported group-1 form")
-        mnemonic = {0: "add", 5: "sub", 7: "cmp"}[group]
+            return _bad(address, raw1, "unsupported group-1 form", strict)
         return Instruction(
-            address, 3, mnemonic,
+            address, 3, _GROUP1[group],
             (X86_REGISTERS[rm], _sign8(raw[2]) & 0xFFFFFFFF), raw,
         )
 
     # -- relative control flow ----------------------------------------------------
     if opcode in (0xE8, 0xE9):
-        raw = need(5)
-        if raw is None:
-            return bad("truncated rel32 branch")
+        if available < 5:
+            return _bad(address, raw1, "truncated rel32 branch", strict)
+        raw = data[offset : offset + 5]
         rel = _sign32(struct.unpack("<I", raw[1:])[0])
         target = (address + 5 + rel) & 0xFFFFFFFF
         return Instruction(address, 5, "call" if opcode == 0xE8 else "jmp", (target,), raw)
-    if opcode in (0xEB, 0x74, 0x75):
-        raw = need(2)
-        if raw is None:
-            return bad("truncated rel8 branch")
+    if opcode in _REL8:
+        if available < 2:
+            return _bad(address, raw1, "truncated rel8 branch", strict)
+        raw = data[offset : offset + 2]
         target = (address + 2 + _sign8(raw[1])) & 0xFFFFFFFF
-        mnemonic = {0xEB: "jmp", 0x74: "jz", 0x75: "jnz"}[opcode]
-        return Instruction(address, 2, mnemonic, (target,), raw)
+        return Instruction(address, 2, _REL8[opcode], (target,), raw)
 
-    return bad(f"unknown opcode {opcode:#04x}")
+    return _bad(address, raw1, f"unknown opcode {opcode:#04x}", strict)
 
 
 def linear_sweep(data: bytes, base: int):

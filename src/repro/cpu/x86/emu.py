@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
+from ..cache import DECODE_MEMO_SIZE
 from ..emulator import Emulator
 from ..events import IllegalInstruction
 from ..isa import Branch, DataFlow, Instruction, Mem
@@ -14,6 +17,19 @@ MASK32 = 0xFFFFFFFF
 
 #: Longest encodable instruction in our subset.
 MAX_INSN_LEN = 5
+
+
+@lru_cache(maxsize=DECODE_MEMO_SIZE)
+def _decode_strict(window: bytes, address: int) -> Instruction:
+    """Strict decode of a fetched window, memoized across boots.
+
+    The decode is a pure function of the window bytes and the address, so
+    a hit is exactly what the decoder would return, wherever the bytes sit
+    and whichever boot fetched them: no write or remap can make an entry
+    stale.  ``IllegalInstruction`` propagates and is never stored.
+    """
+    return decode(window, address, strict=True)
+
 
 # -- data flow (read by _branch, repro.obs.taint and repro.exploit.gadgets) ----
 
@@ -57,16 +73,6 @@ class X86Emulator(Emulator):
     arch = "x86"
     flow = DATA_FLOW
 
-    def _fetch_window(self, address: int) -> bytes:
-        """Fetch up to MAX_INSN_LEN bytes, spanning contiguous mapped segments.
-
-        An instruction that straddles two back-to-back executable segments
-        must decode; the window only stops early at a genuine mapping gap
-        (where the truncated decode then faults like the hardware would).
-        """
-        memory = self.process.memory
-        return memory.fetch(address, memory.contiguous_span(address, MAX_INSN_LEN))
-
     def _set_zf(self, result: int) -> None:
         flags = self.process.registers["eflags"]
         if result & MASK32 == 0:
@@ -94,7 +100,12 @@ class X86Emulator(Emulator):
         cache = process.decode_cache
         insn = cache.lookup(address)
         if insn is None:
-            insn = decode(self._fetch_window(address), address, strict=True)
+            # The window spans back-to-back executable segments, so an
+            # instruction straddling two of them decodes; it stops early
+            # only at a mapping gap, where the truncated decode faults like
+            # the hardware would.
+            window = process.memory.fetch_window(address, MAX_INSN_LEN)
+            insn = _decode_strict(window, address)
             cache.record_decode(insn)
         self._execute(insn)
         return insn

@@ -163,6 +163,8 @@ class AddressSpace:
         page_gens = self._page_gens
         first = address >> PAGE_SHIFT
         last = (address + length - 1) >> PAGE_SHIFT
+        if first == last:
+            return ((first, page_gens.get(first, 0)),)
         return tuple((page, page_gens.get(page, 0)) for page in range(first, last + 1))
 
     def _note_write(self, address: int, length: int) -> None:
@@ -201,10 +203,11 @@ class AddressSpace:
         return spans
 
     # -- byte access ----------------------------------------------------------
-    # ``read``, ``write`` and ``fetch`` bisect once: a non-empty range that
-    # ends inside the segment it starts in is served by that segment.  Any
-    # other range (one leaving the segment, starting in a gap, or empty)
-    # goes through ``_spans``, the only walk across segment boundaries.
+    # ``read``, ``write``, ``fetch_window`` and ``fetch`` bisect once: a
+    # non-empty range that ends inside the segment it starts in is served by
+    # that segment.  Any other range (one leaving the segment, starting in a
+    # gap, or empty) goes through ``_spans``, the only walk across segment
+    # boundaries.
 
     def read(self, address: int, length: int, *, check: bool = True) -> bytes:
         """Read bytes, spanning segment boundaries if mappings are contiguous."""
@@ -264,6 +267,22 @@ class AddressSpace:
         for seg, start, stop in spans:
             seg.write(start, payload[offset : offset + stop - start], check=check)
             offset += stop - start
+
+    def fetch_window(self, address: int, limit: int) -> bytes:
+        """Instruction fetch of up to ``limit`` bytes, stopping at a mapping gap.
+
+        ``fetch(address, contiguous_span(address, limit))`` in one bisect
+        when the window lies inside one segment; any other window takes
+        exactly that path, so faults and their addresses are the same.
+        """
+        address &= ADDRESS_MASK
+        index = bisect_right(self._bases, address) - 1
+        if index >= 0 and limit > 0:
+            seg = self._segments[index]
+            if address + limit <= seg.end:
+                start = address - seg.base
+                return seg.fetch(start, start + limit)
+        return self.fetch(address, self.contiguous_span(address, limit))
 
     def fetch(self, address: int, length: int) -> bytes:
         """Instruction fetch (X-checked) — the W^X enforcement point."""

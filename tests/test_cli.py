@@ -1,6 +1,7 @@
 """Command-line interface."""
 
 import hashlib
+import json
 import re
 
 import pytest
@@ -219,6 +220,29 @@ class TestCommands:
         captured = capsys.readouterr()
         assert re.search(r"\n0\.20 .* lost: error .*FAIL\n", captured.out)
         assert re.search(r"sweep\.quarantined.*\b1\b", captured.err)
+
+    def test_grid_widens_a_sequence_parameter(self, capsys):
+        # Each --grid value is one literal, so a tuple keeps its commas:
+        # two chaos sweeps, not four string "rates" that every trial
+        # rejects inside the sweep (a quarantined run, exit 1).
+        assert main(["run", "E16", "--grid", "rates=(0,0.5),(0.2,)",
+                     "--set", "queries_per_rate=2", "--set", "attack_budget=2",
+                     "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [row["params"]["rates"] for row in rows] == [[0, 0.5], [0.2]]
+        assert [row["outcome"] for row in rows] == ["pass", "pass"]
+
+    @pytest.mark.parametrize("axis", [
+        pytest.param(["--grid", "rates=0,0.5"], id="grid"),
+        pytest.param(["--set", "rates=0.5"], id="set"),
+    ])
+    def test_scalar_for_a_sequence_parameter_exits_2(self, axis, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(chaos, "_chaos_point_task", ran.append)
+        assert main(["run", "E16", *axis, "--set", "queries_per_rate=2",
+                     "--set", "attack_budget=2"]) == 2
+        assert ran == []
+        assert "rates: want a sequence" in capsys.readouterr().err
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_lost_chaos_point_fails_the_artifact(self, workers, tmp_path,

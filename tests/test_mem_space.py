@@ -430,7 +430,8 @@ def _layouts(draw):
 
 
 _OPS = st.lists(st.tuples(
-    st.sampled_from(["read", "write", "fetch", "is_mapped", "contiguous_span"]),
+    st.sampled_from(["read", "write", "fetch", "is_mapped", "contiguous_span",
+                     "fetch_window"]),
     st.integers(-4, 130),  # offset from the layout start
     st.binary(max_size=40),  # write payload; its length sizes the other calls
     st.booleans()),  # check=
@@ -469,10 +470,18 @@ def _build(start, pieces):
 # ... and a range starting on a segment's last byte runs into its neighbour.
 @example(layout=(0x1000, [(0, 8, "rwx"), (0, 8, "r--")]),
          ops=[("read", 7, b"AB", True), ("fetch", 7, b"AB", True),
-              ("contiguous_span", 7, b"AB", True), ("write", 7, b"AB", True)])
+              ("contiguous_span", 7, b"AB", True), ("fetch_window", 7, b"AB", True),
+              ("write", 7, b"AB", True)])
+# A fetch window stops at a gap, and faults on a non-executable neighbour.
+@example(layout=(0x1000, [(0, 8, "r-x"), (1, 8, "r-x")]),
+         ops=[("fetch_window", 6, b"ABCDE", True), ("fetch_window", 8, b"ABC", True)])
+@example(layout=(0x1000, [(0, 8, "r-x"), (0, 8, "rw-")]),
+         ops=[("fetch_window", 6, b"ABCDE", True), ("fetch_window", 3, b"ABCDE", True),
+              ("fetch_window", 3, b"", True)])
 def test_property_range_walk_matches_byte_model(layout, ops):
     """Every access agrees with a per-byte walk: results, bytes, page
-    generations and cleared shadow ranges — or the fault type and address.
+    generations (one by one and as a ``page_generation_span`` stamp) and
+    cleared shadow ranges — or the fault type and address.
 
     Pins the write ordering: a gap faults before anything changes, while a
     permission fault partway through leaves the earlier segments written
@@ -496,6 +505,9 @@ def test_property_range_walk_matches_byte_model(layout, ops):
         elif kind == "is_mapped":
             calls = (lambda: space.is_mapped(address, length),
                      lambda: model.is_mapped(address, length))
+        elif kind == "fetch_window":
+            calls = (lambda: space.fetch_window(address, length),
+                     lambda: model.fetch(address, model.contiguous_span(address, length)))
         else:
             calls = (lambda: space.contiguous_span(address, length + 1),
                      lambda: model.contiguous_span(address, length + 1))
@@ -507,4 +519,7 @@ def test_property_range_walk_matches_byte_model(layout, ops):
         first = address >> PAGE_SHIFT
         for page in range(first, ((address + length) >> PAGE_SHIFT) + 1):
             assert space.page_generation(page) == model.page_gens.get(page, 0), page
+        last = (address + max(length, 1) - 1) >> PAGE_SHIFT
+        assert space.page_generation_span(address, length) == tuple(
+            (page, model.page_gens.get(page, 0)) for page in range(first, last + 1))
         assert log.cleared == model.cleared

@@ -7,10 +7,12 @@ pool respawn; a SIGKILLed sweep resumes from its JSONL checkpoint into a
 byte-identical artifact, re-executing only the unfinished trials.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -375,6 +377,19 @@ class TestCheckpoint:
         record = json.loads(Path(path).read_text().splitlines()[1])
         with pytest.raises(pickle.UnpicklingError, match="allowlist"):
             _decode_payload(record)
+
+
+def test_chaos_sweep_example_removes_its_journal(tmp_path, monkeypatch, capsys):
+    # The example's checkpoint round trip journals into a temporary
+    # directory; nothing of it may outlive the example.
+    spec = importlib.util.spec_from_file_location(
+        "chaos_sweep_example", REPO_ROOT / "examples" / "chaos_sweep.py")
+    example = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(example)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    example.show_checkpoint_resume()
+    assert "artifact identical: True" in capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- acceptance: kill mid-sweep, resume, byte-identical artifact --------------
