@@ -4,7 +4,7 @@
 9-instruction loop until the step budget runs out.  The end-to-end
 benchmark (``benchmarks/e2e``) reports its ``steps_per_s`` as the
 guest-emulation layer figure; ``tests/test_parallel_and_bench.py`` pins
-its deterministic counters (steps, decode calls, cache hits).
+its counters (steps, decoder runs, memo hits) from an empty decode memo.
 """
 
 from __future__ import annotations
@@ -50,7 +50,9 @@ def run_dispatch_bench(arch: str = "x86", steps: int = 12_000, *,
     """Run the full run loop to budget exhaustion; report dispatch counters.
 
     Goes through ``Emulator.run`` — the path every experiment takes — so
-    the decode cache serves every step after the loop's first pass.
+    every step fetches and the shared decode memo answers all but the
+    loop's first pass.  The memo outlives the run: a second bench of the
+    same arch in one interpreter runs the decoder zero times.
     """
     # Read by benchmarks/e2e/child.py: delete with the benchmark's cpu.block_* / blocks_{on,off} metrics.
     del blocks_enabled

@@ -305,12 +305,13 @@ def run_chaos_sweep(
     into the deterministic results artifact.
 
     Before any point runs, a ``ValueError`` naming the parameter rejects
-    a rate that is not a real number in [0, 1] and a ``queries_per_rate``
-    or ``attack_budget`` that is not a non-negative integer.
+    an empty ``rates``, a rate that is not a real number in [0, 1] and a
+    ``queries_per_rate`` or ``attack_budget`` that is not a non-negative
+    integer.
     """
-    if isinstance(rates, str) or not isinstance(rates, Sequence):
-        raise ValueError(f"rates: want a sequence of fault levels in "
-                         f"[0, 1], got {rates!r}")
+    if isinstance(rates, str) or not isinstance(rates, Sequence) or not rates:
+        raise ValueError(f"rates: want a non-empty sequence of fault levels "
+                         f"in [0, 1], got {rates!r}")
     for rate in rates:
         if not (isinstance(rate, Real) and 0.0 <= rate <= 1.0):
             raise ValueError(f"rates: fault level {rate!r} is not a real "

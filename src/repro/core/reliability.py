@@ -156,7 +156,12 @@ def run_reliability_study(trials: int = 10, seed: int = 0xE14, *,
     resumes (``resume=True``) by re-executing only the cells the journal
     is missing, and the cells are seed-independent, so the resumed table
     matches the uninterrupted one exactly.
+
+    Before any cell runs, a ``ValueError`` naming ``trials`` rejects a
+    count that is not an integer >= 1: zero boots would pass every cell.
     """
+    if not (isinstance(trials, int) and trials >= 1):
+        raise ValueError(f"trials: want an integer >= 1, got {trials!r}")
     tasks = [ReliabilityTask(index, trials, seed)
              for index in range(len(STUDY_PLAN))]
     return run_supervised(_reliability_cell, tasks, workers=workers,

@@ -86,7 +86,12 @@ def sweep_bruteforce_entropy(
     run N's attacker share run N+1's victim stream (``(base^run)+1 ==
     base^(run+1)`` whenever ``run`` is even), quietly correlating
     adjacent trials of the very independence this series measures.
+
+    Before any trial runs, a ``ValueError`` naming ``runs_per_point``
+    rejects a count that is not an integer >= 1: a point needs a median.
     """
+    if not (isinstance(runs_per_point, int) and runs_per_point >= 1):
+        raise ValueError(f"runs_per_point: want an integer >= 1, got {runs_per_point!r}")
     trials = [
         BruteForceTrial(
             victim_seed=seed ^ derive_seed(

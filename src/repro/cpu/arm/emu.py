@@ -7,29 +7,14 @@ what position-relative shellcode (``add r0, pc, #imm``) depends on.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from ..cache import DECODE_MEMO_SIZE
 from ..emulator import Emulator
 from ..events import IllegalInstruction
 from ..isa import Branch, DataFlow, Instruction, Mem
 from ..registers import MASK32
 from ..syscalls import dispatch_arm
-from .disasm import decode
 
 N_BIT = 1 << 31
 Z_BIT = 1 << 30
-
-
-@lru_cache(maxsize=DECODE_MEMO_SIZE)
-def _decode_strict(word: bytes, address: int) -> Instruction:
-    """Strict decode of a fetched word, memoized across boots.
-
-    A pure function of the word and the address (see the x86 twin in
-    :mod:`repro.cpu.x86.emu`): a hit needs no invalidation, and
-    ``IllegalInstruction`` propagates and is never stored.
-    """
-    return decode(word, address, strict=True)
 
 
 # -- data flow (read by _branch, repro.obs.taint and repro.exploit.gadgets) ----
@@ -104,14 +89,10 @@ class ArmEmulator(Emulator):
         address = process.pc
         if address % 4:
             raise IllegalInstruction(address, b"", "misaligned ARM pc")
-        cache = process.decode_cache
-        insn = cache.lookup(address)
-        if insn is None:
-            # fetch() spans contiguous segments (mirroring the x86 window
-            # rule): a word straddling two adjacent executable mappings
-            # decodes; only a genuine gap or a non-X segment faults.
-            insn = _decode_strict(process.memory.fetch(address, 4), address)
-            cache.record_decode(insn)
+        # fetch() spans contiguous segments (mirroring the x86 window
+        # rule): a word straddling two adjacent executable mappings
+        # decodes; only a genuine gap or a non-X segment faults.
+        insn = process.decode_cache.decode(process.memory.fetch(address, 4), address)
         self._execute(insn)
         return insn
 

@@ -29,8 +29,6 @@ DEFAULT_STEP_BUDGET = 200_000
 CACHE_COUNTERS = (
     "decode_cache_hits",
     "decode_cache_misses",
-    "decode_cache_invalidations",
-    "decode_cache_epoch_flushes",
 )
 
 
@@ -200,8 +198,7 @@ class Emulator:
 
 def _cache_counters(process: Process) -> Dict[str, int]:
     cache = process.decode_cache
-    return dict(zip(CACHE_COUNTERS, (
-        cache.hits, cache.misses, cache.invalidations, cache.epoch_flushes)))
+    return dict(zip(CACHE_COUNTERS, (cache.hits, cache.misses)))
 
 
 def make_emulator(process: Process) -> Emulator:

@@ -67,9 +67,9 @@ class Process:
         self.exit: Optional[ExitRecord] = None
         #: Optional CFI policy (defense §IV); emulators call its hooks.
         self.cfi = None
-        #: Decoded-instruction cache shared by every emulator run over this
-        #: process (write-invalidated; see :mod:`repro.cpu.cache`).
-        self.decode_cache = DecodeCache(memory)
+        #: This process's hit and miss counts over its ISA's shared
+        #: strict-decode memo (see :mod:`repro.cpu.cache`).
+        self.decode_cache = DecodeCache(self.arch)
         #: Optional obs Collector — the process's trace context.  The
         #: emulator nests each run under a ``cpu.run`` span on its tracer
         #: and captures crash postmortems through it when a run faults.

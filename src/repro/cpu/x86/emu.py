@@ -2,33 +2,17 @@
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from ..cache import DECODE_MEMO_SIZE
 from ..emulator import Emulator
 from ..events import IllegalInstruction
 from ..isa import Branch, DataFlow, Instruction, Mem
 from ..registers import X86_REG8, X86_REGISTERS
 from ..syscalls import dispatch_x86
-from .disasm import decode
 
 ZF_BIT = 1 << 6
 MASK32 = 0xFFFFFFFF
 
 #: Longest encodable instruction in our subset.
 MAX_INSN_LEN = 5
-
-
-@lru_cache(maxsize=DECODE_MEMO_SIZE)
-def _decode_strict(window: bytes, address: int) -> Instruction:
-    """Strict decode of a fetched window, memoized across boots.
-
-    The decode is a pure function of the window bytes and the address, so
-    a hit is exactly what the decoder would return, wherever the bytes sit
-    and whichever boot fetched them: no write or remap can make an entry
-    stale.  ``IllegalInstruction`` propagates and is never stored.
-    """
-    return decode(window, address, strict=True)
 
 
 # -- data flow (read by _branch, repro.obs.taint and repro.exploit.gadgets) ----
@@ -97,16 +81,12 @@ class X86Emulator(Emulator):
     def step(self) -> Instruction:
         process = self.process
         address = process.pc
-        cache = process.decode_cache
-        insn = cache.lookup(address)
-        if insn is None:
-            # The window spans back-to-back executable segments, so an
-            # instruction straddling two of them decodes; it stops early
-            # only at a mapping gap, where the truncated decode faults like
-            # the hardware would.
-            window = process.memory.fetch_window(address, MAX_INSN_LEN)
-            insn = _decode_strict(window, address)
-            cache.record_decode(insn)
+        # The window spans back-to-back executable segments, so an
+        # instruction straddling two of them decodes; it stops early only
+        # at a mapping gap, where the truncated decode faults like the
+        # hardware would.
+        window = process.memory.fetch_window(address, MAX_INSN_LEN)
+        insn = process.decode_cache.decode(window, address)
         self._execute(insn)
         return insn
 

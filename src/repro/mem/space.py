@@ -14,7 +14,7 @@ from .segment import Segment
 ADDRESS_MASK = 0xFFFFFFFF
 
 #: log2(PAGE_SIZE); page indices key the write-generation table consumed by
-#: the decoded-instruction cache (:mod:`repro.cpu.cache`).
+#: the guest DNS cache (:mod:`repro.connman.gueststore`).
 PAGE_SHIFT = 12
 
 _BASE = attrgetter("base")
@@ -39,10 +39,11 @@ class AddressSpace:
         #: bisect-based resolution.
         self._bases: List[int] = []
         #: Bumped on every map/unmap.  Consumers holding derived state (the
-        #: decode cache) treat an epoch change as a flush.
+        #: guest DNS cache's parsed table) treat an epoch change as a flush.
         self.mapping_epoch = 0
-        #: page index -> write generation; bumped by :meth:`write` so cached
-        #: decodes of self-modified code are detected and dropped.
+        #: page index -> write generation; bumped by :meth:`write` so state
+        #: parsed from guest bytes (the guest DNS cache's table) is
+        #: detected as stale and rebuilt.
         self._page_gens: Dict[int, int] = {}
         #: Optional :class:`~repro.obs.taint.ShadowMemory` attached by a
         #: taint engine.  When set, every :meth:`write` updates the shadow:
@@ -147,16 +148,12 @@ class AddressSpace:
             return (gap.address - address) & ADDRESS_MASK
         return limit
 
-    def page_generation(self, page: int) -> int:
-        """Write generation of one page (``address >> PAGE_SHIFT``)."""
-        return self._page_gens.get(page, 0)
-
     def page_generation_span(self, address: int, length: int) -> Tuple[Tuple[int, int], ...]:
         """Snapshot ``(page, generation)`` for every page a byte range spans.
 
-        The validation stamp used by the decode cache: cheap
-        (one dict probe per page, no segment resolution) and taken over the
-        exact bytes a cached decode was derived from.
+        The validation stamp used by the guest DNS cache: cheap (one dict
+        probe per page, no segment resolution) and taken over the exact
+        bytes its parsed table was derived from.
         """
         if length <= 0:
             length = 1
@@ -245,8 +242,8 @@ class AddressSpace:
             spans = self._spans(address, length)
             # Bump generations before writing: a permission fault mid-span
             # may leave earlier segments modified, and a spurious
-            # invalidation is harmless while a missed one would execute
-            # stale decodes.
+            # invalidation is harmless while a missed one would serve a
+            # stale parse.
             self._note_write(address, length)
         if self.taint is not None:
             # Same ordering rationale as the generation bump above: a

@@ -14,6 +14,7 @@ import pytest
 from repro.binfmt import build_connman, build_libc, load_process
 from repro.connman import ConnmanDaemon
 from repro.core import AttackScenario, attacker_knowledge
+from repro.cpu.cache import MEMOS
 from repro.defenses import NONE, WX, WX_ASLR
 from repro.mem import AddressSpace, Perm, layout_for
 
@@ -71,6 +72,15 @@ def knowledge_arm_blind():
 def fresh_daemon(arch="x86", version="1.34", profile=NONE, seed=0xC0FFEE):
     return ConnmanDaemon(arch=arch, version=version, profile=profile,
                          rng=random.Random(seed))
+
+
+@pytest.fixture
+def empty_decode_memo():
+    """Empty every ISA's shared decode memo, so the test's decoder runs and
+    memo hits count from a cold start; returns the arch -> memo dict."""
+    for memo in MEMOS.values():
+        memo.clear()
+    return MEMOS
 
 
 @pytest.fixture

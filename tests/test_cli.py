@@ -114,6 +114,10 @@ class TestCommands:
                      id="chaos-queries-per-rate"),
         pytest.param("E16 attack_budget=-1", "attack_budget",
                      id="chaos-attack-budget"),
+        pytest.param("E16 rates=()", "rates", id="chaos-rates-empty"),
+        pytest.param("E14 trials=0", "trials", id="reliability-trials-zero"),
+        pytest.param("E15 runs_per_point=0", "runs_per_point",
+                     id="entropy-runs-per-point-zero"),
     ])
     def test_run_rejects_bad_library_input(self, setting, parameter, capsys):
         experiment, pinned = setting.split()
@@ -307,20 +311,23 @@ class TestCommands:
 #: are the defaults the ``taint`` and ``pcap --taint`` crash captures used
 #: to run.  The two ``chaos --emit events --json`` digests were re-recorded
 #: when the collector lost its time series: each document is the earlier
-#: one without its ``"series"`` key.
+#: one without its ``"series"`` key.  The three ``chaos --emit metrics``
+#: and those two digests were re-recorded when the decode cache lost its
+#: ``decode_cache_invalidations`` and ``decode_cache_epoch_flushes``
+#: counters: each document is the earlier one without those two counters.
 OBSERVE_DIGESTS = [
     ("chaos --emit metrics",
-     "fd3c1e4142589547f248b695b743f4912e2b3acf6bea5d14422ec5995553ac4c"),
+     "c75949b9d27570f3d26e63fbfed25f661cebd85b56e0dcc77fd499c880a70f36"),
     ("chaos --emit metrics --json",
-     "7b56008f73342a3986d64c22735a69c9455d1e579990216574a48b3c48a24cb5"),
+     "0baac0d4e3c396d681f88f4df3933a913443bea1a97dfc642d3e2d4687ab18e0"),
     ("chaos --emit metrics --json --queries 8 --attack-budget 6",
-     "a8933c7670b7b409e7b5e083c3f350e3e62dda61a201a96fcdafb8e56c709145"),
+     "76be07df6cca0576a5f88f375b6fc0493f82f84dfcd622a1550ba89c4e479ded"),
     ("chaos --emit events",
      "dc99823df9186ad0cae058c21580efc8278dfb82942555922cc328c0a0f2b14a"),
     ("chaos --emit events --json",
-     "f47a706c9edb1580448dea0b4fc769eb879360062625f2d3f949e3b758d37013"),
+     "95f3cf4a6c6c20885ef0b1977b52cc618227ea517c834220a81bafc519f3c2a0"),
     ("chaos --emit events --json --queries 8 --attack-budget 6",
-     "cb096cb8d08dd0b4e42eda3f59d1bb666a94471cbce7fee2096545a1df0301bb"),
+     "7a7b4ab75ad80d0b3c275755d925d682976716a9496265c5fabd0ae8668e63ca"),
     ("chaos --emit events --limit 5",
      "ef7c730ba791d1c5704d7b1d8f7ce5f27b6225e5adbf8760ce9808aefd88c9d5"),
     ("attack --emit spans",

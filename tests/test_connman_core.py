@@ -384,7 +384,8 @@ def _expand(how, daemon, engine, packet, name_address):
     memory = daemon.loaded.process.memory
     segment = memory.segment_at(name_address)
     pages = range(segment.base >> 12, ((segment.end - 1) >> 12) + 2)
-    before = [memory.page_generation(page) for page in pages]
+    span = (pages[0] << 12, len(pages) << 12)
+    before = memory.page_generation_span(*span)
     if engine is not None:
         engine.begin_source(packet)
     try:
@@ -396,8 +397,8 @@ def _expand(how, daemon, engine, packet, name_address):
     finally:
         if engine is not None:
             engine.end_source()
-    moved = {page for page, generation in zip(pages, before)
-             if memory.page_generation(page) != generation}
+    moved = {page for (page, generation), (_, old) in zip(memory.page_generation_span(*span), before)
+             if generation != old}
     return (outcome, memory.read(segment.base, segment.size, check=False), moved,
             None if engine is None else
             (engine.shadow.read(segment.base, segment.size), engine.seeds))

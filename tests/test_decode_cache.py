@@ -1,8 +1,9 @@
-"""Decode cache, fetch-window, reg8 aliasing, and unmap semantics."""
+"""Decode memo, fetch-window, reg8 aliasing, and unmap semantics."""
 
 import pytest
 
 from repro.cpu import DecodeCache, Process, make_emulator
+from repro.cpu.cache import DECODERS
 from repro.cpu.events import IllegalInstruction
 from repro.cpu.registers import X86_REG8, X86_REGISTERS
 from repro.cpu.x86.emu import X86Emulator
@@ -98,8 +99,17 @@ class TestFetchWindow:
             space.contiguous_span(0x3000, 4)
 
 
+def decode_every_step(monkeypatch):
+    """Bypass the shared memo: from here on every step runs the decoder."""
+    def decode(self, window, address):
+        self.misses += 1
+        return DECODERS[self.arch](window, address, strict=True)
+
+    monkeypatch.setattr(DecodeCache, "decode", decode)
+
+
 class TestDecodeCacheSemantics:
-    def test_steady_state_is_all_hits(self):
+    def test_steady_state_is_all_hits(self, empty_decode_memo):
         # 8x inc eax + jmp back: 9 distinct instructions.
         process = x86_process(
             [Segment(".text", 0x1000, 0x100, Perm.RX)],
@@ -112,13 +122,30 @@ class TestDecodeCacheSemantics:
         cache = process.decode_cache
         assert cache.misses == 9
         assert cache.hits == 21
+        assert len(empty_decode_memo["x86"]) == 9
 
-    def test_disabled_cache_decodes_every_step(self):
+    def test_second_process_decodes_nothing(self, empty_decode_memo):
+        # The memo is shared: a second boot of the same bytes at the same
+        # addresses is answered entirely by the first boot's decodes.
+        code = {0x1000: b"\x40" * 8 + b"\xeb\xf6"}
+        for expected_misses in (9, 0):
+            process = x86_process([Segment(".text", 0x1000, 0x100, Perm.RX)], code_at=code)
+            process.pc = 0x1000
+            emulator = X86Emulator(process)
+            for _ in range(30):
+                emulator.step()
+            assert process.registers["eax"] == 8 * 3 + 3
+            cache = process.decode_cache
+            assert (cache.misses, cache.hits) == (expected_misses, 30 - expected_misses)
+        assert len(empty_decode_memo["x86"]) == 9
+
+    def test_disabled_cache_decodes_every_step(self, monkeypatch):
+        # The "off" side of the parity tests below must really bypass it.
         process = x86_process(
             [Segment(".text", 0x1000, 0x100, Perm.RX)],
             code_at={0x1000: b"\x40" * 8 + b"\xeb\xf6"},
         )
-        process.decode_cache.enabled = False
+        decode_every_step(monkeypatch)
         process.pc = 0x1000
         emulator = X86Emulator(process)
         for _ in range(30):
@@ -126,7 +153,7 @@ class TestDecodeCacheSemantics:
         assert process.decode_cache.misses == 30
         assert process.decode_cache.hits == 0
 
-    def test_self_modifying_code_executes_new_bytes(self):
+    def test_self_modifying_code_executes_new_bytes(self, empty_decode_memo):
         process = x86_process(
             [Segment("rwx", 0x1000, 0x100, Perm.RWX)],
             code_at={0x1000: b"\x40"},  # inc eax
@@ -135,15 +162,17 @@ class TestDecodeCacheSemantics:
         emulator = X86Emulator(process)
         emulator.step()
         assert process.registers["eax"] == 1
-        assert len(process.decode_cache) == 1
+        assert len(empty_decode_memo["x86"]) == 1
         process.memory.write(0x1000, b"\x41")  # overwrite with inc ecx
         process.pc = 0x1000
         emulator.step()
         assert process.registers["ecx"] == 1
         assert process.registers["eax"] == 1
-        assert process.decode_cache.invalidations >= 1
+        # The new bytes are a new key: decoded afresh, the old entry kept.
+        assert (process.decode_cache.misses, process.decode_cache.hits) == (2, 0)
+        assert len(empty_decode_memo["x86"]) == 2
 
-    def test_remap_at_same_base_invalidates_via_epoch(self):
+    def test_remap_at_same_base_runs_new_bytes(self, empty_decode_memo):
         process = x86_process(
             [Segment("old", 0x1000, 0x100, Perm.RX)],
             code_at={0x1000: b"\x40"},  # inc eax
@@ -158,23 +187,40 @@ class TestDecodeCacheSemantics:
         process.pc = 0x1000
         emulator.step()
         assert process.registers["ecx"] == 1
+        assert process.decode_cache.misses == 2
 
-    def test_wx_still_enforced_with_cache_on(self):
+    def test_wx_still_enforced_with_cache_on(self, empty_decode_memo):
         process = x86_process([Segment("data", 0x1000, 0x100, Perm.RW)])
         process.memory.write(0x1000, b"\x40")
         process.pc = 0x1000
         with pytest.raises(WxViolation):
             X86Emulator(process).step()
-        assert len(process.decode_cache) == 0
+        assert process.decode_cache.misses == 0
+        assert not empty_decode_memo["x86"]
+
+    def test_wx_enforced_on_bytes_the_memo_holds(self, empty_decode_memo):
+        # The same bytes at the same address, decoded once from an RX
+        # mapping: the fetch still faults when the page is not executable.
+        code = {0x1000: b"\x40"}
+        executable = x86_process([Segment("text", 0x1000, 0x100, Perm.RX)], code_at=code)
+        executable.pc = 0x1000
+        X86Emulator(executable).step()
+        process = x86_process([Segment("data", 0x1000, 0x100, Perm.RW)], code_at=code)
+        process.pc = 0x1000
+        with pytest.raises(WxViolation):
+            X86Emulator(process).step()
+        assert process.registers["eax"] == 0
+        assert (process.decode_cache.hits, process.decode_cache.misses) == (0, 0)
 
 
 class TestCrossPageEntries:
-    """Entries whose bytes straddle a page boundary track every page."""
+    """An instruction whose bytes straddle a page boundary is keyed by all
+    of them, so a write to either page makes a new key."""
 
-    def test_second_page_write_invalidates_cross_page_entry(self):
+    def test_second_page_write_invalidates_cross_page_entry(self, empty_decode_memo):
         # mov eax, imm32 at 0x1FFE: opcode on page 1, the immediate's last
         # three bytes on page 2.  A write that touches only the second page
-        # must still drop the cached decode.
+        # must still not be answered with the old decode.
         process = x86_process(
             [Segment("rwx", 0x1000, 0x2000, Perm.RWX)],
             code_at={0x1FFE: b"\xb8\x44\x33\x22\x11"},
@@ -187,9 +233,9 @@ class TestCrossPageEntries:
         process.pc = 0x1FFE
         emulator.step()
         assert process.registers["eax"] == 0x11553344
-        assert process.decode_cache.invalidations >= 1
+        assert process.decode_cache.misses == 2
 
-    def test_first_page_write_also_invalidates_cross_page_entry(self):
+    def test_first_page_write_also_invalidates_cross_page_entry(self, empty_decode_memo):
         process = x86_process(
             [Segment("rwx", 0x1000, 0x2000, Perm.RWX)],
             code_at={0x1FFE: b"\xb8\x44\x33\x22\x11"},
@@ -201,45 +247,14 @@ class TestCrossPageEntries:
         process.pc = 0x1FFE
         emulator.step()
         assert process.registers["eax"] == 0x11223399
+        assert process.decode_cache.misses == 2
 
 
 class TestInvalidationAccounting:
-    """Epoch flushes and per-entry drops are distinct events and counters."""
+    """Nothing is invalidated: each remap's new bytes are a new key,
+    decoded once."""
 
-    def test_self_modify_counts_invalidation_not_epoch_flush(self):
-        process = x86_process(
-            [Segment("rwx", 0x1000, 0x100, Perm.RWX)],
-            code_at={0x1000: b"\x40"},
-        )
-        process.pc = 0x1000
-        emulator = X86Emulator(process)
-        emulator.step()
-        process.memory.write(0x1000, b"\x41")
-        process.pc = 0x1000
-        emulator.step()
-        cache = process.decode_cache
-        assert cache.invalidations == 1
-        assert cache.epoch_flushes == 0
-
-    def test_remap_counts_epoch_flush_not_invalidation(self):
-        process = x86_process(
-            [Segment("old", 0x1000, 0x100, Perm.RX)],
-            code_at={0x1000: b"\x40"},
-        )
-        process.pc = 0x1000
-        emulator = X86Emulator(process)
-        emulator.step()
-        space = process.memory
-        space.unmap("old")
-        space.map(Segment("new", 0x1000, 0x100, Perm.RX))
-        space.write(0x1000, b"\x41", check=False)
-        process.pc = 0x1000
-        emulator.step()
-        cache = process.decode_cache
-        assert cache.epoch_flushes == 1
-        assert cache.invalidations == 0
-
-    def test_repeated_unmap_remap_never_serves_stale_decodes(self):
+    def test_repeated_unmap_remap_never_serves_stale_decodes(self, empty_decode_memo):
         # Three map/write/execute/unmap rounds at the same base: each round
         # must execute its own fresh bytes, never a prior round's decode.
         targets = ("eax", "ecx", "edx")
@@ -255,7 +270,7 @@ class TestInvalidationAccounting:
             process.memory.unmap(name)
         for target in targets:
             assert process.registers[target] == 1, target
-        assert process.decode_cache.epoch_flushes >= 2
+        assert (process.decode_cache.misses, len(empty_decode_memo["x86"])) == (3, 3)
 
 
 class TestUnmapSemantics:
@@ -294,9 +309,8 @@ class TestOutcomeParity:
         return [run_scenario(scenario).row() for scenario in PAPER_MATRIX[:3]]
 
     def test_scenarios_identical_cache_on_and_off(self, monkeypatch):
-        monkeypatch.setattr(DecodeCache, "enabled_by_default", True)
         with_cache = self._scenario_outcomes()
-        monkeypatch.setattr(DecodeCache, "enabled_by_default", False)
+        decode_every_step(monkeypatch)
         without_cache = self._scenario_outcomes()
         assert with_cache == without_cache
 
@@ -305,9 +319,8 @@ class TestOutcomeParity:
 
         trial = BruteForceTrial(victim_seed=7, attacker_seed=8,
                                 max_attempts=256, entropy_pages=16)
-        monkeypatch.setattr(DecodeCache, "enabled_by_default", True)
         with_cache = run_bruteforce_trial(trial)
-        monkeypatch.setattr(DecodeCache, "enabled_by_default", False)
+        decode_every_step(monkeypatch)
         without_cache = run_bruteforce_trial(trial)
         assert with_cache == without_cache
         assert with_cache.succeeded

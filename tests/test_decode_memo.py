@@ -1,7 +1,7 @@
 """The strict-decode memo shared across boots, and the one-byte x86 table.
 
-A ``DecodeCache`` miss fetches and then asks ``_decode_strict`` (one per
-ISA), an ``lru_cache`` keyed by the fetched bytes and the address.  The
+Every step fetches and then asks ``DecodeCache.decode``, which answers
+from one memo per ISA keyed by the fetched bytes and the address.  The
 decode is a pure function of both, so the memo must be indistinguishable
 from calling the decoder: same instruction, same ``IllegalInstruction``,
 new bytes at an old address decoded afresh.
@@ -12,22 +12,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.connman import ConnmanDaemon, EventKind
-from repro.cpu import Process, make_emulator
+from repro.cpu import DecodeCache, Process, make_emulator
 from repro.cpu.arm import disasm as arm_disasm
-from repro.cpu.arm import emu as arm_emu
 from repro.cpu.arm.asm import add_imm
+from repro.cpu.cache import DECODE_MEMO_SIZE, DECODERS
 from repro.cpu.events import IllegalInstruction
 from repro.cpu.isa import Instruction
 from repro.cpu.registers import X86_REGISTERS
 from repro.cpu.x86 import disasm as x86_disasm
-from repro.cpu.x86 import emu as x86_emu
 from repro.defenses import NONE
 from repro.exploit import X86CodeInjection, deliver
 from repro.mem import AddressSpace, Perm, Segment
 
 ARCHES = {
-    "x86": (x86_emu._decode_strict, x86_disasm.decode, st.binary(min_size=1, max_size=5)),
-    "arm": (arm_emu._decode_strict, arm_disasm.decode, st.binary(min_size=4, max_size=4)),
+    "x86": (x86_disasm.decode, st.binary(min_size=1, max_size=5)),
+    "arm": (arm_disasm.decode, st.binary(min_size=4, max_size=4)),
 }
 
 
@@ -42,32 +41,52 @@ def _outcome(call):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), address=st.integers(0, 0xFFFFFFFF))
 def test_property_memo_matches_a_fresh_strict_decode(arch, data, address):
-    memo, decode, windows = ARCHES[arch]
+    decode, windows = ARCHES[arch]
     window = data.draw(windows)
     fresh = _outcome(lambda: decode(window, address, strict=True))
+    cache = DecodeCache(arch)
     # Twice: the first call may fill the memo, the second may be served by it.
-    assert _outcome(lambda: memo(window, address)) == fresh
-    assert _outcome(lambda: memo(window, address)) == fresh
+    assert _outcome(lambda: cache.decode(window, address)) == fresh
+    assert _outcome(lambda: cache.decode(window, address)) == fresh
 
 
 @pytest.mark.parametrize("arch", sorted(ARCHES))
-def test_illegal_instruction_is_never_memoized(arch):
-    memo = ARCHES[arch][0]
+def test_illegal_instruction_is_never_memoized(arch, empty_decode_memo):
+    cache = DecodeCache(arch)
     window = b"\x0f\x0b" if arch == "x86" else b"\xff\xff\xff\xff"
-    before = memo.cache_info()
     for _ in range(2):
         with pytest.raises(IllegalInstruction):
-            memo(window, 0x1000)
-    after = memo.cache_info()
+            cache.decode(window, 0x1000)
     # Both calls ran the decoder, and neither stored an entry.
-    assert after.misses == before.misses + 2
-    assert after.currsize == before.currsize
+    assert (cache.misses, cache.hits) == (2, 0)
+    assert not empty_decode_memo[arch]
+
+
+def test_memo_is_bounded_and_evicts_oldest_first(empty_decode_memo):
+    # A sled of DECODE_MEMO_SIZE + 100 nops: one distinct key per address.
+    count = DECODE_MEMO_SIZE + 100
+    process = _booted("x86", b"\x90" * count + b"\xf4")
+    emulator = make_emulator(process)
+    for _ in range(count):
+        emulator.step()
+    memo = empty_decode_memo["x86"]
+    cache = process.decode_cache
+    assert len(memo) == DECODE_MEMO_SIZE
+    assert (cache.misses, cache.hits) == (count, 0)
+    # The newest key hits; the oldest was evicted and decodes again.
+    process.pc = 0x10000 + count - 1
+    emulator.step()
+    assert (cache.misses, cache.hits) == (count, 1)
+    process.pc = 0x10000
+    emulator.step()
+    assert (cache.misses, cache.hits) == (count + 1, 1)
+    assert len(memo) == DECODE_MEMO_SIZE
 
 
 def _booted(arch, code):
     """A fresh process with ``code`` at 0x10000 and the pc on it."""
     space = AddressSpace()
-    space.map(Segment(".text", 0x10000, 0x1000, Perm.RX, data=code))
+    space.map(Segment(".text", 0x10000, 0x2000, Perm.RX, data=code))
     process = Process(arch, space, name="memo-test")
     process.pc = 0x10000
     return process
@@ -89,8 +108,8 @@ def test_new_boot_with_new_bytes_at_a_memoized_address_runs_them(arch):
         assert process.registers[result] == value
 
 
-def test_restarted_victim_decodes_no_sled_instruction(knowledge_x86_plain, monkeypatch):
-    x86_emu._decode_strict.cache_clear()
+def test_restarted_victim_decodes_no_sled_instruction(knowledge_x86_plain, monkeypatch,
+                                                     empty_decode_memo):
     decoded = []
 
     def counting_decode(window, address, **kwargs):
@@ -98,12 +117,12 @@ def test_restarted_victim_decodes_no_sled_instruction(knowledge_x86_plain, monke
         decoded.append(insn)
         return insn
 
-    monkeypatch.setattr(x86_emu, "decode", counting_decode)
+    monkeypatch.setitem(DECODERS, "x86", counting_decode)
     exploit = X86CodeInjection().build(knowledge_x86_plain)
     victim = ConnmanDaemon(arch="x86", profile=NONE)
 
     def attack():
-        """(DecodeCache misses, sled decoder calls) of one restarted boot."""
+        """(decoder runs, sled decoder runs) of one restarted boot."""
         decoded.clear()
         victim.restart()
         process = victim.loaded.process
@@ -113,11 +132,10 @@ def test_restarted_victim_decodes_no_sled_instruction(knowledge_x86_plain, monke
 
     first_misses, first_sled = attack()
     second_misses, second_sled = attack()
-    assert first_sled > 0
-    # The second boot's address-keyed cache started cold and missed as
-    # often as the first; the shared memo answered every sled miss.
-    assert second_misses == first_misses > first_sled
-    assert second_sled == 0
+    assert first_misses > first_sled > 0
+    # The memo outlives the boot: the restarted victim ran the decoder for
+    # no instruction, its sled included.
+    assert (second_misses, second_sled) == (0, 0)
 
 
 def _one_byte_reference():

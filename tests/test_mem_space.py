@@ -137,7 +137,7 @@ class TestSegment:
         # generation and shadow were already updated: spurious, not missed.
         with pytest.raises(AccessViolation):
             space.write(0x42000, b"\x01")
-        assert space.page_generation(page) == 1
+        assert space.page_generation_span(0x42000, 1) == ((page, 1),)
         assert space.taint.read(0x42000, 1) == (frozenset(),)
         assert guard.data is zeros and zeros == bytes(0x1000)
         # A heap write: the segment copies its zero block only after the
@@ -146,13 +146,13 @@ class TestSegment:
         copy_on_write = heap.write
 
         def spy(start, payload, *, check=True):
-            seen.append((space.page_generation(0x41fff >> PAGE_SHIFT),
+            seen.append((space.page_generation_span(0x41fff, 1),
                          space.taint.read(0x41fff, 1), type(heap.data)))
             copy_on_write(start, payload, check=check)
 
         heap.write = spy
         space.write(0x41fff, b"\x05", taint=[frozenset({3})])
-        assert seen == [(1, (frozenset({3}),), bytes)]
+        assert seen == [(((0x41fff >> PAGE_SHIFT, 1),), (frozenset({3}),), bytes)]
         assert type(heap.data) is bytearray and space.read(0x41fff, 1) == b"\x05"
         assert zeros == bytes(0x1000)
 
@@ -517,8 +517,9 @@ def test_property_range_walk_matches_byte_model(layout, ops):
             assert bytes(seg.data) == bytes(
                 model.cells[seg.base + i][0] for i in range(seg.size)), seg.name
         first = address >> PAGE_SHIFT
-        for page in range(first, ((address + length) >> PAGE_SHIFT) + 1):
-            assert space.page_generation(page) == model.page_gens.get(page, 0), page
+        pages = range(first, ((address + length) >> PAGE_SHIFT) + 1)
+        assert space.page_generation_span(first << PAGE_SHIFT, len(pages) << PAGE_SHIFT) == tuple(
+            (page, model.page_gens.get(page, 0)) for page in pages)
         last = (address + max(length, 1) - 1) >> PAGE_SHIFT
         assert space.page_generation_span(address, length) == tuple(
             (page, model.page_gens.get(page, 0)) for page in range(first, last + 1))

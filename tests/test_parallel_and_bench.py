@@ -213,13 +213,16 @@ class TestMetricsMerge:
 
 
 class TestDispatchBench:
-    def test_tight_loop_dispatch_counters(self):
+    def test_tight_loop_dispatch_counters(self, empty_decode_memo):
         # benchmarks/e2e still passes blocks_enabled and reads steps_per_s
         # per arch; the keyword must change no counter.
         budget = 1200
         for arch in ("x86", "arm"):
-            runs = [run_dispatch_bench(arch, budget, blocks_enabled=enabled)
-                    for enabled in (True, False)]
+            runs = []
+            for enabled in (True, False):
+                # Each run starts from an empty memo, so both decode cold.
+                empty_decode_memo[arch].clear()
+                runs.append(run_dispatch_bench(arch, budget, blocks_enabled=enabled))
             for run in runs:
                 assert run["steps"] == budget
                 # Budget exhaustion ends the run as a hung-process kill.

@@ -1,7 +1,7 @@
 """The per-step run loop: budget, natives, self-modifying code, flags at faults.
 
-Every guest instruction runs through ``Emulator.step`` over the decode
-cache.  These tests pin the concrete registers, flags and outcomes the
+Every guest instruction runs through ``Emulator.step``: a fetch, then
+the shared decode memo.  These tests pin the concrete registers, flags and outcomes the
 run loop produces on both ISAs.
 """
 
@@ -38,7 +38,7 @@ def run(process, pc, max_steps):
 
 class TestBudget:
     @pytest.mark.parametrize("max_steps", [1, 8, 9, 10, 17, 27, 30, 100])
-    def test_budget_exhausts_at_exactly_max_steps(self, max_steps):
+    def test_budget_exhausts_at_exactly_max_steps(self, max_steps, empty_decode_memo):
         process = make_process("x86", [Segment(".text", 0x1000, 0x100, Perm.RX)],
                                {0x1000: TIGHT_LOOP})
         result = run(process, 0x1000, max_steps)
@@ -125,7 +125,7 @@ class TestSelfModifyingCode:
         assert process.registers["edx"] == 0
         assert process.registers["eip"] == 0x1008
 
-    def test_external_write_between_runs_executes_new_bytes(self):
+    def test_external_write_between_runs_executes_new_bytes(self, empty_decode_memo):
         process = make_process("x86", [Segment("rwx", 0x1000, 0x1000, Perm.RWX)],
                                {0x1000: b"\x40\x40" + x86.hlt()})
         emulator = make_emulator(process)
@@ -138,18 +138,20 @@ class TestSelfModifyingCode:
         assert (result.reason, result.steps) == ("fault", 2)
         assert process.registers["ecx"] == 2
         assert process.registers["eax"] == 2
-        # The write dropped all three decodes on its page, hlt included.
-        assert process.decode_cache.invalidations == 3
-        assert process.decode_cache.epoch_flushes == 0
+        # The write changed both incs' fetch windows, not the hlt's: two
+        # new keys decoded, the hlt answered by the memo.
+        assert (process.decode_cache.misses, process.decode_cache.hits) == (5, 1)
+        assert len(empty_decode_memo["x86"]) == 5
 
-    def test_wx_faults_the_run_on_a_writable_page(self):
+    def test_wx_faults_the_run_on_a_writable_page(self, empty_decode_memo):
         process = make_process("x86", [Segment("data", 0x1000, 0x100, Perm.RW)])
         process.memory.write(0x1000, b"\x40")
         result = run(process, 0x1000, 10)
         assert (result.reason, result.signal, result.steps) == ("fault", "SIGSEGV", 0)
         assert process.registers["eax"] == 0
         assert process.exit.code == 139
-        assert len(process.decode_cache) == 0
+        assert process.decode_cache.misses == 0
+        assert not empty_decode_memo["x86"]
 
 
 class TestFlags:

@@ -184,11 +184,17 @@ class TestObserversTogether:
                 == victim.loaded.process.spawns)
 
     @pytest.mark.parametrize("arch, level", [("arm", "wx+aslr"), ("x86", "none")])
-    def test_each_export_matches_its_solo_run(self, arch, level):
-        together = _observed_attack(set(EXPORTS), arch, level).collector
+    def test_each_export_matches_its_solo_run(self, arch, level, empty_decode_memo):
+        def attack(attach):
+            # From an empty decode memo each run's decode_cache_* counters
+            # are the same: the memo outlives every run in the interpreter.
+            empty_decode_memo[arch].clear()
+            return _observed_attack(attach, arch, level).collector
+
+        together = attack(set(EXPORTS))
         assert together.trace.entries and together.taint.pc_events
         for name, export in EXPORTS.items():
-            alone = _observed_attack({name}, arch, level).collector
+            alone = attack({name})
             assert export(together) == export(alone), name
 
 

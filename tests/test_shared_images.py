@@ -156,20 +156,26 @@ class TestBootsShareTheImages:
         assert len(natives) == len(second.process.native)
         assert all(a is b for a, b in zip(natives, second.process.native.values()))
 
-    def test_unchecked_text_write_copies_on_write(self, arch):
+    def test_unchecked_text_write_copies_on_write(self, arch, empty_decode_memo):
         first, second = (loaded_pair(arch, wx=True, aslr=True, seed=seed) for seed in (3, 4))
         name = f"{first.binary.name}:.text"
         section = first.binary.section(".text")
         frozen = bytes(section.data)
         pc = first.process.pc
-        make_emulator(first.process).step()
-        assert first.process.decode_cache.lookup(pc) is not None
-        patch = b"\x90" * 4 if arch == "x86" else arm.mov_imm("r0", 7)
+        emulator = make_emulator(first.process)
+        emulator.step()
+        assert len(empty_decode_memo[arch]) == 1
+        patch = b"\x41" * 4 if arch == "x86" else arm.mov_imm("r0", 7)  # inc ecx x4
 
         first.process.memory.write(pc, patch, check=False)
 
         assert first.process.memory.fetch(pc, 4) == patch
-        assert first.process.decode_cache.lookup(pc) is None
+        # The patched bytes are a new key: decoded afresh, never served the
+        # decode of the image bytes.
+        first.process.pc = pc
+        emulator.step()
+        cache = first.process.decode_cache
+        assert (cache.misses, cache.hits, len(empty_decode_memo[arch])) == (2, 0, 2)
         assert first.process.memory.segment(name).data is not section.data
         assert second.process.memory.fetch(pc, 4) == frozen[pc - section.address:][:4]
         assert second.process.memory.segment(name).data is section.data
